@@ -48,7 +48,6 @@ from .models import (
     check_local_na,
     discount_tree,
     load_config,
-    log_characteristics,
 )
 from .oracle import (
     DpResult,

@@ -55,13 +55,10 @@ class LocalArbitrageError(Exception):
         super().__init__(message)
 
 
-def _ones_constraint(d):
-    return np.ones((1, d))
-
-
 def _solve_portfolio(c, target, cost, ctx, where=None):
     """Min-norm minimizer of pi c pi' - 2 pi target subject to pi . ones = cost."""
-    problem = qp.QpProblem(C=c, F=target, A=_ones_constraint(len(target)), b=[cost], ctx=ctx)
+    ones = np.ones((1, len(target)))
+    problem = qp.QpProblem(C=c, F=target, A=ones, b=[cost], ctx=ctx)
     try:
         return qp.solve(problem)
     except qp.UnboundedBelowError as err:
@@ -146,12 +143,17 @@ def myopic_minvar(b, c, ctx=DEFAULT_CTX):
     depends on c only (b is accepted for interface symmetry) and satisfies
     zeta . ones = 1 and zeta c zeta' = a c a' - b'p b.
     """
+    return _minvar_projector(c, ctx)[0]
+
+
+def _minvar_projector(c, ctx):
+    """(zeta, p) of :func:`myopic_minvar`, with p = (m c m)^+ kept for reuse."""
     c = np.asarray(c, dtype=float)
     d = c.shape[0]
     ones = np.ones(d)
     m = np.eye(d) - np.outer(ones, ones) / d
     p = pinv(m @ c @ m, ctx)
-    return (ones - p @ (c @ ones)) / d
+    return (ones - p @ (c @ ones)) / d, p
 
 
 @dataclass(frozen=True)
@@ -207,12 +209,9 @@ class ClosedFormResult(NamedTuple):
 
 def _iid_closed_form(model, ctx):
     b, c = model.log_characteristics(0)
-    d, T = model.d, model.n_periods
+    T = model.n_periods
     a, _ = adjustment(b, c, ctx)
-    zeta = myopic_minvar(b, c, ctx)
-    ones = np.ones(d)
-    m = np.eye(d) - np.outer(ones, ones) / d
-    p = pinv(m @ c @ m, ctx)
+    zeta, p = _minvar_projector(c, ctx)
     ab = float(a @ b)
     aca = float(a @ c @ a)
     bpb = float(b @ p @ b)
@@ -243,9 +242,12 @@ def _iid_closed_form(model, ctx):
 def _pii_segment_table(model, ctx):
     """Per-segment coefficients and log rates for a piecewise-constant model.
 
-    Returns a list of dicts with keys t0, t1, a, zeta, rate_L (d log L / dt,
-    integrated backward), rate_LV, rate_err (= a c a'), var_rate (zeta c
-    zeta'), riskfree_rate.
+    Returns ``(rows, int_L, int_LV)``.  ``rows`` is a list of dicts with keys
+    t0, t1, a, zeta, rate_L (d log L / dt, integrated backward), rate_LV,
+    rate_err (= a c a'), var_rate (zeta c zeta'), riskfree_rate.  ``int_L``
+    and ``int_LV`` hold the backward integrals of rate_L and rate_LV from each
+    segment boundary to the horizon, so L = exp(int_L) and
+    V = exp(int_LV - int_L) at the boundaries.
     """
     rows = []
     t0 = 0.0
@@ -269,21 +271,24 @@ def _pii_segment_table(model, ctx):
             }
         )
         t0 += seg.duration
-    return rows
-
-
-def _pii_closed_form(model, ctx):
-    rows = _pii_segment_table(model, ctx)
     m = len(rows)
-    # Backward cumulative integrals from each boundary to the horizon.
     int_L = np.zeros(m + 1)
     int_LV = np.zeros(m + 1)
-    int_err = np.zeros(m + 1)
-    eps2 = np.zeros(m + 1)
     for i in range(m - 1, -1, -1):
         dt = rows[i]["t1"] - rows[i]["t0"]
         int_L[i] = int_L[i + 1] + rows[i]["rate_L"] * dt
         int_LV[i] = int_LV[i + 1] + rows[i]["rate_LV"] * dt
+    return rows, int_L, int_LV
+
+
+def _pii_closed_form(model, ctx):
+    rows, int_L, int_LV = _pii_segment_table(model, ctx)
+    m = len(rows)
+    # Backward error integral from each boundary to the horizon.
+    int_err = np.zeros(m + 1)
+    eps2 = np.zeros(m + 1)
+    for i in range(m - 1, -1, -1):
+        dt = rows[i]["t1"] - rows[i]["t0"]
         w = rows[i]["rate_err"]
         if abs(w * dt) < 1e-14:
             piece = dt
@@ -358,6 +363,10 @@ class TreeSolution:
 
     def triple(self):
         return self.L0, self.V0, self.eps2_0
+
+    def feedback(self, nid, wealth):
+        """Feedback rule at a non-terminal node: pi = xi + (V - wealth) a."""
+        return self.xi[nid] + (self.V[nid] - wealth) * self.a[nid]
 
 
 def tree_backward(
@@ -490,7 +499,7 @@ def _tree_feedback(solution, v, node_path):
     for here, there in zip(path[:-1], path[1:]):
         if there not in [ch for _, ch in tree.nodes[here].branches]:
             raise ValueError(f"{there!r} is not a child of {here!r}")
-        pi = solution.xi[here] + (solution.V[here] - wealth[-1]) * solution.a[here]
+        pi = solution.feedback(here, wealth[-1])
         holdings.append(pi)
         wealth.append(wealth[-1] + float(pi @ tree.returns(here, there)))
     return StrategyPath(holdings=np.array(holdings), wealth=np.array(wealth))

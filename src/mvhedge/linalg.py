@@ -26,6 +26,7 @@ __all__ = [
     "subspace_equal",
     "in_span",
     "projection_residual",
+    "symmetric_psd",
 ]
 
 
@@ -74,6 +75,29 @@ def _as_matrix(M, name="matrix", allow_empty=False):
     if not np.all(np.isfinite(A)):
         raise InvalidInputError(f"{name} contains non-finite entries")
     return A
+
+
+def symmetric_psd(M, name, error, ctx):
+    """Return ``(M + M') / 2`` for a symmetric positive-semidefinite M.
+
+    Non-finite entries raise :class:`InvalidInputError`; a non-square,
+    asymmetric or indefinite M raises the caller's exception type ``error``.
+    """
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise error(f"{name} must be square, got shape {M.shape}")
+    if not np.all(np.isfinite(M)):
+        raise InvalidInputError(f"{name} contains non-finite entries")
+    scale = max(np.abs(M).max(), 1.0)
+    if np.abs(M - M.T).max() > ctx.residual_tol * scale:
+        raise error(f"{name} is not symmetric")
+    M = 0.5 * (M + M.T)
+    w = np.linalg.eigvalsh(M)
+    if w[0] < -ctx.psd_tol * max(np.trace(M), 1.0):
+        raise error(
+            f"{name} is not positive semidefinite (min eigenvalue {w[0]:.3e})"
+        )
+    return M
 
 
 def pinv(M, ctx=DEFAULT_CTX, abs_cutoff=0.0):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_CTX, InvalidInputError, in_span, subspace_sum
+from .linalg import DEFAULT_CTX, InvalidInputError, in_span, subspace_sum, symmetric_psd
 
 __all__ = [
     "InvalidModelError",
@@ -23,7 +23,6 @@ __all__ = [
     "TreeNode",
     "FiniteTreeModel",
     "Claim",
-    "log_characteristics",
     "check_local_na",
     "discount_tree",
     "model_from_dict",
@@ -45,22 +44,6 @@ class InvalidNumeraireError(ValueError):
     """Raised when the requested numeraire asset is not strictly positive."""
 
 
-def _symmetric_psd(c, name, ctx):
-    c = np.asarray(c, dtype=float)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise InvalidModelError(f"{name} must be square, got shape {c.shape}")
-    if not np.all(np.isfinite(c)):
-        raise InvalidModelError(f"{name} contains non-finite entries")
-    scale = max(np.abs(c).max(), 1.0)
-    if np.abs(c - c.T).max() > ctx.residual_tol * scale:
-        raise InvalidModelError(f"{name} is not symmetric")
-    c = 0.5 * (c + c.T)
-    w = np.linalg.eigvalsh(c)
-    if w[0] < -ctx.psd_tol * max(np.trace(c), 1.0):
-        raise InvalidModelError(f"{name} is not positive semidefinite")
-    return c
-
-
 class IidDiscreteModel:
     """Discrete-time market with IID one-period simple returns.
 
@@ -75,7 +58,7 @@ class IidDiscreteModel:
         self.mu = np.asarray(mu, dtype=float).ravel()
         if not np.all(np.isfinite(self.mu)):
             raise InvalidModelError("mu contains non-finite entries")
-        self.sigma = _symmetric_psd(sigma, "sigma", ctx)
+        self.sigma = symmetric_psd(sigma, "sigma", InvalidModelError, ctx)
         if self.sigma.shape[0] != self.mu.shape[0]:
             raise InvalidModelError("mu and sigma dimensions differ")
         self.n_periods = int(n_periods)
@@ -129,7 +112,9 @@ class PiiItoModel:
             b = np.asarray(b, dtype=float).ravel()
             if not np.all(np.isfinite(b)):
                 raise InvalidModelError(f"segment {i} drift has non-finite entries")
-            c = _symmetric_psd(c, f"segment {i} second characteristic", ctx)
+            c = symmetric_psd(
+                c, f"segment {i} second characteristic", InvalidModelError, ctx
+            )
             if d is None:
                 d = b.shape[0]
             if b.shape[0] != d or c.shape[0] != d:
@@ -155,7 +140,6 @@ class PiiItoModel:
             acc += seg.duration
             if t < acc or i == len(self.segments) - 1:
                 return i
-        return len(self.segments) - 1
 
     def log_characteristics(self, t):
         seg = self.segments[self.segment_index(t)]
@@ -284,8 +268,7 @@ class FiniteTreeModel:
             raise InvalidModelError("terminal nodes must share a common time")
         self.horizon = times.pop()
         self.terminal_ids = tuple(terminals)
-        prices = np.array([self.nodes[nid].prices for nid in order])
-        if not np.any(np.all(prices > 0, axis=0)):
+        if not self.positive_assets():
             raise InvalidModelError(
                 "no strictly positive asset exists; the tree admits no "
                 "self-financing numeraire candidate"
@@ -305,11 +288,6 @@ class FiniteTreeModel:
             slices.setdefault(self.nodes[nid].time, []).append(nid)
         return [slices[t] for t in sorted(slices, reverse=True)]
 
-    def iter_edges(self):
-        for nid in self._order:
-            for prob, child in self.nodes[nid].branches:
-                yield nid, prob, child
-
     def node_probabilities(self):
         """Unconditional probability of reaching each node."""
         prob = {self.root: 1.0}
@@ -322,6 +300,24 @@ class FiniteTreeModel:
         """Per-asset simple returns over the edge nid -> child."""
         parent = self.nodes[nid].prices
         return self.nodes[child].prices / parent - 1.0
+
+    def roll_wealth(self, holdings, v):
+        """Roll self-financing wealth from ``v`` at the root over every node.
+
+        ``holdings(nid, wealth)`` is the dollar portfolio held at a
+        non-terminal node.  Returns the dicts node -> holdings and node -> wealth.
+        """
+        pis = {}
+        wealth = {self.root: float(v)}
+        for nid in self._order:
+            branches = self.nodes[nid].branches
+            if not branches:
+                continue
+            pi = holdings(nid, wealth[nid])
+            pis[nid] = pi
+            for _, ch in branches:
+                wealth[ch] = wealth[nid] + float(pi @ self.returns(nid, ch))
+        return pis, wealth
 
     def positive_assets(self):
         """Indices of assets with strictly positive prices on every node."""
@@ -368,11 +364,6 @@ class Claim:
         return Claim(constant=1.0)
 
 
-def log_characteristics(model, locator):
-    """Dispatching accessor for the (b, c) characteristics of any model kind."""
-    return model.log_characteristics(locator)
-
-
 def check_local_na(b, c, mode="discrete", ctx=DEFAULT_CTX):
     """Local no-arbitrage test: the drift must lie in Ran(c) + Ran(ones).
 
@@ -384,7 +375,7 @@ def check_local_na(b, c, mode="discrete", ctx=DEFAULT_CTX):
     if mode not in ("discrete", "continuous"):
         raise InvalidModelError(f"unknown mode {mode!r}")
     b = np.asarray(b, dtype=float).ravel()
-    c = _symmetric_psd(c, "second characteristic", ctx)
+    c = symmetric_psd(c, "second characteristic", InvalidModelError, ctx)
     ones = np.ones((b.shape[0], 1))
     return in_span(b, subspace_sum(c, ones, ctx=ctx), ctx)
 
@@ -403,11 +394,10 @@ def discount_tree(tree, numeraire_index, ctx=DEFAULT_CTX):
     j = int(numeraire_index)
     if not 0 <= j < tree.d:
         raise InvalidNumeraireError(f"numeraire index {j} out of range")
-    for nid in tree._order:
-        if tree.nodes[nid].prices[j] <= 0:
-            raise InvalidNumeraireError(
-                f"numeraire asset {j} is not strictly positive at node {nid!r}"
-            )
+    if j not in tree.positive_assets():
+        raise InvalidNumeraireError(
+            f"numeraire asset {j} is not strictly positive on every node"
+        )
     weights = {}
     for slice_ids in tree.nodes_by_time():
         for nid in slice_ids:
@@ -441,25 +431,29 @@ def discount_tree(tree, numeraire_index, ctx=DEFAULT_CTX):
 
 
 def model_from_dict(data, ctx=DEFAULT_CTX):
-    """Build a model from the JSON-compatible config mapping."""
+    """Build a model from a config mapping; a missing key is an InvalidModelError."""
     kind = data.get("kind")
-    if kind == "iid":
-        return IidDiscreteModel(data["mu"], data["sigma"], data["T"], ctx=ctx)
-    if kind == "pii":
-        return PiiItoModel(
-            [(s["duration"], s["b"], s["c"]) for s in data["segments"]], ctx=ctx
-        )
-    if kind == "tree":
-        nodes = [
-            (
-                n["id"],
-                n["time"],
-                n["prices"],
-                [(br["prob"], br["child"]) for br in n.get("branches", [])],
+    try:
+        if kind == "iid":
+            return IidDiscreteModel(data["mu"], data["sigma"], data["T"], ctx=ctx)
+        if kind == "pii":
+            segments = [(s["duration"], s["b"], s["c"]) for s in data["segments"]]
+            return PiiItoModel(segments, ctx=ctx)
+        if kind == "tree":
+            nodes = [
+                (
+                    n["id"],
+                    n["time"],
+                    n["prices"],
+                    [(br["prob"], br["child"]) for br in n.get("branches", [])],
+                )
+                for n in data["nodes"]
+            ]
+            return FiniteTreeModel(
+                nodes, data["root"], payoff=data.get("payoff"), ctx=ctx
             )
-            for n in data["nodes"]
-        ]
-        return FiniteTreeModel(nodes, data["root"], payoff=data.get("payoff"), ctx=ctx)
+    except KeyError as err:
+        raise InvalidModelError(f"{kind} model config lacks the key {err}") from None
     raise InvalidModelError(f"unknown model kind {kind!r}")
 
 
@@ -502,11 +496,25 @@ def model_to_dict(model):
     raise InvalidModelError(f"unsupported model type {type(model).__name__}")
 
 
-def load_config(path, ctx=DEFAULT_CTX):
-    """Load a config file: {"model": {...}, "claim": ..., "wealth": ...}.
+def _config_number(data, key):
+    """Finite float under ``key``, or None when the key is absent or null."""
+    raw = data.get(key)
+    try:
+        x = None if raw is None else float(raw)
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"{key} must be a number, got {raw!r}") from None
+    if x is not None and not np.isfinite(x):
+        raise InvalidInputError(f"{key} must be finite")
+    return x
 
-    Returns (model, claim_or_None, wealth_or_None).  ``claim`` may be a number
-    (constant payoff) or omitted when the tree model carries its own payoff.
+
+def load_config(path, ctx=DEFAULT_CTX):
+    """Load a config file: {"model": {...}, "claim": ..., "wealth": ..., "step": ...}.
+
+    Returns (model, claim_or_None, wealth_or_None, step_or_None).  ``claim``
+    may be a number (constant payoff) or omitted when the tree model carries
+    its own payoff; ``step`` is the Euler step of the piecewise-constant
+    simulator and must be positive.
     """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
@@ -522,9 +530,8 @@ def load_config(path, ctx=DEFAULT_CTX):
             claim = Claim(constant=float(raw))
     elif isinstance(model, FiniteTreeModel) and model.payoff is not None:
         claim = Claim(payoff=dict(model.payoff))
-    wealth = None
-    if "wealth" in data and data["wealth"] is not None:
-        wealth = float(data["wealth"])
-        if not np.isfinite(wealth):
-            raise InvalidInputError("wealth must be finite")
-    return model, claim, wealth
+    wealth = _config_number(data, "wealth")
+    step = _config_number(data, "step")
+    if step is not None and not step > 0:
+        raise InvalidInputError(f"step must be positive, got {step}")
+    return model, claim, wealth, step

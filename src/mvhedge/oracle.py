@@ -110,7 +110,8 @@ def dp_solve(tree, claim, v, ctx=DEFAULT_CTX):
     At each node the continuation value is a quadratic in wealth whose
     coefficients follow from one closed-form constrained QP per unit of the
     wealth decomposition; the objective for initial wealth v is
-    ell_root (v - v_root)^2 + e_root.
+    ell_root (v - v_root)^2 + e_root.  Holdings and wealth come from one
+    wealth roll of the policy pi0 + wealth * pi1 over the tree.
     """
     values = {}
     policy = {}
@@ -128,17 +129,9 @@ def dp_solve(tree, claim, v, ctx=DEFAULT_CTX):
                 probs, rets, child_vals, ctx, where=f"node {nid!r}"
             )
             policy[nid] = (pi0, pi1)
-    holdings = {}
-    wealth = {tree.root: float(v)}
-    for nid in tree._order:
-        node = tree.nodes[nid]
-        if not node.branches:
-            continue
-        pi0, pi1 = policy[nid]
-        pi = pi0 + wealth[nid] * pi1
-        holdings[nid] = pi
-        for _, ch in node.branches:
-            wealth[ch] = wealth[nid] + float(pi @ tree.returns(nid, ch))
+    holdings, wealth = tree.roll_wealth(
+        lambda nid, w: policy[nid][0] + w * policy[nid][1], v
+    )
     root_val = values[tree.root]
     objective = root_val.ell * (float(v) - root_val.v) ** 2 + root_val.e
     return DpResult(
@@ -182,8 +175,14 @@ def numeraire_change_check(tree, claim, numeraire_index, v, ctx=DEFAULT_CTX):
     the claim by X_T and the initial wealth by X_0.  The optimal share
     holdings are invariant and the objectives differ by the factor E[X_T^2].
     """
+    return _numeraire_report(
+        tree, claim, numeraire_index, v, dp_solve(tree, claim, v, ctx), ctx
+    )
+
+
+def _numeraire_report(tree, claim, numeraire_index, v, base, ctx):
+    """:func:`numeraire_change_check` given its undiscounted ``base`` DP result."""
     j = int(numeraire_index)
-    base = dp_solve(tree, claim, v, ctx)
     disc_tree, _ = discount_tree(tree, j, ctx)
     node_prob = tree.node_probabilities()
     m2 = sum(
@@ -217,19 +216,12 @@ def numeraire_change_check(tree, claim, numeraire_index, v, ctx=DEFAULT_CTX):
 def enumerate_terminal_wealth(tree, solution: TreeSolution, v):
     """Exact terminal wealth distribution of the feedback strategy.
 
-    Returns (probs, wealth, payoff) arrays over terminal nodes, using the
-    per-node feedback rule pi = xi + (V - wealth) a and the tree's branch
-    probabilities.
+    Returns (probs, wealth, payoff) arrays over terminal nodes: one wealth
+    roll over the tree with the solution's feedback rule, weighted by the
+    tree's branch probabilities.
     """
     node_prob = tree.node_probabilities()
-    wealth = {tree.root: float(v)}
-    for nid in tree._order:
-        node = tree.nodes[nid]
-        if not node.branches:
-            continue
-        pi = solution.xi[nid] + (solution.V[nid] - wealth[nid]) * solution.a[nid]
-        for _, ch in node.branches:
-            wealth[ch] = wealth[nid] + float(pi @ tree.returns(nid, ch))
+    _, wealth = tree.roll_wealth(solution.feedback, v)
     probs = np.array([node_prob[t] for t in tree.terminal_ids])
     w = np.array([wealth[t] for t in tree.terminal_ids])
     h = np.array([solution.claim.value_at(t) for t in tree.terminal_ids])
@@ -310,14 +302,7 @@ def _simulate_iid(model, coeffs, values, v, n_paths, seed):
 def _simulate_pii(model, coeffs, v, n_paths, seed, step, ctx):
     if step is None or not step > 0:
         raise ValueError(f"a positive Euler step is required, got {step}")
-    table = _pii_segment_table(model, ctx)
-    m = len(table)
-    int_L = np.zeros(m + 1)
-    int_LV = np.zeros(m + 1)
-    for i in range(m - 1, -1, -1):
-        dt = table[i]["t1"] - table[i]["t0"]
-        int_L[i] = int_L[i + 1] + table[i]["rate_L"] * dt
-        int_LV[i] = int_LV[i + 1] + table[i]["rate_LV"] * dt
+    table, int_L, int_LV = _pii_segment_table(model, ctx)
 
     # Global substep grid: each segment is cut into ceil(duration/step) pieces
     # so segment boundaries are always grid points (integrands stay exact).
@@ -332,7 +317,7 @@ def _simulate_pii(model, coeffs, v, n_paths, seed, step, ctx):
         tail_LV = int_LV[i + 1] + table[i]["rate_LV"] * (table[i]["t1"] - t)
         return np.exp(tail_LV - tail_L)
 
-    seg_factors = [_psd_factor(model.segments[i].c) for i in range(m)]
+    seg_factors = [_psd_factor(seg.c) for seg in model.segments]
     errors = np.empty(n_paths)
     done = 0
     block = 0
@@ -377,6 +362,9 @@ def _simulate_tree(tree, solution, claim, v, n_paths, seed, exhaustive):
     warnings.warn(
         f"tree has {n_terminal} terminal paths; falling back to sampling"
     )
+    # Wealth at a node does not depend on the path sampled to reach it, so
+    # one roll over the tree serves every path.
+    _, wealth = tree.roll_wealth(solution.feedback, v)
     errors = np.empty(n_paths)
     done = 0
     block = 0
@@ -385,16 +373,12 @@ def _simulate_tree(tree, solution, claim, v, n_paths, seed, exhaustive):
         rng = _block_rng(seed, block)
         for i in range(size):
             nid = tree.root
-            wealth = float(v)
             while tree.nodes[nid].branches:
-                pi = solution.xi[nid] + (solution.V[nid] - wealth) * solution.a[nid]
                 branches = tree.nodes[nid].branches
                 probs = np.array([p for p, _ in branches])
                 pick = rng.choice(len(branches), p=probs / probs.sum())
-                child = branches[pick][1]
-                wealth += float(pi @ tree.returns(nid, child))
-                nid = child
-            errors[done + i] = wealth - claim.value_at(nid)
+                nid = branches[pick][1]
+            errors[done + i] = wealth[nid] - claim.value_at(nid)
         done += size
         block += 1
     return _report_from_samples(errors, seed)

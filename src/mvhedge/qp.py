@@ -18,6 +18,7 @@ from .linalg import (
     pinv,
     range_basis,
     subspace_sum,
+    symmetric_psd,
 )
 
 __all__ = [
@@ -79,24 +80,6 @@ def _validate_constraint(A, ctx):
     return A
 
 
-def _validate_quadratic(C, ctx):
-    C = np.asarray(C, dtype=float)
-    if C.ndim != 2 or C.shape[0] != C.shape[1]:
-        raise InvalidProblemError(f"quadratic term must be square, got shape {C.shape}")
-    if not np.all(np.isfinite(C)):
-        raise InvalidInputError("quadratic term contains non-finite entries")
-    scale = max(np.abs(C).max(), 1.0)
-    if np.abs(C - C.T).max() > ctx.residual_tol * scale:
-        raise InvalidProblemError("quadratic term is not symmetric")
-    C = 0.5 * (C + C.T)
-    w = np.linalg.eigvalsh(C)
-    if w[0] < -ctx.psd_tol * max(np.trace(C), 1.0):
-        raise InvalidProblemError(
-            f"quadratic term is not positive semidefinite (min eigenvalue {w[0]:.3e})"
-        )
-    return C
-
-
 @dataclass(frozen=True)
 class QpProblem:
     """Problem data (C, F, A, b) for min x'Cx - 2x'F subject to Ax = b.
@@ -112,7 +95,7 @@ class QpProblem:
     ctx: "object" = field(default=DEFAULT_CTX, repr=False)
 
     def __post_init__(self):
-        C = _validate_quadratic(self.C, self.ctx)
+        C = symmetric_psd(self.C, "quadratic term", InvalidProblemError, self.ctx)
         A = _validate_constraint(self.A, self.ctx)
         n = C.shape[0]
         if A.shape[1] != n:
@@ -159,20 +142,21 @@ def check_bounded(C, F, A, ctx=DEFAULT_CTX):
 
     The criterion is F in Ran(A') + Ran(C), tested by projection residual.
     """
-    C = _validate_quadratic(C, ctx)
+    C = symmetric_psd(C, "quadratic term", InvalidProblemError, ctx)
     A = _validate_constraint(A, ctx)
     F = _as_vector(F, C.shape[0], "linear term F")
+    return _descent_certificate(C, F, A, ctx) is None
+
+
+def _descent_certificate(C, F, A, ctx):
+    """None when F lies in Ran(C) + Ran(A'), else F's component orthogonal to it.
+
+    Expects validated data: the solvers pass a :class:`QpProblem`'s fields.
+    """
     reach = subspace_sum(A.T, C, ctx=ctx)
-    return in_span(F, reach, ctx)
-
-
-def _descent_certificate(problem):
-    """Projection of F onto the orthogonal complement of Ran(C) + Ran(A')."""
-    reach = subspace_sum(problem.A.T, problem.C, ctx=problem.ctx)
-    y = problem.F.copy()
-    if reach.shape[1]:
-        y = y - reach @ (reach.T @ y)
-    return y
+    if in_span(F, reach, ctx):
+        return None
+    return F - reach @ (reach.T @ F) if reach.shape[1] else F.copy()
 
 
 def solve(problem: QpProblem) -> QpSolution:
@@ -188,8 +172,9 @@ def solve(problem: QpProblem) -> QpSolution:
     """
     ctx = problem.ctx
     C, F, A, b = problem.C, problem.F, problem.A, problem.b
-    if not check_bounded(C, F, A, ctx):
-        raise UnboundedBelowError(_descent_certificate(problem))
+    direction = _descent_certificate(C, F, A, ctx)
+    if direction is not None:
+        raise UnboundedBelowError(direction)
     n = problem.n
     x_part = pinv(A, ctx) @ b
     N = null_basis(A, ctx)
@@ -266,8 +251,9 @@ def solve_alt(problem: QpProblem) -> QpSolution:
     """
     ctx = problem.ctx
     C, F, A, b = problem.C, problem.F, problem.A, problem.b
-    if not check_bounded(C, F, A, ctx):
-        raise UnboundedBelowError(_descent_certificate(problem))
+    direction = _descent_certificate(C, F, A, ctx)
+    if direction is not None:
+        raise UnboundedBelowError(direction)
     n = problem.n
     P, branch = _oblique_constraint_projector(problem)
     C_pinv = pinv(C, ctx)

@@ -1,6 +1,7 @@
 import json
 import os
 
+from mvhedge import oracle
 from mvhedge.cli import main
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -54,6 +55,13 @@ class TestFrontierCommand:
 
     def test_missing_file_exits_2(self, capsys):
         assert main(["frontier", "--model", "no_such_file.json"]) == 2
+
+    def test_missing_model_key_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "no_sigma.json"
+        path.write_text(json.dumps({"model": {"kind": "iid", "mu": [0.1], "T": 2}}))
+        assert main(["frontier", "--model", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["iid model config lacks the key 'sigma'"]
 
 
 class TestHedgeCommand:
@@ -147,6 +155,21 @@ class TestOracleCommand:
         )
         assert abs(hedge_err - dp_obj) < 1e-10
 
+    def test_base_dp_solved_once(self, capsys, monkeypatch):
+        # one undiscounted solve shared by both numeraire checks, plus one
+        # discounted solve per positive asset
+        calls = []
+        dp_solve = oracle.dp_solve
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return dp_solve(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "dp_solve", counting)
+        assert main(["oracle", "--model", cfg("tree_call_binomial.json")]) == 0
+        assert capsys.readouterr().out.count("PASS") == 2
+        assert len(calls) == 3
+
 
 class TestSimulateCommand:
     def test_tree_enumeration_matches_analytic(self, capsys):
@@ -188,6 +211,16 @@ class TestSimulateCommand:
         analytic = float(values["analytic hedging error"])
         # Euler bias plus sampling noise: loose sanity band only
         assert abs(empirical - analytic) < 0.25 * (1 + analytic)
+
+    def test_non_numeric_step_exits_2(self, tmp_path, capsys):
+        with open(cfg("pii_4assets_t5.json"), encoding="utf-8") as fh:
+            data = json.load(fh)
+        data["step"] = "x"
+        path = tmp_path / "bad_step.json"
+        path.write_text(json.dumps(data))
+        assert main(["simulate", "--model", str(path), "--paths", "10"]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["step must be a number, got 'x'"]
 
     def test_gaussian_simulation_runs(self, capsys):
         code = main(

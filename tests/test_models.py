@@ -272,10 +272,11 @@ class TestConfigIO:
         }
         path = tmp_path / "m.json"
         path.write_text(json.dumps(cfg))
-        model, claim, wealth = load_config(path)
+        model, claim, wealth, step = load_config(path)
         assert isinstance(model, IidDiscreteModel)
         assert claim.constant == 1.0
         assert wealth == 0.25
+        assert step is None
 
     def test_tree_config_with_payoff(self, tmp_path):
         cfg = {
@@ -300,10 +301,11 @@ class TestConfigIO:
         }
         path = tmp_path / "t.json"
         path.write_text(json.dumps(cfg))
-        model, claim, wealth = load_config(path)
+        model, claim, wealth, step = load_config(path)
         assert isinstance(model, FiniteTreeModel)
         assert claim.value_at("u") == 0.6
         assert wealth is None
+        assert step is None
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidModelError):

@@ -11,6 +11,7 @@ from mvhedge import engine, models
 from mvhedge.engine import closed_form_values, tree_backward
 from mvhedge.models import Claim
 from mvhedge.oracle import (
+    _block_rng,
     dp_solve,
     enumerate_terminal_wealth,
     mc_simulate,
@@ -166,6 +167,34 @@ class TestMonteCarlo:
         assert not sampled.exact
         gap = abs(sampled.error_second_moment - exact.error_second_moment)
         assert gap < 6 * sampled.std_error + 1e-12
+
+    def test_tree_sampling_matches_per_path_rollout(self):
+        # Reference: roll the feedback rule along each sampled path with the
+        # same Philox draws; the sampler must reproduce it bit for bit.
+        rng = np.random.default_rng(11)
+        tree = make_tree(rng, n_assets=3, periods=3)
+        claim = random_claim(rng, tree)
+        sol = tree_backward(tree, claim)
+        v, n_paths, seed = 0.2, 300, 4
+        errors = []
+        draws = _block_rng(seed, 0)
+        for _ in range(n_paths):
+            nid, wealth = tree.root, v
+            while tree.nodes[nid].branches:
+                pi = sol.xi[nid] + (sol.V[nid] - wealth) * sol.a[nid]
+                branches = tree.nodes[nid].branches
+                probs = np.array([p for p, _ in branches])
+                child = branches[draws.choice(len(branches), p=probs / probs.sum())][1]
+                wealth += float(pi @ tree.returns(nid, child))
+                nid = child
+            errors.append(wealth - claim.value_at(nid))
+        errors = np.array(errors)
+        with pytest.warns(UserWarning, match="sampling"):
+            sampled = mc_simulate(
+                tree, sol, None, claim, v, n_paths, seed=seed, exhaustive=False
+            )
+        assert sampled.error_mean == float(np.mean(errors))
+        assert sampled.error_second_moment == float(np.mean(errors**2))
 
     def test_zero_variance_model_exact(self):
         r = 0.02
