@@ -374,7 +374,6 @@ def tree_backward(
     claim,
     ctx=DEFAULT_CTX,
     adjustment_override=None,
-    pure_hedge_override=None,
 ):
     """Backward induction of (L, V, eps2, a, xi) over a finite event tree.
 
@@ -389,10 +388,9 @@ def tree_backward(
       return/value-increment cross moment, and
       eps2 = E[eps2+] + E[L+] (cV - 2 xi cSV + xi c* xi').
 
-    ``adjustment_override``/``pure_hedge_override`` are hooks
-    ``f(node_id, portfolio, null_basis) -> portfolio`` applied after each
-    node-level solve; results must stay within the minimizer set for the
-    outputs to be unchanged.
+    ``adjustment_override`` is a hook ``f(node_id, a, null_basis) -> a``
+    applied after each adjustment solve; results must stay within the
+    minimizer set for the outputs to be unchanged.
     """
     Lmap, Vmap, emap = {}, {}, {}
     amap, ximap, nullmap = {}, {}, {}
@@ -436,10 +434,6 @@ def tree_backward(
                 c_star, cross, V_here, ctx, where=f"node {nid!r}"
             )
             xi = sol_xi.x_hat
-            if pure_hedge_override is not None:
-                xi = np.asarray(
-                    pure_hedge_override(nid, xi, sol_xi.null_basis), dtype=float
-                )
             mean_V = float(q @ V_next)
             c_v = float(q @ V_next**2) - 2.0 * V_here * mean_V + V_here**2
             residual = c_v - 2.0 * float(xi @ cross) + float(xi @ c_star @ xi)

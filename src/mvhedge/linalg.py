@@ -100,19 +100,17 @@ def symmetric_psd(M, name, error, ctx):
     return M
 
 
-def pinv(M, ctx=DEFAULT_CTX, abs_cutoff=0.0):
+def pinv(M, ctx=DEFAULT_CTX):
     """Moore-Penrose pseudoinverse via full SVD with a rank-revealing cutoff.
 
     The result X satisfies the four defining identities MXM=M, XMX=X,
     (MX)' = MX, (XM)' = XM.  Singular values below
     ``max(rows, cols) * eps * sigma_max`` (or the context override) are
-    zeroed.  ``abs_cutoff`` adds an absolute floor, used by callers whose
-    input is itself contaminated by roundoff from a larger computation.
+    zeroed.
     """
     A = _as_matrix(M)
     U, s, Vh = np.linalg.svd(A, full_matrices=False)
-    cut = max(ctx.cutoff(s, A.shape), abs_cutoff)
-    r = int(np.sum(s > cut))
+    r = int(np.sum(s > ctx.cutoff(s, A.shape)))
     if r == 0:
         return np.zeros((A.shape[1], A.shape[0]))
     return (Vh[:r].T / s[:r]) @ U[:, :r].T

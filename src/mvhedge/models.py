@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_CTX, InvalidInputError, in_span, subspace_sum, symmetric_psd
+from . import qp
+from .linalg import DEFAULT_CTX, InvalidInputError, symmetric_psd
 
 __all__ = [
     "InvalidModelError",
@@ -370,14 +371,13 @@ def check_local_na(b, c, mode="discrete", ctx=DEFAULT_CTX):
     The same range condition applies in discrete and continuous time
     (``mode`` is informational only).  Failure means the one-step mean-variance
     problem is unbounded: some costless exposure has positive drift and no
-    second moment.
+    second moment.  This is :func:`qp.check_bounded` with ``A = ones'``.
     """
     if mode not in ("discrete", "continuous"):
         raise InvalidModelError(f"unknown mode {mode!r}")
     b = np.asarray(b, dtype=float).ravel()
     c = symmetric_psd(c, "second characteristic", InvalidModelError, ctx)
-    ones = np.ones((b.shape[0], 1))
-    return in_span(b, subspace_sum(c, ones, ctx=ctx), ctx)
+    return qp.check_bounded(c, b, np.ones((1, b.shape[0])), ctx)
 
 
 def discount_tree(tree, numeraire_index, ctx=DEFAULT_CTX):
@@ -432,6 +432,8 @@ def discount_tree(tree, numeraire_index, ctx=DEFAULT_CTX):
 
 def model_from_dict(data, ctx=DEFAULT_CTX):
     """Build a model from a config mapping; a missing key is an InvalidModelError."""
+    if not isinstance(data, dict):
+        raise InvalidModelError("the 'model' section must be a mapping")
     kind = data.get("kind")
     try:
         if kind == "iid":
@@ -518,16 +520,21 @@ def load_config(path, ctx=DEFAULT_CTX):
     """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    if "model" not in data:
+    if not isinstance(data, dict) or "model" not in data:
         raise InvalidModelError("config file lacks a 'model' section")
     model = model_from_dict(data["model"], ctx=ctx)
     claim = None
-    if "claim" in data and data["claim"] is not None:
-        raw = data["claim"]
-        if isinstance(raw, dict):
-            claim = Claim(payoff={str(k): float(v) for k, v in raw.items()})
-        else:
-            claim = Claim(constant=float(raw))
+    raw = data.get("claim")
+    if raw is not None:
+        try:
+            if isinstance(raw, dict):
+                claim = Claim(payoff={str(k): float(v) for k, v in raw.items()})
+            else:
+                claim = Claim(constant=float(raw))
+        except (TypeError, ValueError):
+            raise InvalidModelError(
+                f"claim must be a number or a mapping of numbers, got {raw!r}"
+            ) from None
     elif isinstance(model, FiniteTreeModel) and model.payoff is not None:
         claim = Claim(payoff=dict(model.payoff))
     wealth = _config_number(data, "wealth")

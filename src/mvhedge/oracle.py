@@ -183,11 +183,8 @@ def numeraire_change_check(tree, claim, numeraire_index, v, ctx=DEFAULT_CTX):
 def _numeraire_report(tree, claim, numeraire_index, v, base, ctx):
     """:func:`numeraire_change_check` given its undiscounted ``base`` DP result."""
     j = int(numeraire_index)
-    disc_tree, _ = discount_tree(tree, j, ctx)
-    node_prob = tree.node_probabilities()
-    m2 = sum(
-        node_prob[t] * tree.nodes[t].prices[j] ** 2 for t in tree.terminal_ids
-    )
+    disc_tree, weights = discount_tree(tree, j, ctx)
+    m2 = weights[tree.root]
     disc_claim = Claim(
         payoff={
             t: claim.value_at(t) / tree.nodes[t].prices[j]

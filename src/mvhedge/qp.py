@@ -3,7 +3,8 @@
 Minimizes q(x) = x'Cx - 2x'F over the affine set {x : Ax = b} for symmetric
 positive-semidefinite C, using pseudoinverse projectors.  Rank deficiency in C
 is handled exactly: the full solution set is an affine subspace and the
-reported minimizer is its minimum-norm element.
+reported minimizer is its minimum-norm element.  One eigendecomposition of the
+quadratic restricted to Null(A) decides boundedness, minimizer and solution set.
 """
 
 from dataclasses import dataclass, field
@@ -13,11 +14,9 @@ import numpy as np
 from .linalg import (
     DEFAULT_CTX,
     InvalidInputError,
-    in_span,
     null_basis,
     pinv,
     range_basis,
-    subspace_sum,
     symmetric_psd,
 )
 
@@ -133,64 +132,70 @@ class QpSolution:
     x_hat: np.ndarray
     value: float
     null_basis: np.ndarray
-    bounded: bool = True
     branch: str | None = None
 
 
 def check_bounded(C, F, A, ctx=DEFAULT_CTX):
     """True iff x'Cx - 2x'F is bounded below on every {x : Ax = b}.
 
-    The criterion is F in Ran(A') + Ran(C), tested by projection residual.
+    The criterion is F in Ran(A') + Ran(C), tested as in :func:`solve`.
     """
     C = symmetric_psd(C, "quadratic term", InvalidProblemError, ctx)
     A = _validate_constraint(A, ctx)
     F = _as_vector(F, C.shape[0], "linear term F")
-    return _descent_certificate(C, F, A, ctx) is None
+    try:
+        _factor(C, F, A, ctx)
+    except UnboundedBelowError:
+        return False
+    return True
 
 
-def _descent_certificate(C, F, A, ctx):
-    """None when F lies in Ran(C) + Ran(A'), else F's component orthogonal to it.
+def _factor(C, F, A, ctx):
+    """Factor validated data once: returns (A^+, N, (N'CN)^+, flat).
 
-    Expects validated data: the solvers pass a :class:`QpProblem`'s fields.
+    One full SVD of A gives A^+ and an orthonormal basis N of Null(A).  One
+    eigh of N'CN, split at ``max(max(shape) * eps * |lambda|_max, n * eps *
+    ||C||_2)`` so that directions C cannot see are never inverted, gives
+    (N'CN)^+ and its kernel Z.  For PSD C, ``flat = N Z`` spans Null(C) &
+    Null(A), the complement of Ran(C) + Ran(A'); F's component in it is a
+    descent direction, raised as :class:`UnboundedBelowError` when it exceeds
+    the residual tolerance.
     """
-    reach = subspace_sum(A.T, C, ctx=ctx)
-    if in_span(F, reach, ctx):
-        return None
-    return F - reach @ (reach.T @ F) if reach.shape[1] else F.copy()
+    k, n = A.shape
+    U, s, Vh = np.linalg.svd(A)
+    A_pinv = (Vh[:k].T / s) @ U.T
+    N = Vh[k:].T
+    restricted = N.T @ C @ N
+    w, V = np.linalg.eigh(0.5 * (restricted + restricted.T))
+    mags = np.abs(w)
+    noise = n * np.finfo(float).eps * float(np.linalg.norm(C, 2))
+    keep = mags > max(ctx.cutoff(np.sort(mags)[::-1], restricted.shape), noise)
+    J = (V[:, keep] / w[keep]) @ V[:, keep].T
+    flat = N @ V[:, ~keep]
+    direction = flat @ (flat.T @ F)
+    if np.linalg.norm(direction) > ctx.residual_tol * (1.0 + np.linalg.norm(F)):
+        raise UnboundedBelowError(direction)
+    return A_pinv, N, J, flat
 
 
 def solve(problem: QpProblem) -> QpSolution:
     """Closed-form minimizer x_hat = J F + (I - J C) A^+ b with J = (M C M)^+.
 
-    M = I - A^+ A is the orthogonal projector onto Null(A).  For numerical
-    stability J is evaluated through an orthonormal nullspace basis N of A,
-    using the exact identity (M C M)^+ = N (N'C N)^+ N'; the pseudoinverse of
-    the restricted quadratic gets an absolute cutoff at the roundoff scale of
-    C so that directions C cannot see are never inverted.  x_hat is the
-    minimum-norm element of the solution set; raises
-    :class:`UnboundedBelowError` with a descent certificate otherwise.
+    M = I - A^+ A is the orthogonal projector onto Null(A).  J is evaluated
+    through the orthonormal nullspace basis N of A, using the exact identity
+    (M C M)^+ = N (N'C N)^+ N'.  Boundedness, the minimizer and the solution
+    set all come from one split of the eigenvalues of N'CN (see
+    :func:`_factor`).  x_hat is the minimum-norm element of the solution set;
+    raises :class:`UnboundedBelowError` with a descent certificate otherwise.
     """
-    ctx = problem.ctx
     C, F, A, b = problem.C, problem.F, problem.A, problem.b
-    direction = _descent_certificate(C, F, A, ctx)
-    if direction is not None:
-        raise UnboundedBelowError(direction)
-    n = problem.n
-    x_part = pinv(A, ctx) @ b
-    N = null_basis(A, ctx)
-    if N.shape[1] == 0:
-        x_hat = x_part
-    else:
-        restricted = N.T @ C @ N
-        restricted = 0.5 * (restricted + restricted.T)
-        noise = n * np.finfo(float).eps * float(np.linalg.norm(C, 2))
-        J_res = pinv(restricted, ctx, abs_cutoff=noise)
-        x_hat = x_part + N @ (J_res @ (N.T @ (F - C @ x_part)))
-    basis = null_basis(np.vstack([C, A]), ctx)
-    return QpSolution(x_hat=x_hat, value=problem.objective(x_hat), null_basis=basis)
+    A_pinv, N, J, flat = _factor(C, F, A, problem.ctx)
+    x_part = A_pinv @ b
+    x_hat = x_part + N @ (J @ (N.T @ (F - C @ x_part)))
+    return QpSolution(x_hat=x_hat, value=problem.objective(x_hat), null_basis=flat)
 
 
-def _oblique_constraint_projector(problem):
+def _oblique_constraint_projector(problem, C_pinv):
     """Projector onto the complement of Null(A) adapted to Ran(C).
 
     The image space is (I - C C^+) Ran(A')  (+)  C^+ (Ran(A') & Ran(C)); when
@@ -202,7 +207,6 @@ def _oblique_constraint_projector(problem):
     """
     ctx = problem.ctx
     C, A = problem.C, problem.A
-    C_pinv = pinv(C, ctx)
     Q_A = range_basis(A.T, ctx)
     Z = null_basis(C, ctx)
     if Z.shape[1]:
@@ -247,23 +251,19 @@ def solve_alt(problem: QpProblem) -> QpSolution:
     x_hat = (I - P) C^+ (I - P') F + P A^+ b, where P projects along Null(A)
     onto an image space adapted to Ran(C).  The branch taken ("direct" when
     every row of A lies in Ran(C), else "complement") is reported on the
-    solution.
+    solution; boundedness, A^+ and the basis are shared with :func:`solve`.
     """
     ctx = problem.ctx
     C, F, A, b = problem.C, problem.F, problem.A, problem.b
-    direction = _descent_certificate(C, F, A, ctx)
-    if direction is not None:
-        raise UnboundedBelowError(direction)
-    n = problem.n
-    P, branch = _oblique_constraint_projector(problem)
+    A_pinv, _, _, flat = _factor(C, F, A, ctx)
     C_pinv = pinv(C, ctx)
-    eye = np.eye(n)
-    x_hat = (eye - P) @ C_pinv @ (eye - P.T) @ F + P @ (pinv(A, ctx) @ b)
-    basis = null_basis(np.vstack([C, A]), ctx)
+    P, branch = _oblique_constraint_projector(problem, C_pinv)
+    eye = np.eye(problem.n)
+    x_hat = (eye - P) @ C_pinv @ (eye - P.T) @ F + P @ (A_pinv @ b)
     return QpSolution(
         x_hat=x_hat,
         value=problem.objective(x_hat),
-        null_basis=basis,
+        null_basis=flat,
         branch=branch,
     )
 

@@ -1,5 +1,8 @@
 import json
 import os
+import re
+
+import pytest
 
 from mvhedge import oracle
 from mvhedge.cli import main
@@ -62,6 +65,21 @@ class TestFrontierCommand:
         assert main(["frontier", "--model", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.splitlines() == ["iid model config lacks the key 'sigma'"]
+
+    def test_malformed_model_or_claim_exits_2(self, tmp_path, capsys):
+        model = {"kind": "iid", "mu": [0.1], "sigma": [[0.04]], "T": 2}
+        cases = [
+            ({"model": []}, "the 'model' section must be a mapping"),
+            (
+                {"model": model, "claim": [1]},
+                "claim must be a number or a mapping of numbers, got [1]",
+            ),
+        ]
+        for data, message in cases:
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(data))
+            assert main(["frontier", "--model", str(path)]) == 2
+            assert capsys.readouterr().err.splitlines() == [message]
 
 
 class TestHedgeCommand:
@@ -278,3 +296,44 @@ class TestSolveQpCommand:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"C": [[1.0]]}))
         assert main(["solve-qp", "--model", str(path)]) == 2
+
+
+# Every value printed by the tree and QP commands, at 12 significant digits.
+# The roundoff diagnostics (objective gap, max holdings gap, agrees to) are
+# masked: they measure disagreement at machine precision, not results.
+PINNED = {
+    "hedge": (
+        ["hedge", "--model", cfg("tree_call_binomial.json"), "--wealth", "0.25"],
+        "L0 = 0.825210935453\n"
+        "V0 = 0.111111111111\n"
+        "eps2_0 = 2.81317025749e-17\n"
+        "wealth = 0.25\n"
+        "hedging error = 0.0159184208228\n",
+    ),
+    "oracle": (
+        ["oracle", "--model", cfg("tree_call_binomial.json")],
+        "dp objective at wealth 0.2 = 0.00652018516901\n"
+        "numeraire asset 1: PASS (objective gap *, max holdings gap *, "
+        "E[X_T^2] 1)\n"
+        "numeraire asset 2: PASS (objective gap *, max holdings gap *, "
+        "E[X_T^2] 1.42444225)\n",
+    ),
+    "solve-qp": (
+        ["solve-qp", "--model", cfg("qp_example.json")],
+        "x_hat = [0.326359832636, -0.359832635983, 1.03347280335]\n"
+        "value = -0.367782426778\n"
+        "solution set dimension = 0\n"
+        "alternative representation (direct) agrees to *\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED))
+def test_printed_values_pinned(command, capsys):
+    argv, expected = PINNED[command]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    masked = re.sub(
+        r"(objective gap|max holdings gap|agrees to) [-+.0-9e]+", r"\1 *", out
+    )
+    assert masked == expected

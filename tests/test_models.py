@@ -173,6 +173,28 @@ class TestLocalNoArbitrage:
         with pytest.raises(InvalidModelError):
             check_local_na(np.zeros(2), np.eye(2), mode="weekly")
 
+    def test_agrees_with_range_membership(self):
+        # b in Ran(c) + span(ones), tested directly by projection residual;
+        # a zero row (riskless asset) or a repeated row (duplicated asset)
+        # makes c singular.
+        from mvhedge.linalg import in_span, subspace_sum
+
+        rng = np.random.default_rng(12)
+        verdicts = set()
+        for trial in range(400):
+            d = int(rng.integers(2, 5))
+            G = rng.normal(size=(d, int(rng.integers(0, d + 1))))
+            if trial % 3 == 1:
+                G[0] = 0.0
+            elif trial % 3 == 2:
+                G[1] = G[0]
+            c = G @ G.T
+            b = rng.normal(size=d) if trial % 2 else c @ rng.normal(size=d) + 0.03
+            expected = in_span(b, subspace_sum(c, np.ones((d, 1))))
+            assert check_local_na(b, c) == expected
+            verdicts.add(expected)
+        assert verdicts == {True, False}
+
 
 class TestDiscountTree:
     def test_constant_numeraire_is_identity(self):

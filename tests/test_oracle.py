@@ -132,9 +132,15 @@ class TestNumeraireChange:
             d = int(rng.integers(2, 4))
             tree = make_tree(rng, n_assets=d, periods=2)
             claim = random_claim(rng, tree)
+            node_prob = tree.node_probabilities()
             for j in tree.positive_assets():
                 report = numeraire_change_check(tree, claim, j, 0.2)
                 assert report.passed(1e-9), (j, report)
+                m2 = sum(
+                    node_prob[t] * tree.nodes[t].prices[j] ** 2
+                    for t in tree.terminal_ids
+                )
+                assert abs(report.terminal_second_moment - m2) <= 1e-12 * m2
 
     def test_moment_tree_numeraire(self, discrete_benchmark):
         tree = moment_matched_tree(discrete_benchmark.mu, discrete_benchmark.sigma, 2)

@@ -196,6 +196,23 @@ class TestSolve:
             lhs = prob.objective(sol.x_hat - x)
             assert abs(lhs - sol.value - x @ C @ x) < 1e-9
 
+    def test_one_factorization_per_question(self, monkeypatch):
+        # Validation (eigvalsh of C, singular values of A) plus one SVD of A
+        # and one eigh of N'CN answer boundedness, minimizer and solution set.
+        calls = []
+        for name in ("svd", "eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def counting(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        C = np.array([[0.04, 0.01, 0.0], [0.01, 0.09, 0.02], [0.0, 0.02, 0.16]])
+        prob = qp.QpProblem(C=C, F=[0.05, 0.08, 0.1], A=np.ones((1, 3)), b=[-1.0])
+        qp.solve(prob)
+        assert len(calls) <= 5, calls
+
     def test_unbounded_raises_with_certificate(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
