@@ -125,6 +125,8 @@ def cmd_oracle(args):
     if wealth is None:
         wealth = 0.0
     tol = args.tol if args.tol is not None else 1e-9
+    if not tol >= 0:
+        raise InvalidInputError(f"--tol must be non-negative, got {tol}")
     result = oracle.dp_solve(model, claim, wealth, ctx)
     print(f"dp objective at wealth {_fmt(wealth)} = {_fmt(result.objective)}")
     failures = 0
@@ -190,16 +192,21 @@ def cmd_solve_qp(args):
     ctx = DEFAULT_CTX
     with open(args.model, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise models.InvalidModelError("a QP file must be a mapping")
     try:
-        problem = qp.QpProblem(
-            C=np.asarray(data["C"], dtype=float),
-            F=np.asarray(data["F"], dtype=float),
-            A=np.asarray(data["A"], dtype=float),
-            b=np.asarray(data["b"], dtype=float),
-            ctx=ctx,
-        )
+        fields = {k: np.asarray(data[k], dtype=float) for k in ("C", "F", "A", "b")}
     except KeyError as err:
         raise models.InvalidModelError(f"missing field {err} in QP file") from err
+    except (TypeError, ValueError):
+        raise models.InvalidModelError(
+            "QP file fields must be arrays of numbers"
+        ) from None
+    if fields["F"].ndim > 1 or fields["b"].ndim > 1:
+        raise models.InvalidModelError(
+            "solve-qp solves one right-hand side: F and b must be vectors"
+        )
+    problem = qp.QpProblem(**fields, ctx=ctx)
     try:
         sol = qp.solve(problem)
     except qp.UnboundedBelowError as err:
@@ -230,9 +237,9 @@ _INPUT_ERRORS = (
     engine.LocalArbitrageError,
     frontier.DegenerateFrontierError,
     frontier.ThresholdNotApplicableError,
-    FileNotFoundError,
+    OSError,
     json.JSONDecodeError,
-    ValueError,
+    UnicodeDecodeError,
 )
 
 

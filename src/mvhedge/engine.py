@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import qp
-from .linalg import DEFAULT_CTX, in_span, pinv
+from .linalg import DEFAULT_CTX, InvalidInputError, in_span, pinv
 from .models import Claim, FiniteTreeModel, IidDiscreteModel, PiiItoModel
 
 __all__ = [
@@ -56,9 +56,14 @@ class LocalArbitrageError(Exception):
 
 
 def _solve_portfolio(c, target, cost, ctx, where=None):
-    """Min-norm minimizer of pi c pi' - 2 pi target subject to pi . ones = cost."""
-    ones = np.ones((1, len(target)))
-    problem = qp.QpProblem(C=c, F=target, A=ones, b=[cost], ctx=ctx)
+    """Min-norm minimizer of pi c pi' - 2 pi target subject to pi . ones = cost.
+
+    ``target`` is (d,) with a scalar cost, or (d, m) with m costs (columns).
+    """
+    target = np.asarray(target, dtype=float)
+    ones = np.ones((1, target.shape[0]))
+    cost = np.reshape(cost, (1,) + target.shape[1:])
+    problem = qp.QpProblem(C=c, F=target, A=ones, b=cost, ctx=ctx)
     try:
         return qp.solve(problem)
     except qp.UnboundedBelowError as err:
@@ -139,21 +144,11 @@ def adjustment_explicit(b, c, ctx=DEFAULT_CTX):
 def myopic_minvar(b, c, ctx=DEFAULT_CTX):
     """Fully invested portfolio minimizing the instantaneous variance rate.
 
-    zeta = (ones'/d)(I - c p) with p = (m c m)^+, m = I - ones ones'/d; it
-    depends on c only (b is accepted for interface symmetry) and satisfies
-    zeta . ones = 1 and zeta c zeta' = a c a' - b'p b.
+    zeta = (ones'/d)(I - c p) with p = (m c m)^+, m = I - ones ones'/d, is the
+    minimizer of pi c pi' at cost 1.  It depends on c only (b is accepted for
+    interface symmetry); zeta c zeta' = a c a' - b'p b.
     """
-    return _minvar_projector(c, ctx)[0]
-
-
-def _minvar_projector(c, ctx):
-    """(zeta, p) of :func:`myopic_minvar`, with p = (m c m)^+ kept for reuse."""
-    c = np.asarray(c, dtype=float)
-    d = c.shape[0]
-    ones = np.ones(d)
-    m = np.eye(d) - np.outer(ones, ones) / d
-    p = pinv(m @ c @ m, ctx)
-    return (ones - p @ (c @ ones)) / d, p
+    return _solve_portfolio(c, np.zeros(np.shape(c)[0]), 1.0, ctx).x_hat
 
 
 @dataclass(frozen=True)
@@ -210,11 +205,13 @@ class ClosedFormResult(NamedTuple):
 def _iid_closed_form(model, ctx):
     b, c = model.log_characteristics(0)
     T = model.n_periods
-    a, _ = adjustment(b, c, ctx)
-    zeta, p = _minvar_projector(c, ctx)
+    # Columns (b, -1), (0, 1) and (b, 0) give a, zeta and p b, p = (m c m)^+.
+    targets = np.column_stack([b, np.zeros_like(b), b])
+    x = _solve_portfolio(c, targets, [-1.0, 1.0, 0.0], ctx).x_hat
+    a, zeta, pb = x[:, 0], x[:, 1], x[:, 2]
     ab = float(a @ b)
     aca = float(a @ c @ a)
-    bpb = float(b @ p @ b)
+    bpb = float(b @ pb)
     growth = 1.0 - 2.0 * ab + aca
     if growth <= _POSITIVITY_TOL:
         raise LocalArbitrageError(
@@ -227,7 +224,6 @@ def _iid_closed_form(model, ctx):
     kappa = 1.0 - bpb - (1.0 - ab) ** 2 / growth
     contrib = L[1:] * V[1:] ** 2 * kappa
     eps2 = np.concatenate([np.cumsum(contrib[::-1])[::-1], [0.0]])
-    pb = p @ b
     xi = np.array([(V[t + 1] - V[t]) * pb + V[t] * zeta for t in range(T)])
     coeffs = HedgeCoefficients(
         a=np.tile(a, (T, 1)),
@@ -252,8 +248,9 @@ def _pii_segment_table(model, ctx):
     rows = []
     t0 = 0.0
     for seg in model.segments:
-        a, _ = adjustment(seg.b, seg.c, ctx)
-        zeta = myopic_minvar(seg.b, seg.c, ctx)
+        targets = np.column_stack([seg.b, np.zeros_like(seg.b)])
+        x = _solve_portfolio(seg.c, targets, [-1.0, 1.0], ctx).x_hat
+        a, zeta = x[:, 0], x[:, 1]
         explicit = adjustment_explicit(seg.b, seg.c, ctx)
         ab = float(a @ seg.b)
         aca = float(a @ seg.c @ a)
@@ -384,9 +381,12 @@ def tree_backward(
     - a minimizes pi c* pi' - 2 pi b* at cost -1, and
       L = E[L+] (1 - 2 a b* + a c* a'),
     - L V = E[(1 - a R) L+ V+],
-    - xi minimizes pi c* pi' - 2 pi cSV at cost V, where cSV is the weighted
-      return/value-increment cross moment, and
-      eps2 = E[eps2+] + E[L+] (cV - 2 xi cSV + xi c* xi').
+    - xi minimizes pi c* pi' - 2 pi cSV at cost V, where cSV = g - V b* is
+      the weighted return/value-increment cross moment (g = sum q_i V+_i R_i),
+      and eps2 = E[eps2+] + E[L+] (cV - 2 xi cSV + xi c* xi').
+
+    The minimizer is linear in (target, cost), so one problem on c* solves
+    (b*, -1) and (g, 0) and xi is the second column minus V times the first.
 
     ``adjustment_override`` is a hook ``f(node_id, a, null_basis) -> a``
     applied after each adjustment solve; results must stay within the
@@ -413,11 +413,12 @@ def tree_backward(
             b_star = q @ rets
             c_star = rets.T @ (rets * q[:, None])
             c_star = 0.5 * (c_star + c_star.T)
-            sol_a = _solve_portfolio(c_star, b_star, -1.0, ctx, where=f"node {nid!r}")
-            a = sol_a.x_hat
+            targets = np.column_stack([b_star, q @ (rets * V_next[:, None])])
+            sol = _solve_portfolio(c_star, targets, [-1.0, 0.0], ctx, f"node {nid!r}")
+            a = sol.x_hat[:, 0]
             if adjustment_override is not None:
                 a = np.asarray(
-                    adjustment_override(nid, a, sol_a.null_basis), dtype=float
+                    adjustment_override(nid, a, sol.null_basis), dtype=float
                 )
             growth = 1.0 - 2.0 * float(a @ b_star) + float(a @ c_star @ a)
             if growth <= _POSITIVITY_TOL:
@@ -429,11 +430,8 @@ def tree_backward(
             L_here = mean_L * growth
             LV_here = float(probs @ ((1.0 - rets @ a) * L_next * V_next))
             V_here = LV_here / L_here
-            cross = q @ (rets * V_next[:, None]) - V_here * b_star
-            sol_xi = _solve_portfolio(
-                c_star, cross, V_here, ctx, where=f"node {nid!r}"
-            )
-            xi = sol_xi.x_hat
+            cross = targets[:, 1] - V_here * b_star
+            xi = sol.x_hat[:, 1] - V_here * sol.x_hat[:, 0]
             mean_V = float(q @ V_next)
             c_v = float(q @ V_next**2) - 2.0 * V_here * mean_V + V_here**2
             residual = c_v - 2.0 * float(xi @ cross) + float(xi @ c_star @ xi)
@@ -442,7 +440,7 @@ def tree_backward(
             emap[nid] = float(probs @ e_next) + mean_L * residual
             amap[nid] = a
             ximap[nid] = xi
-            nullmap[nid] = sol_a.null_basis
+            nullmap[nid] = sol.null_basis
     return TreeSolution(
         tree=tree,
         claim=claim,
@@ -472,7 +470,7 @@ def _step_feedback(coeffs, values, v, returns):
     rets = np.atleast_2d(np.asarray(returns, dtype=float))
     steps = coeffs.a.shape[0]
     if rets.shape != (steps, coeffs.a.shape[1]):
-        raise ValueError(
+        raise InvalidInputError(
             f"returns must have shape {(steps, coeffs.a.shape[1])}, got {rets.shape}"
         )
     wealth = np.empty(steps + 1)
@@ -492,7 +490,7 @@ def _tree_feedback(solution, v, node_path):
     holdings = []
     for here, there in zip(path[:-1], path[1:]):
         if there not in [ch for _, ch in tree.nodes[here].branches]:
-            raise ValueError(f"{there!r} is not a child of {here!r}")
+            raise InvalidInputError(f"{there!r} is not a child of {here!r}")
         pi = solution.feedback(here, wealth[-1])
         holdings.append(pi)
         wealth.append(wealth[-1] + float(pi @ tree.returns(here, there)))

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import InvalidInputError
+
 __all__ = [
     "DegenerateFrontierError",
     "ThresholdNotApplicableError",
@@ -52,11 +54,13 @@ class FrontierTriple:
 
     def __post_init__(self):
         if not (np.isfinite(self.L0) and self.L0 > 0):
-            raise ValueError(f"L0 must be positive and finite, got {self.L0}")
+            raise InvalidInputError(f"L0 must be positive and finite, got {self.L0}")
         if not (np.isfinite(self.eps2_0_1) and self.eps2_0_1 >= 0):
-            raise ValueError(f"eps2_0_1 must be non-negative, got {self.eps2_0_1}")
+            raise InvalidInputError(
+                f"eps2_0_1 must be non-negative, got {self.eps2_0_1}"
+            )
         if not np.isfinite(self.V0_1):
-            raise ValueError(f"V0_1 must be finite, got {self.V0_1}")
+            raise InvalidInputError(f"V0_1 must be finite, got {self.V0_1}")
 
     @property
     def cost_of_one(self):
@@ -161,9 +165,9 @@ def sample_frontier(curve: FrontierCurve, mean_lo, mean_hi, n):
     (n, 2) array of (mean, value) rows, monotone in mean.
     """
     if n < 2:
-        raise ValueError(f"need at least 2 sample points, got {n}")
+        raise InvalidInputError(f"need at least 2 sample points, got {n}")
     if not mean_lo < mean_hi:
-        raise ValueError(f"invalid mean range [{mean_lo}, {mean_hi}]")
+        raise InvalidInputError(f"invalid mean range [{mean_lo}, {mean_hi}]")
     means = np.linspace(float(mean_lo), float(mean_hi), int(n))
     return np.column_stack([means, curve.value_at(means)])
 

@@ -31,7 +31,8 @@ __all__ = [
 
 
 class InvalidInputError(ValueError):
-    """Raised for malformed matrix arguments (non-finite entries, bad shapes)."""
+    """Raised for malformed numeric arguments (non-finite entries, bad shapes,
+    out-of-range values)."""
 
 
 @dataclass(frozen=True)
@@ -78,10 +79,12 @@ def _as_matrix(M, name="matrix", allow_empty=False):
 
 
 def symmetric_psd(M, name, error, ctx):
-    """Return ``(M + M') / 2`` for a symmetric positive-semidefinite M.
+    """Return ``((M + M') / 2, ||M||_2)`` for a symmetric positive-semidefinite M.
 
-    Non-finite entries raise :class:`InvalidInputError`; a non-square,
-    asymmetric or indefinite M raises the caller's exception type ``error``.
+    The spectral norm is the largest eigenvalue magnitude from the one
+    eigvalsh that tests definiteness.  Non-finite entries raise
+    :class:`InvalidInputError`; a non-square, asymmetric or indefinite M
+    raises the caller's exception type ``error``.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -97,7 +100,7 @@ def symmetric_psd(M, name, error, ctx):
         raise error(
             f"{name} is not positive semidefinite (min eigenvalue {w[0]:.3e})"
         )
-    return M
+    return M, float(max(-w[0], w[-1]))
 
 
 def pinv(M, ctx=DEFAULT_CTX):

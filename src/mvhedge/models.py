@@ -59,7 +59,7 @@ class IidDiscreteModel:
         self.mu = np.asarray(mu, dtype=float).ravel()
         if not np.all(np.isfinite(self.mu)):
             raise InvalidModelError("mu contains non-finite entries")
-        self.sigma = symmetric_psd(sigma, "sigma", InvalidModelError, ctx)
+        self.sigma, _ = symmetric_psd(sigma, "sigma", InvalidModelError, ctx)
         if self.sigma.shape[0] != self.mu.shape[0]:
             raise InvalidModelError("mu and sigma dimensions differ")
         self.n_periods = int(n_periods)
@@ -113,7 +113,7 @@ class PiiItoModel:
             b = np.asarray(b, dtype=float).ravel()
             if not np.all(np.isfinite(b)):
                 raise InvalidModelError(f"segment {i} drift has non-finite entries")
-            c = symmetric_psd(
+            c, _ = symmetric_psd(
                 c, f"segment {i} second characteristic", InvalidModelError, ctx
             )
             if d is None:
@@ -376,7 +376,7 @@ def check_local_na(b, c, mode="discrete", ctx=DEFAULT_CTX):
     if mode not in ("discrete", "continuous"):
         raise InvalidModelError(f"unknown mode {mode!r}")
     b = np.asarray(b, dtype=float).ravel()
-    c = symmetric_psd(c, "second characteristic", InvalidModelError, ctx)
+    c, _ = symmetric_psd(c, "second characteristic", InvalidModelError, ctx)
     return qp.check_bounded(c, b, np.ones((1, b.shape[0])), ctx)
 
 
@@ -430,30 +430,86 @@ def discount_tree(tree, numeraire_index, ctx=DEFAULT_CTX):
     return FiniteTreeModel(new_nodes, tree.root, payoff=payoff, ctx=ctx), weights
 
 
+def _typed(value, kind, what):
+    """``value`` when it has the JSON type ``kind`` (dict or list)."""
+    if not isinstance(value, kind):
+        name = "a mapping" if kind is dict else "a list"
+        raise InvalidModelError(f"{what} must be {name}")
+    return value
+
+
+def _number(convert, value, what):
+    """``convert(value)`` for ``convert`` int or float; failure is InvalidModelError."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidModelError(f"{what} must be a number, got {value!r}") from None
+
+
+def _array(value, what):
+    """Float array of ``value``; failure is InvalidModelError."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidModelError(
+            f"{what} must be a rectangular array of numbers, got {value!r}"
+        ) from None
+
+
+def _tree_node(n):
+    n = _typed(n, dict, "each tree node")
+    branches = _typed(n.get("branches", []), list, f"branches of node {n['id']!r}")
+    return (
+        n["id"],
+        _number(int, n["time"], f"time of node {n['id']!r}"),
+        _array(n["prices"], f"prices of node {n['id']!r}"),
+        [
+            (_number(float, br["prob"], "branch prob"), br["child"])
+            for br in (_typed(br, dict, "each branch") for br in branches)
+        ],
+    )
+
+
 def model_from_dict(data, ctx=DEFAULT_CTX):
-    """Build a model from a config mapping; a missing key is an InvalidModelError."""
-    if not isinstance(data, dict):
-        raise InvalidModelError("the 'model' section must be a mapping")
+    """Build a model from a config mapping; malformed data is an InvalidModelError.
+
+    A missing key, a section of the wrong JSON type and a value that does not
+    convert to numbers all raise :class:`InvalidModelError`.
+    """
+    data = _typed(data, dict, "the 'model' section")
     kind = data.get("kind")
     try:
         if kind == "iid":
-            return IidDiscreteModel(data["mu"], data["sigma"], data["T"], ctx=ctx)
+            return IidDiscreteModel(
+                _array(data["mu"], "mu"),
+                _array(data["sigma"], "sigma"),
+                _number(int, data["T"], "T"),
+                ctx=ctx,
+            )
         if kind == "pii":
-            segments = [(s["duration"], s["b"], s["c"]) for s in data["segments"]]
+            segments = [
+                (
+                    _number(float, s["duration"], "segment duration"),
+                    _array(s["b"], "segment b"),
+                    _array(s["c"], "segment c"),
+                )
+                for s in (
+                    _typed(s, dict, "each segment")
+                    for s in _typed(data["segments"], list, "'segments'")
+                )
+            ]
             return PiiItoModel(segments, ctx=ctx)
         if kind == "tree":
             nodes = [
-                (
-                    n["id"],
-                    n["time"],
-                    n["prices"],
-                    [(br["prob"], br["child"]) for br in n.get("branches", [])],
-                )
-                for n in data["nodes"]
+                _tree_node(n) for n in _typed(data["nodes"], list, "'nodes'")
             ]
-            return FiniteTreeModel(
-                nodes, data["root"], payoff=data.get("payoff"), ctx=ctx
-            )
+            payoff = data.get("payoff")
+            if payoff is not None:
+                payoff = {
+                    k: _number(float, v, f"payoff at {k!r}")
+                    for k, v in _typed(payoff, dict, "'payoff'").items()
+                }
+            return FiniteTreeModel(nodes, data["root"], payoff=payoff, ctx=ctx)
     except KeyError as err:
         raise InvalidModelError(f"{kind} model config lacks the key {err}") from None
     raise InvalidModelError(f"unknown model kind {kind!r}")
@@ -501,10 +557,7 @@ def model_to_dict(model):
 def _config_number(data, key):
     """Finite float under ``key``, or None when the key is absent or null."""
     raw = data.get(key)
-    try:
-        x = None if raw is None else float(raw)
-    except (TypeError, ValueError):
-        raise InvalidInputError(f"{key} must be a number, got {raw!r}") from None
+    x = None if raw is None else _number(float, raw, key)
     if x is not None and not np.isfinite(x):
         raise InvalidInputError(f"{key} must be finite")
     return x

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import qp
 from .engine import LocalArbitrageError, TreeSolution, _pii_segment_table
-from .linalg import DEFAULT_CTX
+from .linalg import DEFAULT_CTX, InvalidInputError
 from .models import (
     Claim,
     FiniteTreeModel,
@@ -78,9 +78,9 @@ def _dp_node(probs, rets, child_vals, ctx, where):
     F0 = (pl * vv) @ rets
     F1 = -(pl @ rets)
     ones = np.ones((1, rets.shape[1]))
+    problem = qp.QpProblem(C, np.column_stack([F0, F1]), ones, [[0.0, 1.0]], ctx)
     try:
-        pi0 = qp.solve(qp.QpProblem(C=C, F=F0, A=ones, b=[0.0], ctx=ctx)).x_hat
-        pi1 = qp.solve(qp.QpProblem(C=C, F=F1, A=ones, b=[1.0], ctx=ctx)).x_hat
+        pi0, pi1 = qp.solve(problem).x_hat.T
     except qp.UnboundedBelowError as err:
         raise LocalArbitrageError(
             "one-step hedging problem is unbounded below",
@@ -298,7 +298,7 @@ def _simulate_iid(model, coeffs, values, v, n_paths, seed):
 
 def _simulate_pii(model, coeffs, v, n_paths, seed, step, ctx):
     if step is None or not step > 0:
-        raise ValueError(f"a positive Euler step is required, got {step}")
+        raise InvalidInputError(f"a positive Euler step is required, got {step}")
     table, int_L, int_LV = _pii_segment_table(model, ctx)
 
     # Global substep grid: each segment is cut into ceil(duration/step) pieces
@@ -403,12 +403,14 @@ def mc_simulate(
     N(mu, sigma); piecewise-constant models use an Euler scheme on log returns
     with the user-supplied ``step``.
     """
+    if int(n_paths) < 1:
+        raise InvalidInputError(f"the path count must be at least 1, got {n_paths}")
     if isinstance(model, FiniteTreeModel):
         if not isinstance(coeffs, TreeSolution):
             raise TypeError("tree simulation needs the TreeSolution as coeffs")
         return _simulate_tree(model, coeffs, claim, v, n_paths, seed, exhaustive)
     if claim is not None and claim.constant != 1.0:
-        raise ValueError(
+        raise InvalidInputError(
             "closed-form models support only the constant payoff 1"
         )
     if isinstance(model, IidDiscreteModel):

@@ -4,7 +4,8 @@ Minimizes q(x) = x'Cx - 2x'F over the affine set {x : Ax = b} for symmetric
 positive-semidefinite C, using pseudoinverse projectors.  Rank deficiency in C
 is handled exactly: the full solution set is an affine subspace and the
 reported minimizer is its minimum-norm element.  One eigendecomposition of the
-quadratic restricted to Null(A) decides boundedness, minimizer and solution set.
+quadratic restricted to Null(A), taken once per problem, decides boundedness,
+minimizer and solution set for every right-hand side.
 """
 
 from dataclasses import dataclass, field
@@ -52,39 +53,48 @@ class UnboundedBelowError(Exception):
         )
 
 
-def _as_vector(v, n, name):
-    x = np.asarray(v, dtype=float).ravel()
-    if x.shape != (n,):
-        raise InvalidProblemError(f"{name} must have length {n}, got shape {x.shape}")
+def _as_columns(v, rows, name):
+    """(rows,) or (rows, m) float array; a scalar counts as one entry."""
+    x = np.atleast_1d(np.asarray(v, dtype=float))
+    if x.ndim > 2 or x.shape[0] != rows:
+        raise InvalidProblemError(f"{name} must have {rows} rows, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise InvalidInputError(f"{name} contains non-finite entries")
     return x
 
 
-def _validate_constraint(A, ctx):
-    A = np.asarray(A, dtype=float)
-    if A.ndim == 1:
-        A = A.reshape(1, -1)
+def _constraint(A, ctx):
+    """Validate A (full row rank); return A, A^+ and a basis of Null(A) from one SVD."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
     if not np.all(np.isfinite(A)):
         raise InvalidInputError("constraint matrix contains non-finite entries")
+    if A.ndim > 2 or A.shape[0] > A.shape[1]:
+        raise InvalidProblemError(
+            f"constraint matrix must be k x n with k <= n, got shape {A.shape}"
+        )
     k, n = A.shape
-    if k > n:
-        raise InvalidProblemError(f"more constraints ({k}) than variables ({n})")
-    s = np.linalg.svd(A, compute_uv=False)
-    if s[-1] <= ctx.cutoff(s, A.shape):
+    U, s, Vh = np.linalg.svd(A)
+    cut = ctx.cutoff(s, A.shape)
+    if s[-1] <= cut:
         raise InvalidProblemError(
             "constraint matrix is (numerically) row rank deficient; "
-            f"rank {int(np.sum(s > ctx.cutoff(s, A.shape)))} < {k}"
+            f"rank {int(np.sum(s > cut))} < {k}"
         )
-    return A
+    return A, (Vh[:k].T / s) @ U.T, Vh[k:].T
 
 
 @dataclass(frozen=True)
 class QpProblem:
     """Problem data (C, F, A, b) for min x'Cx - 2x'F subject to Ax = b.
 
-    C must be symmetric positive semidefinite and A must have full row rank;
-    both are checked on construction.
+    C must be symmetric positive semidefinite and A must have full row rank.
+    Construction checks both and factors (C, A) once: the eigvalsh that
+    validates C also gives ||C||_2, one SVD of A gives ``A_pinv`` and an
+    orthonormal basis ``N`` of Null(A), and one eigh of N'CN, split at
+    ``max(max(shape) * eps * |lambda|_max, n * eps * ||C||_2)`` so that
+    directions C cannot see are never inverted, gives ``J = (N'CN)^+`` and
+    ``flat``, a basis of Null(C) & Null(A).  F may be (n,) or (n, m) and b
+    (k,) or (k, m): columns are right-hand sides of the one factorization.
     """
 
     C: np.ndarray
@@ -92,33 +102,58 @@ class QpProblem:
     A: np.ndarray
     b: np.ndarray
     ctx: "object" = field(default=DEFAULT_CTX, repr=False)
+    A_pinv: np.ndarray = field(init=False, repr=False)
+    N: np.ndarray = field(init=False, repr=False)
+    J: np.ndarray = field(init=False, repr=False)
+    flat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        C = symmetric_psd(self.C, "quadratic term", InvalidProblemError, self.ctx)
-        A = _validate_constraint(self.A, self.ctx)
+        ctx = self.ctx
+        C, norm_C = symmetric_psd(self.C, "quadratic term", InvalidProblemError, ctx)
+        A, A_pinv, N = _constraint(self.A, ctx)
         n = C.shape[0]
         if A.shape[1] != n:
             raise InvalidProblemError(
                 f"constraint has {A.shape[1]} columns but the quadratic is {n}x{n}"
             )
-        F = _as_vector(self.F, n, "linear term F")
-        b = _as_vector(self.b, A.shape[0], "constraint value b")
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "F", F)
-        object.__setattr__(self, "b", b)
+        F = _as_columns(self.F, n, "linear term F")
+        b = _as_columns(self.b, A.shape[0], "constraint value b")
+        if F.shape[1:] != b.shape[1:]:
+            raise InvalidProblemError(
+                f"F and b must have the same columns, got {F.shape} and {b.shape}"
+            )
+        restricted = N.T @ C @ N
+        w, V = np.linalg.eigh(0.5 * (restricted + restricted.T))
+        mags = np.abs(w)
+        noise = n * np.finfo(float).eps * norm_C
+        keep = mags > max(ctx.cutoff(np.sort(mags)[::-1], restricted.shape), noise)
+        J = (V[:, keep] / w[keep]) @ V[:, keep].T
+        for name, value in zip(
+            ("C", "A", "F", "b", "A_pinv", "N", "J", "flat"),
+            (C, A, F, b, A_pinv, N, J, N @ V[:, ~keep]),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self):
         return self.C.shape[0]
 
-    @property
-    def k(self):
-        return self.A.shape[0]
-
     def objective(self, x):
+        """q(x) = x'Cx - 2x'F; column by column when F has columns."""
         x = np.asarray(x, dtype=float)
-        return float(x @ self.C @ x - 2.0 * x @ self.F)
+        if x.ndim == 1:
+            return float(x @ self.C @ x - 2.0 * x @ self.F)
+        return np.einsum("ij,ij->j", x, self.C @ x - 2.0 * self.F)
+
+    def _require_bounded(self):
+        """Raise :class:`UnboundedBelowError` for the first column of F whose
+        component in ``flat`` (a descent direction) exceeds the tolerance."""
+        F = self.F.reshape(self.n, -1)
+        directions = self.flat @ (self.flat.T @ F)
+        tol = self.ctx.residual_tol * (1.0 + np.linalg.norm(F, axis=0))
+        bad = np.flatnonzero(np.linalg.norm(directions, axis=0) > tol)
+        if bad.size:
+            raise UnboundedBelowError(directions[:, bad[0]])
 
 
 @dataclass(frozen=True)
@@ -126,11 +161,12 @@ class QpSolution:
     """Minimum-norm minimizer, optimal value, and the solution-set geometry.
 
     The full solution set is ``x_hat + span(null_basis)`` where the basis
-    spans Null(C) & Null(A); ``x_hat`` is orthogonal to it.
+    spans Null(C) & Null(A); ``x_hat`` is orthogonal to it.  ``x_hat`` and
+    ``value`` have one column (entry) per right-hand side when F has columns.
     """
 
     x_hat: np.ndarray
-    value: float
+    value: float | np.ndarray
     null_basis: np.ndarray
     branch: str | None = None
 
@@ -138,44 +174,14 @@ class QpSolution:
 def check_bounded(C, F, A, ctx=DEFAULT_CTX):
     """True iff x'Cx - 2x'F is bounded below on every {x : Ax = b}.
 
-    The criterion is F in Ran(A') + Ran(C), tested as in :func:`solve`.
+    The criterion is F in Ran(A') + Ran(C) for every column of F, as in solve.
     """
-    C = symmetric_psd(C, "quadratic term", InvalidProblemError, ctx)
-    A = _validate_constraint(A, ctx)
-    F = _as_vector(F, C.shape[0], "linear term F")
+    b = np.zeros(np.shape(np.atleast_2d(A))[:1] + np.shape(F)[1:])
     try:
-        _factor(C, F, A, ctx)
+        QpProblem(C=C, F=F, A=A, b=b, ctx=ctx)._require_bounded()
     except UnboundedBelowError:
         return False
     return True
-
-
-def _factor(C, F, A, ctx):
-    """Factor validated data once: returns (A^+, N, (N'CN)^+, flat).
-
-    One full SVD of A gives A^+ and an orthonormal basis N of Null(A).  One
-    eigh of N'CN, split at ``max(max(shape) * eps * |lambda|_max, n * eps *
-    ||C||_2)`` so that directions C cannot see are never inverted, gives
-    (N'CN)^+ and its kernel Z.  For PSD C, ``flat = N Z`` spans Null(C) &
-    Null(A), the complement of Ran(C) + Ran(A'); F's component in it is a
-    descent direction, raised as :class:`UnboundedBelowError` when it exceeds
-    the residual tolerance.
-    """
-    k, n = A.shape
-    U, s, Vh = np.linalg.svd(A)
-    A_pinv = (Vh[:k].T / s) @ U.T
-    N = Vh[k:].T
-    restricted = N.T @ C @ N
-    w, V = np.linalg.eigh(0.5 * (restricted + restricted.T))
-    mags = np.abs(w)
-    noise = n * np.finfo(float).eps * float(np.linalg.norm(C, 2))
-    keep = mags > max(ctx.cutoff(np.sort(mags)[::-1], restricted.shape), noise)
-    J = (V[:, keep] / w[keep]) @ V[:, keep].T
-    flat = N @ V[:, ~keep]
-    direction = flat @ (flat.T @ F)
-    if np.linalg.norm(direction) > ctx.residual_tol * (1.0 + np.linalg.norm(F)):
-        raise UnboundedBelowError(direction)
-    return A_pinv, N, J, flat
 
 
 def solve(problem: QpProblem) -> QpSolution:
@@ -183,16 +189,16 @@ def solve(problem: QpProblem) -> QpSolution:
 
     M = I - A^+ A is the orthogonal projector onto Null(A).  J is evaluated
     through the orthonormal nullspace basis N of A, using the exact identity
-    (M C M)^+ = N (N'C N)^+ N'.  Boundedness, the minimizer and the solution
-    set all come from one split of the eigenvalues of N'CN (see
-    :func:`_factor`).  x_hat is the minimum-norm element of the solution set;
-    raises :class:`UnboundedBelowError` with a descent certificate otherwise.
+    (M C M)^+ = N (N'C N)^+ N', from the problem's stored factorization.
+    x_hat is the minimum-norm element of the solution set, one column per
+    right-hand side; raises :class:`UnboundedBelowError` with a descent
+    certificate for the first unbounded column.
     """
-    C, F, A, b = problem.C, problem.F, problem.A, problem.b
-    A_pinv, N, J, flat = _factor(C, F, A, problem.ctx)
-    x_part = A_pinv @ b
-    x_hat = x_part + N @ (J @ (N.T @ (F - C @ x_part)))
-    return QpSolution(x_hat=x_hat, value=problem.objective(x_hat), null_basis=flat)
+    problem._require_bounded()
+    C, F, N = problem.C, problem.F, problem.N
+    x_part = problem.A_pinv @ problem.b
+    x_hat = x_part + N @ (problem.J @ (N.T @ (F - C @ x_part)))
+    return QpSolution(x_hat, problem.objective(x_hat), problem.flat)
 
 
 def _oblique_constraint_projector(problem, C_pinv):
@@ -253,19 +259,13 @@ def solve_alt(problem: QpProblem) -> QpSolution:
     every row of A lies in Ran(C), else "complement") is reported on the
     solution; boundedness, A^+ and the basis are shared with :func:`solve`.
     """
-    ctx = problem.ctx
-    C, F, A, b = problem.C, problem.F, problem.A, problem.b
-    A_pinv, _, _, flat = _factor(C, F, A, ctx)
-    C_pinv = pinv(C, ctx)
+    problem._require_bounded()
+    C_pinv = pinv(problem.C, problem.ctx)
     P, branch = _oblique_constraint_projector(problem, C_pinv)
     eye = np.eye(problem.n)
-    x_hat = (eye - P) @ C_pinv @ (eye - P.T) @ F + P @ (A_pinv @ b)
-    return QpSolution(
-        x_hat=x_hat,
-        value=problem.objective(x_hat),
-        null_basis=flat,
-        branch=branch,
-    )
+    x_part = problem.A_pinv @ problem.b
+    x_hat = (eye - P) @ C_pinv @ (eye - P.T) @ problem.F + P @ x_part
+    return QpSolution(x_hat, problem.objective(x_hat), problem.flat, branch)
 
 
 def constrained_lsq(A1, b1, A2, b2, ctx=DEFAULT_CTX):
@@ -281,14 +281,13 @@ def constrained_lsq(A1, b1, A2, b2, ctx=DEFAULT_CTX):
         A1 = A1.reshape(1, -1)
     if not np.all(np.isfinite(A1)):
         raise InvalidInputError("A1 contains non-finite entries")
-    A2 = _validate_constraint(A2, ctx)
+    A2, A2_pinv, N = _constraint(A2, ctx)
     n = A1.shape[1]
     if A2.shape[1] != n:
         raise InvalidProblemError("A1 and A2 must have the same number of columns")
-    b1 = _as_vector(b1, A1.shape[0], "b1")
-    b2 = _as_vector(b2, A2.shape[0], "b2")
-    x_part = pinv(A2, ctx) @ b2
-    N = null_basis(A2, ctx)
+    b1 = _as_columns(np.ravel(b1), A1.shape[0], "b1")
+    b2 = _as_columns(np.ravel(b2), A2.shape[0], "b2")
+    x_part = A2_pinv @ b2
     if N.shape[1] == 0:
         return x_part
     target = A1 @ (pinv(A1, ctx) @ b1) - A1 @ x_part

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from mvhedge import oracle
+from mvhedge import engine, oracle
 from mvhedge.cli import main
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -59,6 +59,22 @@ class TestFrontierCommand:
     def test_missing_file_exits_2(self, capsys):
         assert main(["frontier", "--model", "no_such_file.json"]) == 2
 
+    def test_unreadable_model_file_exits_2(self, tmp_path, capsys):
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b"\xff\xfe\x00")
+        for path in (tmp_path, binary):
+            assert main(["frontier", "--model", str(path)]) == 2
+            assert len(capsys.readouterr().err.splitlines()) == 1
+
+    def test_program_errors_are_not_input_errors(self, monkeypatch, capsys):
+        # a ValueError from inside the library is a bug, not invalid input
+        def broken(*args, **kwargs):
+            raise ValueError("internal failure")
+
+        monkeypatch.setattr(engine, "closed_form_values", broken)
+        with pytest.raises(ValueError, match="internal failure"):
+            main(["frontier", "--model", cfg("iid_3assets_t4.json")])
+
     def test_missing_model_key_exits_2(self, tmp_path, capsys):
         path = tmp_path / "no_sigma.json"
         path.write_text(json.dumps({"model": {"kind": "iid", "mu": [0.1], "T": 2}}))
@@ -68,12 +84,49 @@ class TestFrontierCommand:
 
     def test_malformed_model_or_claim_exits_2(self, tmp_path, capsys):
         model = {"kind": "iid", "mu": [0.1], "sigma": [[0.04]], "T": 2}
+        tree = {
+            "kind": "tree",
+            "root": "r",
+            "nodes": [
+                {
+                    "id": "r",
+                    "time": 0,
+                    "prices": [1.0],
+                    "branches": [{"prob": 0.5, "child": "u"}, {"prob": 0.5, "child": "d"}],
+                },
+                {"id": "u", "time": 1, "prices": [1.2]},
+                {"id": "d", "time": 1, "prices": [0.9]},
+            ],
+        }
+        bad_prob = json.loads(json.dumps(tree))
+        bad_prob["nodes"][0]["branches"][0]["prob"] = "x"
         cases = [
             ({"model": []}, "the 'model' section must be a mapping"),
             (
                 {"model": model, "claim": [1]},
                 "claim must be a number or a mapping of numbers, got [1]",
             ),
+            (
+                {"model": {"kind": "pii", "segments": [[1, 2, 3]]}},
+                "each segment must be a mapping",
+            ),
+            ({"model": {"kind": "pii", "segments": 5}}, "'segments' must be a list"),
+            (
+                {"model": dict(tree, nodes=[[1, 2]])},
+                "each tree node must be a mapping",
+            ),
+            ({"model": dict(tree, payoff=[1])}, "'payoff' must be a mapping"),
+            ({"model": dict(model, T="x")}, "T must be a number, got 'x'"),
+            (
+                {"model": dict(model, mu="abc")},
+                "mu must be a rectangular array of numbers, got 'abc'",
+            ),
+            (
+                {"model": dict(model, mu=[0.1, 0.2], sigma=[[0.04, 0.0], [0.0]])},
+                "sigma must be a rectangular array of numbers, "
+                "got [[0.04, 0.0], [0.0]]",
+            ),
+            ({"model": bad_prob}, "branch prob must be a number, got 'x'"),
         ]
         for data, message in cases:
             path = tmp_path / "bad.json"
@@ -142,6 +195,13 @@ class TestOracleCommand:
         assert code == 0
         assert out.count("PASS") == 2
         assert "FAIL" not in out
+
+    def test_negative_tolerance_exits_2(self, capsys):
+        argv = ["oracle", "--model", cfg("tree_call_binomial.json"), "--tol", "-0.001"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "--tol must be non-negative, got -0.001"
+        ]
 
     def test_impossible_tolerance_exits_3(self, capsys):
         code = main(
@@ -240,6 +300,14 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.splitlines() == ["step must be a number, got 'x'"]
 
+    def test_path_count_below_one_exits_2(self, capsys):
+        for paths in ("0", "-3"):
+            argv = ["simulate", "--model", cfg("iid_3assets_t4.json"), "--paths", paths]
+            assert main(argv) == 2
+            assert capsys.readouterr().err.splitlines() == [
+                f"the path count must be at least 1, got {paths}"
+            ]
+
     def test_gaussian_simulation_runs(self, capsys):
         code = main(
             [
@@ -296,6 +364,22 @@ class TestSolveQpCommand:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"C": [[1.0]]}))
         assert main(["solve-qp", "--model", str(path)]) == 2
+
+    def test_reads_one_right_hand_side(self, tmp_path, capsys):
+        with open(cfg("qp_example.json"), encoding="utf-8") as fh:
+            data = json.load(fh)
+        cases = [
+            (dict(data, F=[[0.4, 0.1], [-0.2, 0.0], [0.3, 0.2]]), "F and b must be vectors"),
+            (dict(data, b=[[1.0, 2.0]]), "F and b must be vectors"),
+            (dict(data, C="x"), "QP file fields must be arrays of numbers"),
+            ([1, 2], "a QP file must be a mapping"),
+        ]
+        path = tmp_path / "qp.json"
+        for case, message in cases:
+            path.write_text(json.dumps(case))
+            assert main(["solve-qp", "--model", str(path)]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and message in err[0]
 
 
 # Every value printed by the tree and QP commands, at 12 significant digits.

@@ -398,6 +398,39 @@ class TestTreeBackward:
         _, w_pert, _ = enumerate_terminal_wealth(tree, pert, 0.8)
         assert np.abs(w_base - w_pert).max() < 1e-10
 
+    @pytest.mark.parametrize("solver", ["tree_backward", "dp_solve"])
+    def test_three_decompositions_per_node(self, solver, monkeypatch):
+        # One QpProblem per node: eigvalsh of c* (validation and ||c*||_2),
+        # one SVD of the constraint and one eigh of the restricted quadratic.
+        from mvhedge.oracle import dp_solve
+
+        rng = np.random.default_rng(12)
+        tree = make_tree(rng, n_assets=3, periods=3)
+        claim = random_claim(rng, tree)
+        calls = []
+        for name in ("svd", "eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def counting(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        norm = np.linalg.norm
+
+        def no_spectral_norm(x, ord=None, *args, **kwargs):
+            # ord=2 on a matrix is an SVD hidden from the counter above
+            assert not (ord == 2 and np.ndim(x) == 2), "hidden SVD in norm"
+            return norm(x, ord, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", no_spectral_norm)
+        if solver == "tree_backward":
+            tree_backward(tree, claim)
+        else:
+            dp_solve(tree, claim, 0.3)
+        internal = len(tree.nodes) - len(tree.terminal_ids)
+        assert len(calls) <= 3 * internal, (len(calls), internal)
+
     def test_deterministic_arbitrage_names_node(self):
         tree = models.FiniteTreeModel(
             [

@@ -197,8 +197,8 @@ class TestSolve:
             assert abs(lhs - sol.value - x @ C @ x) < 1e-9
 
     def test_one_factorization_per_question(self, monkeypatch):
-        # Validation (eigvalsh of C, singular values of A) plus one SVD of A
-        # and one eigh of N'CN answer boundedness, minimizer and solution set.
+        # Validating C (eigvalsh, which also gives ||C||_2), one SVD of A and
+        # one eigh of N'CN answer boundedness, minimizer and solution set.
         calls = []
         for name in ("svd", "eigh", "eigvalsh"):
             original = getattr(np.linalg, name)
@@ -212,6 +212,51 @@ class TestSolve:
         prob = qp.QpProblem(C=C, F=[0.05, 0.08, 0.1], A=np.ones((1, 3)), b=[-1.0])
         qp.solve(prob)
         assert len(calls) <= 5, calls
+
+    def test_stacked_right_hand_sides_match_single_solves(self):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            n = int(rng.integers(2, 8))
+            k = int(rng.integers(1, min(3, n) + 1))
+            rank = int(rng.integers(0, n + 1))
+            cols = [well_posed_instance(rng, n, k, rank)]
+            C, _, A, _ = cols[0]
+            for _ in range(int(rng.integers(1, 4))):
+                F = A.T @ rng.normal(size=k) + C @ rng.normal(size=n)
+                cols.append((C, F, A, rng.normal(size=k)))
+            F = np.column_stack([c[1] for c in cols])
+            b = np.column_stack([c[3] for c in cols])
+            stacked = qp.solve(qp.QpProblem(C=C, F=F, A=A, b=b))
+            assert stacked.x_hat.shape == F.shape
+            assert stacked.value.shape == (F.shape[1],)
+            for j in range(F.shape[1]):
+                single = qp.solve(qp.QpProblem(C=C, F=F[:, j], A=A, b=b[:, j]))
+                scale = 1.0 + np.abs(single.x_hat).max()
+                assert np.abs(stacked.x_hat[:, j] - single.x_hat).max() < 1e-12 * scale
+                assert abs(stacked.value[j] - single.value) < 1e-12 * (
+                    1.0 + abs(single.value)
+                )
+                assert np.array_equal(stacked.null_basis, single.null_basis)
+
+    def test_unbounded_column_raises_with_its_certificate(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            C, F_bad, A, b = unbounded_instance(rng, 5, 2)
+            F_good = A.T @ rng.normal(size=2) + C @ rng.normal(size=5)
+            assert qp.check_bounded(C, F_good, A)
+            with pytest.raises(qp.UnboundedBelowError) as single:
+                qp.solve(qp.QpProblem(C=C, F=F_bad, A=A, b=b))
+            F = np.column_stack([F_good, F_bad, F_good])
+            B = np.column_stack([b, b, b])
+            with pytest.raises(qp.UnboundedBelowError) as stacked:
+                qp.solve(qp.QpProblem(C=C, F=F, A=A, b=B))
+            gap = stacked.value.direction - single.value.direction
+            assert np.abs(gap).max() < 1e-12 * (1.0 + np.abs(F_bad).max())
+            assert not qp.check_bounded(C, F, A)
+
+    def test_right_hand_side_shapes_must_agree(self):
+        with pytest.raises(qp.InvalidProblemError):
+            qp.QpProblem(C=np.eye(2), F=np.zeros((2, 2)), A=np.ones((1, 2)), b=[1.0])
 
     def test_unbounded_raises_with_certificate(self):
         rng = np.random.default_rng(5)
