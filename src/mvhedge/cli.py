@@ -37,9 +37,9 @@ def _fmt_vec(v):
 def _load(args, ctx):
     model, claim, wealth, step = models.load_config(args.model, ctx=ctx)
     if args.claim is not None:
-        claim = models.Claim(constant=float(args.claim))
+        claim = models.Claim(constant=args.claim)
     if args.wealth is not None:
-        wealth = float(args.wealth)
+        wealth = models._amount(args.wealth, "--wealth")
     return model, claim, wealth, step
 
 
@@ -54,7 +54,7 @@ def _require_tree(model, claim):
 
 def cmd_frontier(args):
     ctx = DEFAULT_CTX
-    model, _, _, _ = _load(args, ctx)
+    model = models.load_config(args.model, ctx=ctx)[0]
     result = engine.closed_form_values(model, ctx)
     triple = frontier.FrontierTriple.from_values(result.values)
     sm, var = frontier.frontier_coeffs(triple)
@@ -94,18 +94,12 @@ def cmd_hedge(args):
                 + [f"a_{i + 1}" for i in range(d)]
                 + [f"xi_{i + 1}" for i in range(d)]
             )
-            for nid in model._order:
-                node = model.nodes[nid]
-                row = [
-                    nid,
-                    node.time,
-                    _fmt(solution.L[nid]),
-                    _fmt(solution.V[nid]),
-                    _fmt(solution.eps2[nid]),
-                ]
-                if nid in solution.a:
-                    row += [_fmt(x) for x in solution.a[nid]]
-                    row += [_fmt(x) for x in solution.xi[nid]]
+            portfolios = np.hstack([solution.a, solution.xi])
+            for i, nid in enumerate(model.ids):
+                row = [nid, model.time[i]]
+                row += [_fmt(x[i]) for x in (solution.L, solution.V, solution.eps2)]
+                if i < len(portfolios):
+                    row += [_fmt(x) for x in portfolios[i]]
                 else:
                     row += [""] * (2 * d)
                 writer.writerow(row)
@@ -229,6 +223,24 @@ _COMMANDS = {
     "solve-qp": cmd_solve_qp,
 }
 
+_FLAGS = {
+    "--claim": dict(type=float, help="constant claim value"),
+    "--wealth": dict(type=float, help="initial wealth"),
+    "--out": dict(help="output file path"),
+    "--seed": dict(type=int, help="simulation seed"),
+    "--paths": dict(type=int, help="simulation paths"),
+    "--tol": dict(type=float, help="verification tolerance"),
+}
+
+# The flags each command reads besides --model.
+_COMMAND_FLAGS = {
+    "frontier": ("--out",),
+    "hedge": ("--claim", "--wealth", "--out"),
+    "oracle": ("--claim", "--wealth", "--tol"),
+    "simulate": ("--claim", "--wealth", "--seed", "--paths"),
+    "solve-qp": (),
+}
+
 _INPUT_ERRORS = (
     models.InvalidModelError,
     models.InvalidNumeraireError,
@@ -255,12 +267,8 @@ def build_parser():
     for name, fn in _COMMANDS.items():
         p = sub.add_parser(name, help=fn.__doc__)
         p.add_argument("--model", required=True, help="model config file (JSON)")
-        p.add_argument("--claim", type=float, default=None, help="constant claim value")
-        p.add_argument("--wealth", type=float, default=None, help="initial wealth")
-        p.add_argument("--out", default=None, help="output file path")
-        p.add_argument("--seed", type=int, default=None, help="simulation seed")
-        p.add_argument("--paths", type=int, default=None, help="simulation paths")
-        p.add_argument("--tol", type=float, default=None, help="verification tolerance (oracle checks)")
+        for flag in _COMMAND_FLAGS[name]:
+            p.add_argument(flag, **_FLAGS[flag])
         p.set_defaults(fn=fn)
     return parser
 

@@ -17,6 +17,7 @@ import numpy as np
 from . import qp
 from .linalg import DEFAULT_CTX, InvalidInputError, in_span, pinv
 from .models import Claim, FiniteTreeModel, IidDiscreteModel, PiiItoModel
+from .models import _quad, _rowdot
 
 __all__ = [
     "LocalArbitrageError",
@@ -275,6 +276,11 @@ def _pii_segment_table(model, ctx):
         dt = rows[i]["t1"] - rows[i]["t0"]
         int_L[i] = int_L[i + 1] + rows[i]["rate_L"] * dt
         int_LV[i] = int_LV[i + 1] + rows[i]["rate_LV"] * dt
+    if not np.all(np.maximum(int_L, int_LV - int_L) <= np.log(np.finfo(float).max)):
+        raise InvalidInputError(
+            f"the value processes overflow over the horizon {model.horizon:g}: "
+            "exp(log L) or exp(log V) exceeds the float range"
+        )
     return rows, int_L, int_LV
 
 
@@ -330,40 +336,42 @@ def closed_form_values(model, ctx=DEFAULT_CTX):
 
 @dataclass
 class TreeSolution:
-    """Per-node hedging solution on a finite event tree.
+    """Per-node hedging solution on a finite event tree, in the tree's node order.
 
-    L, V, eps2 are per-node scalars; a, xi are per non-terminal node dollar
-    portfolios; null_basis spans the per-node flat directions of both
-    minimizers (zero-wealth strategies).
+    L, V, eps2 are (n,) arrays over all nodes; a, xi are (internal, d) dollar
+    portfolios of the non-terminal nodes, which come first in node order;
+    null_basis lists, per non-terminal node, a basis of the flat directions of
+    both minimizers (zero-wealth strategies).  ``tree.index[nid]`` is the
+    position of node ``nid``.
     """
 
     tree: FiniteTreeModel
     claim: Claim
-    L: dict
-    V: dict
-    eps2: dict
-    a: dict
-    xi: dict
-    null_basis: dict
+    L: np.ndarray
+    V: np.ndarray
+    eps2: np.ndarray
+    a: np.ndarray
+    xi: np.ndarray
+    null_basis: list
 
     @property
     def L0(self):
-        return self.L[self.tree.root]
+        return float(self.L[0])
 
     @property
     def V0(self):
-        return self.V[self.tree.root]
+        return float(self.V[0])
 
     @property
     def eps2_0(self):
-        return self.eps2[self.tree.root]
+        return float(self.eps2[0])
 
     def triple(self):
         return self.L0, self.V0, self.eps2_0
 
-    def feedback(self, nid, wealth):
-        """Feedback rule at a non-terminal node: pi = xi + (V - wealth) a."""
-        return self.xi[nid] + (self.V[nid] - wealth) * self.a[nid]
+    def feedback(self, nodes, wealth):
+        """Feedback rule pi = xi + (V - wealth) a at non-terminal positions."""
+        return self.xi[nodes] + (self.V[nodes] - wealth)[..., None] * self.a[nodes]
 
 
 def tree_backward(
@@ -387,70 +395,54 @@ def tree_backward(
 
     The minimizer is linear in (target, cost), so one problem on c* solves
     (b*, -1) and (g, 0) and xi is the second column minus V times the first.
+    Each level is one array step (sums over each node's children by
+    ``np.add.reduceat``) around one QP per node.
 
     ``adjustment_override`` is a hook ``f(node_id, a, null_basis) -> a``
     applied after each adjustment solve; results must stay within the
     minimizer set for the outputs to be unchanged.
     """
-    Lmap, Vmap, emap = {}, {}, {}
-    amap, ximap, nullmap = {}, {}, {}
-    for slice_ids in tree.nodes_by_time():
-        for nid in slice_ids:
-            node = tree.nodes[nid]
-            if not node.branches:
-                Lmap[nid] = 1.0
-                Vmap[nid] = claim.value_at(nid)
-                emap[nid] = 0.0
-                continue
-            probs = np.array([p for p, _ in node.branches])
-            kids = [ch for _, ch in node.branches]
-            rets = np.array([tree.returns(nid, ch) for ch in kids])
-            L_next = np.array([Lmap[ch] for ch in kids])
-            V_next = np.array([Vmap[ch] for ch in kids])
-            e_next = np.array([emap[ch] for ch in kids])
-            mean_L = float(probs @ L_next)
-            q = probs * L_next / mean_L
-            b_star = q @ rets
-            c_star = rets.T @ (rets * q[:, None])
-            c_star = 0.5 * (c_star + c_star.T)
-            targets = np.column_stack([b_star, q @ (rets * V_next[:, None])])
-            sol = _solve_portfolio(c_star, targets, [-1.0, 0.0], ctx, f"node {nid!r}")
-            a = sol.x_hat[:, 0]
+    n, n_int, d = len(tree.ids), tree.n_internal, tree.d
+    L, V, eps2 = np.ones(n), np.empty(n), np.zeros(n)
+    V[n_int:] = [claim.value_at(t) for t in tree.terminal_ids]
+    a, xi = np.empty((n_int, d)), np.empty((n_int, d))
+    null_basis = [None] * n_int
+    for here, kids, sums, owner in reversed(tree.levels):
+        p, R, L_next, V_next = tree.prob[kids], tree.rets[kids], L[kids], V[kids]
+        pL = p * L_next
+        mean_L = sums(pL)
+        q = pL / mean_L[owner]
+        b_star = sums(q[:, None] * R)
+        c_star = sums(R[:, :, None] * (R * q[:, None])[:, None, :])
+        c_star = 0.5 * (c_star + c_star.transpose(0, 2, 1))
+        g = sums(q[:, None] * (R * V_next[:, None]))
+        x = np.empty((len(mean_L), d, 2))
+        for k, i in enumerate(range(here.start, here.stop)):
+            targets = np.column_stack([b_star[k], g[k]])
+            sol = _solve_portfolio(
+                c_star[k], targets, [-1.0, 0.0], ctx, f"node {tree.ids[i]!r}"
+            )
+            x[k], a[i], null_basis[i] = sol.x_hat, sol.x_hat[:, 0], sol.null_basis
             if adjustment_override is not None:
-                a = np.asarray(
-                    adjustment_override(nid, a, sol.null_basis), dtype=float
-                )
-            growth = 1.0 - 2.0 * float(a @ b_star) + float(a @ c_star @ a)
-            if growth <= _POSITIVITY_TOL:
-                raise LocalArbitrageError(
-                    "opportunity process is not positive: a fully invested "
-                    "portfolio attains zero conditional second moment",
-                    where=f"node {nid!r}",
-                )
-            L_here = mean_L * growth
-            LV_here = float(probs @ ((1.0 - rets @ a) * L_next * V_next))
-            V_here = LV_here / L_here
-            cross = targets[:, 1] - V_here * b_star
-            xi = sol.x_hat[:, 1] - V_here * sol.x_hat[:, 0]
-            mean_V = float(q @ V_next)
-            c_v = float(q @ V_next**2) - 2.0 * V_here * mean_V + V_here**2
-            residual = c_v - 2.0 * float(xi @ cross) + float(xi @ c_star @ xi)
-            Lmap[nid] = L_here
-            Vmap[nid] = V_here
-            emap[nid] = float(probs @ e_next) + mean_L * residual
-            amap[nid] = a
-            ximap[nid] = xi
-            nullmap[nid] = sol.null_basis
-    return TreeSolution(
-        tree=tree,
-        claim=claim,
-        L=Lmap,
-        V=Vmap,
-        eps2=emap,
-        a=amap,
-        xi=ximap,
-        null_basis=nullmap,
-    )
+                a[i] = adjustment_override(tree.ids[i], a[i], sol.null_basis)
+        a_here = a[here]
+        growth = 1.0 - 2.0 * _rowdot(a_here, b_star) + _quad(a_here, c_star, a_here)
+        if np.any(growth <= _POSITIVITY_TOL):
+            bad = here.start + np.argmax(growth <= _POSITIVITY_TOL)
+            raise LocalArbitrageError(
+                "opportunity process is not positive: a fully invested "
+                "portfolio attains zero conditional second moment",
+                where=f"node {tree.ids[bad]!r}",
+            )
+        L[here] = mean_L * growth
+        LV = sums(p * ((1.0 - _rowdot(R, a_here[owner])) * L_next * V_next))
+        V_here = V[here] = LV / L[here]
+        cross = g - V_here[:, None] * b_star
+        xi_here = xi[here] = x[:, :, 1] - V_here[:, None] * x[:, :, 0]
+        c_v = sums(q * V_next**2) - 2.0 * V_here * sums(q * V_next) + V_here**2
+        residual = c_v - 2.0 * _rowdot(xi_here, cross) + _quad(xi_here, c_star, xi_here)
+        eps2[here] = sums(p * eps2[kids]) + mean_L * residual
+    return TreeSolution(tree, claim, L, V, eps2, a, xi, null_basis)
 
 
 @dataclass(frozen=True)
@@ -489,11 +481,12 @@ def _tree_feedback(solution, v, node_path):
     wealth = [float(v)]
     holdings = []
     for here, there in zip(path[:-1], path[1:]):
-        if there not in [ch for _, ch in tree.nodes[here].branches]:
+        i, j = tree.index.get(here), tree.index.get(there)
+        if j is None or tree.parent[j] != i:
             raise InvalidInputError(f"{there!r} is not a child of {here!r}")
-        pi = solution.feedback(here, wealth[-1])
+        pi = solution.feedback(i, wealth[-1])
         holdings.append(pi)
-        wealth.append(wealth[-1] + float(pi @ tree.returns(here, there)))
+        wealth.append(wealth[-1] + float(pi @ tree.rets[j]))
     return StrategyPath(holdings=np.array(holdings), wealth=np.array(wealth))
 
 

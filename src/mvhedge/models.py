@@ -9,6 +9,8 @@ and validated eagerly.
 import json
 import warnings
 from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +37,12 @@ __all__ = [
 # contract bound are renormalized with a warning, anything larger is invalid.
 _PROB_SUM_EXACT = 1e-13
 _PROB_SUM_TOL = 1e-12
+
+# Time steps of a model or of a simulation grid; arrays grow with their count.
+MAX_STEPS = 10**6
+# Money amounts (wealth, claims, payoffs) are squared in every second moment;
+# up to this magnitude the squares and their sums stay finite.
+MAX_AMOUNT = 1e150
 
 
 class InvalidModelError(ValueError):
@@ -65,6 +73,10 @@ class IidDiscreteModel:
         self.n_periods = int(n_periods)
         if self.n_periods < 1:
             raise InvalidModelError("n_periods must be at least 1")
+        if self.n_periods > MAX_STEPS:
+            raise InvalidModelError(
+                f"n_periods must be at most {MAX_STEPS}, got {self.n_periods:.3g}"
+            )
 
     @property
     def d(self):
@@ -147,14 +159,23 @@ class PiiItoModel:
         return seg.b.copy(), seg.c.copy()
 
 
-@dataclass(frozen=True)
-class TreeNode:
+class TreeNode(NamedTuple):
     """Event-tree node: integer time, price vector, branch list (prob, child id)."""
 
     id: str
     time: int
     prices: np.ndarray
     branches: tuple
+
+
+def _rowdot(x, y):
+    """Row-wise x_i . y_i by stacked matmul, rounding exactly like ``x_i @ y_i``."""
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+
+
+def _quad(x, M, y):
+    """Row-wise x_i M_i y_i, rounding exactly like ``x_i @ M_i @ y_i``."""
+    return (x[:, None, :] @ M @ y[:, :, None])[:, 0, 0]
 
 
 class FiniteTreeModel:
@@ -165,20 +186,24 @@ class FiniteTreeModel:
     and sum to one (sums within 1e-12 are renormalized with a warning), all
     terminal nodes share the same time, and at least one asset is strictly
     positive on every node so that a numeraire candidate exists.
+
+    The tree is laid out once, in time-major node order: internal nodes come
+    first, the root is position 0 and each node's children sit next to each
+    other in branch order.  ``ids[i]`` is the id at position ``i`` and
+    ``index`` maps ids back to positions, and the first ``n_internal``
+    positions are the non-terminal nodes; ``parent``, ``prob`` (the branch
+    probability into the node), ``time``, ``prices`` and ``rets`` (the simple
+    returns over the edge from the parent; zero at the root) are arrays in
+    node order.  ``levels`` holds one ``(nodes, children, sums, owner)``
+    tuple per non-terminal time, root first: the position slices of the level
+    and of its children, ``sums(x)`` adding per-child rows ``x`` over each
+    node's children (``np.add.reduceat``), and each child's parent relative
+    to ``nodes.start``.  Every tree pass runs level by level over these.
     """
 
     def __init__(self, nodes, root, payoff=None, ctx=DEFAULT_CTX):
         cleaned = {}
-        for node in nodes:
-            if isinstance(node, TreeNode):
-                nid, time, prices, branches = (
-                    node.id,
-                    node.time,
-                    node.prices,
-                    node.branches,
-                )
-            else:
-                nid, time, prices, branches = node
+        for nid, time, prices, branches in nodes:
             nid = str(nid)
             if nid in cleaned:
                 raise InvalidModelError(f"duplicate node id {nid!r}")
@@ -189,12 +214,8 @@ class FiniteTreeModel:
                 raise InvalidModelError(
                     f"node {nid!r} has a zero price; returns are undefined"
                 )
-            cleaned[nid] = TreeNode(
-                id=nid,
-                time=int(time),
-                prices=prices,
-                branches=tuple((float(p), str(ch)) for p, ch in branches),
-            )
+            branches = tuple((float(p), str(ch)) for p, ch in branches)
+            cleaned[nid] = TreeNode(nid, int(time), prices, branches)
         if str(root) not in cleaned:
             raise InvalidModelError(f"root node {root!r} not present")
         self.nodes = cleaned
@@ -211,16 +232,13 @@ class FiniteTreeModel:
                 )
 
     def _validate(self, ctx):
+        """Check the tree breadth first and lay it out in the same pass."""
         d = self.nodes[self.root].prices.shape[0]
-        seen = set()
-        order = []
-        stack = [self.root]
-        while stack:
-            nid = stack.pop()
-            if nid in seen:
-                raise InvalidModelError(f"node {nid!r} reached twice; not a tree")
-            seen.add(nid)
-            order.append(nid)
+        order, parent, prob = [self.root], [-1], [1.0]
+        index = {self.root: 0}
+        pos = 0
+        while pos < len(order):
+            nid = order[pos]
             node = self.nodes[nid]
             if node.prices.shape[0] != d:
                 raise InvalidModelError("inconsistent asset count across nodes")
@@ -241,34 +259,51 @@ class FiniteTreeModel:
                         f"(sum off by {gap:.2e})"
                     )
                     probs = probs / probs.sum()
-                    node = TreeNode(
-                        id=node.id,
-                        time=node.time,
-                        prices=node.prices,
-                        branches=tuple(
-                            (float(p), ch)
-                            for p, (_, ch) in zip(probs, node.branches)
-                        ),
+                    kids = [ch for _, ch in node.branches]
+                    node = self.nodes[nid] = node._replace(
+                        branches=tuple(zip(probs.tolist(), kids))
                     )
-                    self.nodes[nid] = node
-                for _, child in node.branches:
+                for p, child in node.branches:
                     if child not in self.nodes:
                         raise InvalidModelError(f"unknown child node {child!r}")
+                    if child in index:
+                        raise InvalidModelError(
+                            f"node {child!r} reached twice; not a tree"
+                        )
                     if self.nodes[child].time != node.time + 1:
                         raise InvalidModelError(
                             f"child {child!r} time must be {node.time + 1}"
                         )
-                    stack.append(child)
-        unreachable = set(self.nodes) - seen
+                    index[child] = len(order)
+                    order.append(child)
+                    parent.append(pos)
+                    prob.append(p)
+            pos += 1
+        unreachable = set(self.nodes) - set(index)
         if unreachable:
             raise InvalidModelError(f"unreachable nodes: {sorted(unreachable)[:5]}")
-        self._order = tuple(order)
         terminals = [nid for nid in order if not self.nodes[nid].branches]
         times = {self.nodes[t].time for t in terminals}
         if len(times) != 1:
             raise InvalidModelError("terminal nodes must share a common time")
         self.horizon = times.pop()
         self.terminal_ids = tuple(terminals)
+        self.n_internal = len(order) - len(terminals)
+        self.ids, self.index = tuple(order), index
+        self.parent = np.array(parent)
+        self.prob = np.array(prob)
+        self.time = np.array([self.nodes[nid].time for nid in order])
+        self.prices = np.array([self.nodes[nid].prices for nid in order])
+        self.rets = np.zeros_like(self.prices)
+        self.rets[1:] = self.prices[1:] / self.prices[self.parent[1:]] - 1.0
+        _amount(float(np.max(np.abs(self.rets))), "every edge return")
+        lb = np.searchsorted(self.time, np.arange(self.time[0], self.horizon + 2))
+        first = np.searchsorted(self.parent, np.arange(len(order)))
+        self.levels = tuple(
+            (slice(a, b), slice(b, c), partial(np.add.reduceat, indices=first[a:b] - b),
+             self.parent[b:c] - a)
+            for a, b, c in zip(lb, lb[1:], lb[2:])
+        )
         if not self.positive_assets():
             raise InvalidModelError(
                 "no strictly positive asset exists; the tree admits no "
@@ -277,61 +312,41 @@ class FiniteTreeModel:
 
     @property
     def d(self):
-        return self.nodes[self.root].prices.shape[0]
-
-    def children(self, nid):
-        return self.nodes[nid].branches
-
-    def nodes_by_time(self):
-        """Node ids grouped by time, ordered from the horizon back to the root."""
-        slices = {}
-        for nid in self._order:
-            slices.setdefault(self.nodes[nid].time, []).append(nid)
-        return [slices[t] for t in sorted(slices, reverse=True)]
+        return self.prices.shape[1]
 
     def node_probabilities(self):
-        """Unconditional probability of reaching each node."""
-        prob = {self.root: 1.0}
-        for nid in self._order:
-            for p, child in self.nodes[nid].branches:
-                prob[child] = prob[nid] * p
-        return prob
-
-    def returns(self, nid, child):
-        """Per-asset simple returns over the edge nid -> child."""
-        parent = self.nodes[nid].prices
-        return self.nodes[child].prices / parent - 1.0
+        """Unconditional probability of reaching each node, in node order."""
+        reach = np.ones(len(self.ids))
+        for here, kids, _, owner in self.levels:
+            reach[kids] = reach[here][owner] * self.prob[kids]
+        return reach
 
     def roll_wealth(self, holdings, v):
         """Roll self-financing wealth from ``v`` at the root over every node.
 
-        ``holdings(nid, wealth)`` is the dollar portfolio held at a
-        non-terminal node.  Returns the dicts node -> holdings and node -> wealth.
+        ``holdings(nodes, wealth)`` gives the dollar portfolios held at the
+        slice ``nodes`` of one non-terminal level from their wealth.  Returns
+        the holdings of every non-terminal node and the wealth of every node,
+        in node order.
         """
-        pis = {}
-        wealth = {self.root: float(v)}
-        for nid in self._order:
-            branches = self.nodes[nid].branches
-            if not branches:
-                continue
-            pi = holdings(nid, wealth[nid])
-            pis[nid] = pi
-            for _, ch in branches:
-                wealth[ch] = wealth[nid] + float(pi @ self.returns(nid, ch))
+        wealth = np.empty(len(self.ids))
+        wealth[0] = v
+        pis = np.empty((self.n_internal, self.d))
+        for here, kids, _, owner in self.levels:
+            pi = pis[here] = holdings(here, wealth[here])
+            wealth[kids] = wealth[here][owner] + _rowdot(pi[owner], self.rets[kids])
         return pis, wealth
 
     def positive_assets(self):
         """Indices of assets with strictly positive prices on every node."""
-        prices = np.array([self.nodes[nid].prices for nid in self._order])
-        return [int(i) for i in np.flatnonzero(np.all(prices > 0, axis=0))]
+        return [int(i) for i in np.flatnonzero(np.all(self.prices > 0, axis=0))]
 
     def log_characteristics(self, nid):
         """Conditional (b, c) of simple returns at a non-terminal node."""
-        node = self.nodes[str(nid)]
-        if not node.branches:
+        lo, hi = np.searchsorted(self.parent, self.index[str(nid)] + np.arange(2))
+        if lo == hi:
             raise InvalidModelError(f"node {nid!r} is terminal")
-        rets = np.array([self.returns(node.id, ch) for _, ch in node.branches])
-        probs = np.array([p for p, _ in node.branches])
+        rets, probs = self.rets[lo:hi], self.prob[lo:hi]
         b = probs @ rets
         c = rets.T @ (rets * probs[:, None])
         return b, 0.5 * (c + c.T)
@@ -349,6 +364,8 @@ class Claim:
             raise InvalidModelError(
                 "claim must specify exactly one of a constant or a payoff map"
             )
+        for x in [self.constant] if self.payoff is None else self.payoff.values():
+            _amount(float(x), "a claim value")
 
     def value_at(self, terminal_id):
         if self.constant is not None:
@@ -376,8 +393,10 @@ def check_local_na(b, c, mode="discrete", ctx=DEFAULT_CTX):
     if mode not in ("discrete", "continuous"):
         raise InvalidModelError(f"unknown mode {mode!r}")
     b = np.asarray(b, dtype=float).ravel()
-    c, _ = symmetric_psd(c, "second characteristic", InvalidModelError, ctx)
-    return qp.check_bounded(c, b, np.ones((1, b.shape[0])), ctx)
+    try:
+        return qp.check_bounded(c, b, np.ones((1, b.shape[0])), ctx)
+    except qp.InvalidProblemError as err:
+        raise InvalidModelError(str(err)) from None
 
 
 def discount_tree(tree, numeraire_index, ctx=DEFAULT_CTX):
@@ -389,7 +408,8 @@ def discount_tree(tree, numeraire_index, ctx=DEFAULT_CTX):
     ``p_hat = p * E[X_T^2 | child] / E[X_T^2 | node]``, which realizes the
     change of measure with density X_T^2 / E[X_T^2].
 
-    Returns the discounted tree and the map node -> E[X_T^2 | node].
+    Returns the discounted tree and E[X_T^2 | node] for every node, in node
+    order.
     """
     j = int(numeraire_index)
     if not 0 <= j < tree.d:
@@ -398,34 +418,21 @@ def discount_tree(tree, numeraire_index, ctx=DEFAULT_CTX):
         raise InvalidNumeraireError(
             f"numeraire asset {j} is not strictly positive on every node"
         )
-    weights = {}
-    for slice_ids in tree.nodes_by_time():
-        for nid in slice_ids:
-            node = tree.nodes[nid]
-            if not node.branches:
-                weights[nid] = float(node.prices[j] ** 2)
-            else:
-                weights[nid] = float(
-                    sum(p * weights[ch] for p, ch in node.branches)
-                )
+    weights = tree.prices[:, j] ** 2
+    for here, kids, sums, _ in reversed(tree.levels):
+        weights[here] = sums(tree.prob[kids] * weights[kids])
+    prob = tree.prob * weights / weights[tree.parent]
+    prices = tree.prices / tree.prices[:, j : j + 1]
     new_nodes = []
-    for nid in tree._order:
+    for i, nid in enumerate(tree.ids):
         node = tree.nodes[nid]
-        branches = tuple(
-            (p * weights[ch] / weights[nid], ch) for p, ch in node.branches
-        )
-        new_nodes.append(
-            TreeNode(
-                id=nid,
-                time=node.time,
-                prices=node.prices / node.prices[j],
-                branches=branches,
-            )
-        )
+        branches = tuple((float(prob[tree.index[ch]]), ch) for _, ch in node.branches)
+        new_nodes.append(TreeNode(nid, node.time, prices[i], branches))
     payoff = None
     if tree.payoff is not None:
+        terminal_prices = tree.prices[tree.n_internal :, j]
         payoff = {
-            t: tree.payoff[t] / tree.nodes[t].prices[j] for t in tree.terminal_ids
+            t: tree.payoff[t] / x for t, x in zip(tree.terminal_ids, terminal_prices)
         }
     return FiniteTreeModel(new_nodes, tree.root, payoff=payoff, ctx=ctx), weights
 
@@ -545,13 +552,22 @@ def model_to_dict(model):
                         {"prob": p, "child": ch} for p, ch in n.branches
                     ],
                 }
-                for n in (model.nodes[nid] for nid in model._order)
+                for n in (model.nodes[nid] for nid in model.ids)
             ],
         }
         if model.payoff is not None:
             out["payoff"] = dict(model.payoff)
         return out
     raise InvalidModelError(f"unsupported model type {type(model).__name__}")
+
+
+def _amount(x, what):
+    """``x`` when its magnitude is at most ``MAX_AMOUNT``; else InvalidInputError."""
+    if not abs(x) <= MAX_AMOUNT:
+        raise InvalidInputError(
+            f"{what} must be at most {MAX_AMOUNT:g} in magnitude, got {x!r}"
+        )
+    return x
 
 
 def _config_number(data, key):
@@ -581,16 +597,19 @@ def load_config(path, ctx=DEFAULT_CTX):
     if raw is not None:
         try:
             if isinstance(raw, dict):
-                claim = Claim(payoff={str(k): float(v) for k, v in raw.items()})
+                payoff = {str(k): float(v) for k, v in raw.items()}
             else:
-                claim = Claim(constant=float(raw))
+                constant = float(raw)
         except (TypeError, ValueError):
             raise InvalidModelError(
                 f"claim must be a number or a mapping of numbers, got {raw!r}"
             ) from None
+        claim = Claim(payoff=payoff) if isinstance(raw, dict) else Claim(constant)
     elif isinstance(model, FiniteTreeModel) and model.payoff is not None:
         claim = Claim(payoff=dict(model.payoff))
     wealth = _config_number(data, "wealth")
+    if wealth is not None:
+        _amount(wealth, "wealth")
     step = _config_number(data, "step")
     if step is not None and not step > 0:
         raise InvalidInputError(f"step must be positive, got {step}")

@@ -19,15 +19,17 @@ from . import qp
 from .engine import LocalArbitrageError, TreeSolution, _pii_segment_table
 from .linalg import DEFAULT_CTX, InvalidInputError
 from .models import (
+    MAX_STEPS,
     Claim,
     FiniteTreeModel,
     IidDiscreteModel,
     PiiItoModel,
+    _quad,
+    _rowdot,
     discount_tree,
 )
 
 __all__ = [
-    "DpNodeValue",
     "DpResult",
     "SimReport",
     "NumeraireCheckReport",
@@ -43,65 +45,23 @@ _RNG_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
-class DpNodeValue:
-    """Quadratic value function at a node: min future error = ell (w - v)^2 + e."""
-
-    ell: float
-    v: float
-    e: float
-
-
-@dataclass(frozen=True)
 class DpResult:
-    """Exact DP solution: per-node quadratics, affine policies, realized holdings.
+    """Exact DP solution in the tree's node order.
 
-    ``policy[nid]`` is the pair (pi0, pi1) with optimal holdings
-    pi0 + wealth * pi1; ``holdings`` and ``wealth`` are the realized values
-    along the tree for the given initial wealth.
+    The value function at node i is min future error = ell[i] (w - v[i])^2 +
+    e[i] over wealth w.  ``policy[i]`` is the pair (pi0, pi1) of the
+    non-terminal node i, with optimal holdings pi0 + wealth * pi1;
+    ``holdings`` (non-terminal nodes) and ``wealth`` (all nodes) are the
+    realized values along the tree for the given initial wealth.
     """
 
-    node_values: dict
-    policy: dict
-    holdings: dict
-    wealth: dict
+    ell: np.ndarray
+    v: np.ndarray
+    e: np.ndarray
+    policy: np.ndarray
+    holdings: np.ndarray
+    wealth: np.ndarray
     objective: float
-
-
-def _dp_node(probs, rets, child_vals, ctx, where):
-    """Solve one backward-induction step; returns (DpNodeValue, pi0, pi1)."""
-    ell = np.array([cv.ell for cv in child_vals])
-    vv = np.array([cv.v for cv in child_vals])
-    ee = np.array([cv.e for cv in child_vals])
-    pl = probs * ell
-    C = rets.T @ (rets * pl[:, None])
-    C = 0.5 * (C + C.T)
-    F0 = (pl * vv) @ rets
-    F1 = -(pl @ rets)
-    ones = np.ones((1, rets.shape[1]))
-    problem = qp.QpProblem(C, np.column_stack([F0, F1]), ones, [[0.0, 1.0]], ctx)
-    try:
-        pi0, pi1 = qp.solve(problem).x_hat.T
-    except qp.UnboundedBelowError as err:
-        raise LocalArbitrageError(
-            "one-step hedging problem is unbounded below",
-            where=where,
-            certificate=err.direction,
-        ) from err
-    s_ll = float(pl.sum())
-    s_lv = float(pl @ vv)
-    s_const = float(pl @ vv**2 + probs @ ee)
-    a2 = float(pi1 @ C @ pi1 - 2.0 * pi1 @ F1) + s_ll
-    a1 = float(2.0 * pi0 @ C @ pi1 - 2.0 * pi0 @ F1 - 2.0 * pi1 @ F0) - 2.0 * s_lv
-    a0 = float(pi0 @ C @ pi0 - 2.0 * pi0 @ F0) + s_const
-    if a2 <= 1e-12:
-        raise LocalArbitrageError(
-            "value function degenerates: wealth has no quadratic cost, so a "
-            "fully invested portfolio attains zero conditional second moment",
-            where=where,
-        )
-    v_here = -a1 / (2.0 * a2)
-    e_here = a0 - a1**2 / (4.0 * a2)
-    return DpNodeValue(ell=a2, v=v_here, e=e_here), pi0, pi1
 
 
 def dp_solve(tree, claim, v, ctx=DEFAULT_CTX):
@@ -110,37 +70,53 @@ def dp_solve(tree, claim, v, ctx=DEFAULT_CTX):
     At each node the continuation value is a quadratic in wealth whose
     coefficients follow from one closed-form constrained QP per unit of the
     wealth decomposition; the objective for initial wealth v is
-    ell_root (v - v_root)^2 + e_root.  Holdings and wealth come from one
-    wealth roll of the policy pi0 + wealth * pi1 over the tree.
+    ell_root (v - v_root)^2 + e_root.  Each level is one array step over the
+    children's value-function coefficients around one QP per node.  Holdings
+    and wealth come from one wealth roll of the policy pi0 + wealth * pi1.
     """
-    values = {}
-    policy = {}
-    for slice_ids in tree.nodes_by_time():
-        for nid in slice_ids:
-            node = tree.nodes[nid]
-            if not node.branches:
-                values[nid] = DpNodeValue(ell=1.0, v=claim.value_at(nid), e=0.0)
-                continue
-            probs = np.array([p for p, _ in node.branches])
-            kids = [ch for _, ch in node.branches]
-            rets = np.array([tree.returns(nid, ch) for ch in kids])
-            child_vals = [values[ch] for ch in kids]
-            values[nid], pi0, pi1 = _dp_node(
-                probs, rets, child_vals, ctx, where=f"node {nid!r}"
+    n, n_int, d = len(tree.ids), tree.n_internal, tree.d
+    ell, vals, errs = np.ones(n), np.empty(n), np.zeros(n)
+    vals[n_int:] = [claim.value_at(t) for t in tree.terminal_ids]
+    policy = np.empty((n_int, 2, d))
+    ones = np.ones((1, d))
+    for here, kids, sums, _ in reversed(tree.levels):
+        p, R = tree.prob[kids], tree.rets[kids]
+        pl, vv = p * ell[kids], vals[kids]
+        C = sums(R[:, :, None] * (R * pl[:, None])[:, None, :])
+        C = 0.5 * (C + C.transpose(0, 2, 1))
+        F0 = sums((pl * vv)[:, None] * R)
+        F1 = -sums(pl[:, None] * R)
+        for k, i in enumerate(range(here.start, here.stop)):
+            F = np.column_stack([F0[k], F1[k]])
+            problem = qp.QpProblem(C[k], F, ones, [[0.0, 1.0]], ctx)
+            try:
+                policy[i] = qp.solve(problem).x_hat.T
+            except qp.UnboundedBelowError as err:
+                raise LocalArbitrageError(
+                    "one-step hedging problem is unbounded below",
+                    where=f"node {tree.ids[i]!r}",
+                    certificate=err.direction,
+                ) from err
+        pi0, pi1 = policy[here, 0], policy[here, 1]
+        a2 = _quad(pi1, C, pi1) - 2.0 * _rowdot(pi1, F1) + sums(pl)
+        a1 = 2.0 * _quad(pi0, C, pi1) - 2.0 * _rowdot(pi0, F1)
+        a1 = a1 - 2.0 * _rowdot(pi1, F0) - 2.0 * sums(pl * vv)
+        a0 = _quad(pi0, C, pi0) - 2.0 * _rowdot(pi0, F0)
+        a0 = a0 + (sums(pl * vv**2) + sums(p * errs[kids]))
+        if np.any(a2 <= 1e-12):
+            raise LocalArbitrageError(
+                "value function degenerates: wealth has no quadratic cost, so a "
+                "fully invested portfolio attains zero conditional second moment",
+                where=f"node {tree.ids[here.start + int(np.argmax(a2 <= 1e-12))]!r}",
             )
-            policy[nid] = (pi0, pi1)
+        ell[here] = a2
+        vals[here] = -a1 / (2.0 * a2)
+        errs[here] = a0 - a1**2 / (4.0 * a2)
     holdings, wealth = tree.roll_wealth(
-        lambda nid, w: policy[nid][0] + w * policy[nid][1], v
+        lambda nodes, w: policy[nodes, 0] + w[:, None] * policy[nodes, 1], v
     )
-    root_val = values[tree.root]
-    objective = root_val.ell * (float(v) - root_val.v) ** 2 + root_val.e
-    return DpResult(
-        node_values=values,
-        policy=policy,
-        holdings=holdings,
-        wealth=wealth,
-        objective=objective,
-    )
+    objective = float(ell[0] * (float(v) - vals[0]) ** 2 + errs[0])
+    return DpResult(ell, vals, errs, policy, holdings, wealth, objective)
 
 
 @dataclass(frozen=True)
@@ -184,22 +160,21 @@ def _numeraire_report(tree, claim, numeraire_index, v, base, ctx):
     """:func:`numeraire_change_check` given its undiscounted ``base`` DP result."""
     j = int(numeraire_index)
     disc_tree, weights = discount_tree(tree, j, ctx)
-    m2 = weights[tree.root]
+    m2 = weights[0]
+    n_int = tree.n_internal
     disc_claim = Claim(
         payoff={
-            t: claim.value_at(t) / tree.nodes[t].prices[j]
-            for t in tree.terminal_ids
+            t: claim.value_at(t) / x
+            for t, x in zip(tree.terminal_ids, tree.prices[n_int:, j])
         }
     )
-    v_hat = float(v) / tree.nodes[tree.root].prices[j]
+    v_hat = float(v) / tree.prices[0, j]
     disc = dp_solve(disc_tree, disc_claim, v_hat, ctx)
     objective_gap = abs(base.objective - m2 * disc.objective)
-    max_gap = 0.0
-    for nid, pi in base.holdings.items():
-        shares = pi / tree.nodes[nid].prices
-        shares_hat = disc.holdings[nid] / disc_tree.nodes[nid].prices
-        gap = np.max(np.abs(shares - shares_hat) / (1.0 + np.abs(shares)))
-        max_gap = max(max_gap, float(gap))
+    shares = base.holdings / tree.prices[:n_int]
+    shares_hat = disc.holdings / disc_tree.prices[:n_int]
+    gaps = np.abs(shares - shares_hat) / (1.0 + np.abs(shares))
+    max_gap = float(np.max(gaps, initial=0.0))
     return NumeraireCheckReport(
         numeraire_index=j,
         objective=base.objective,
@@ -217,12 +192,10 @@ def enumerate_terminal_wealth(tree, solution: TreeSolution, v):
     roll over the tree with the solution's feedback rule, weighted by the
     tree's branch probabilities.
     """
-    node_prob = tree.node_probabilities()
     _, wealth = tree.roll_wealth(solution.feedback, v)
-    probs = np.array([node_prob[t] for t in tree.terminal_ids])
-    w = np.array([wealth[t] for t in tree.terminal_ids])
     h = np.array([solution.claim.value_at(t) for t in tree.terminal_ids])
-    return probs, w, h
+    n_int = tree.n_internal
+    return tree.node_probabilities()[n_int:], wealth[n_int:], h
 
 
 @dataclass(frozen=True)
@@ -303,11 +276,16 @@ def _simulate_pii(model, coeffs, v, n_paths, seed, step, ctx):
 
     # Global substep grid: each segment is cut into ceil(duration/step) pieces
     # so segment boundaries are always grid points (integrands stay exact).
-    seg_grids = []
-    for i, row in enumerate(table):
-        n_sub = max(1, int(np.ceil((row["t1"] - row["t0"]) / step - 1e-12)))
-        edges = np.linspace(row["t0"], row["t1"], n_sub + 1)
-        seg_grids.append((i, edges))
+    n_subs = [np.ceil((row["t1"] - row["t0"]) / step - 1e-12) for row in table]
+    if sum(n_subs) > MAX_STEPS:
+        raise InvalidInputError(
+            f"an Euler step of {step:g} needs {sum(n_subs):.3g} steps; "
+            f"at most {MAX_STEPS} are allowed"
+        )
+    seg_grids = [
+        (i, np.linspace(row["t0"], row["t1"], max(1, int(n_sub)) + 1))
+        for i, (row, n_sub) in enumerate(zip(table, n_subs))
+    ]
 
     def tracking_at(i, t):
         tail_L = int_L[i + 1] + table[i]["rate_L"] * (table[i]["t1"] - t)
@@ -362,6 +340,9 @@ def _simulate_tree(tree, solution, claim, v, n_paths, seed, exhaustive):
     # Wealth at a node does not depend on the path sampled to reach it, so
     # one roll over the tree serves every path.
     _, wealth = tree.roll_wealth(solution.feedback, v)
+    n_int = tree.n_internal
+    errors_at = wealth[n_int:] - [claim.value_at(t) for t in tree.terminal_ids]
+    first = np.searchsorted(tree.parent, np.arange(n_int + 1))
     errors = np.empty(n_paths)
     done = 0
     block = 0
@@ -369,13 +350,11 @@ def _simulate_tree(tree, solution, claim, v, n_paths, seed, exhaustive):
         size = min(_RNG_BLOCK, n_paths - done)
         rng = _block_rng(seed, block)
         for i in range(size):
-            nid = tree.root
-            while tree.nodes[nid].branches:
-                branches = tree.nodes[nid].branches
-                probs = np.array([p for p, _ in branches])
-                pick = rng.choice(len(branches), p=probs / probs.sum())
-                nid = branches[pick][1]
-            errors[done + i] = wealth[nid] - claim.value_at(nid)
+            pos = 0
+            while pos < n_int:
+                probs = tree.prob[first[pos] : first[pos + 1]]
+                pos = first[pos] + rng.choice(len(probs), p=probs / probs.sum())
+            errors[done + i] = errors_at[pos - n_int]
         done += size
         block += 1
     return _report_from_samples(errors, seed)

@@ -52,7 +52,7 @@ def tree_corpus():
                     ),
                     list(base.nodes[nid].branches),
                 )
-                for nid in base._order
+                for nid in base.ids
             ]
             tree = models.FiniteTreeModel(nodes, base.root)
         else:
@@ -271,13 +271,13 @@ def test_criterion_6_engine_vs_dp_oracle(tree_corpus):
         v = float(rng.normal())
         result = oracle.dp_solve(tree, claim, v)
         for nid in tree.nodes:
-            nv = result.node_values[nid]
-            assert abs(solution.L[nid] - nv.ell) <= 1e-10
-            assert abs(solution.V[nid] - nv.v) <= 1e-10
-            assert abs(solution.eps2[nid] - nv.e) <= 1e-10
+            i = tree.index[nid]
+            assert abs(solution.L[i] - result.ell[i]) <= 1e-10
+            assert abs(solution.V[i] - result.v[i]) <= 1e-10
+            assert abs(solution.eps2[i] - result.e[i]) <= 1e-10
         assert abs(engine.hedging_error(solution, v) - result.objective) <= 1e-10
 
-        if any(nb.shape[1] for nb in solution.null_basis.values()):
+        if any(nb.shape[1] for nb in solution.null_basis):
 
             def perturb(nid, a, nb):
                 nonlocal perturbed_nodes
@@ -290,9 +290,10 @@ def test_criterion_6_engine_vs_dp_oracle(tree_corpus):
                 tree, claim, adjustment_override=perturb
             )
             for nid in tree.nodes:
-                assert abs(solution.L[nid] - shifted.L[nid]) <= 1e-10
-                assert abs(solution.V[nid] - shifted.V[nid]) <= 1e-10
-                assert abs(solution.eps2[nid] - shifted.eps2[nid]) <= 1e-10
+                i = tree.index[nid]
+                assert abs(solution.L[i] - shifted.L[i]) <= 1e-10
+                assert abs(solution.V[i] - shifted.V[i]) <= 1e-10
+                assert abs(solution.eps2[i] - shifted.eps2[i]) <= 1e-10
     assert perturbed_nodes > 100
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0

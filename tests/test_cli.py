@@ -134,6 +134,73 @@ class TestFrontierCommand:
             assert main(["frontier", "--model", str(path)]) == 2
             assert capsys.readouterr().err.splitlines() == [message]
 
+    def test_absurd_magnitudes_exit_2(self, tmp_path, capsys):
+        def load(name):
+            with open(cfg(name), encoding="utf-8") as fh:
+                return json.load(fh)
+
+        iid, pii = load("iid_3assets_t4.json"), load("pii_4assets_t5.json")
+        rich, huge = load("tree_call_binomial.json"), load("tree_call_binomial.json")
+        steep = load("tree_call_binomial.json")
+        iid["model"]["T"] = 1e300
+        pii["model"]["segments"][0]["duration"] = 1e300
+        rich["wealth"] = 1e300
+        huge["model"]["payoff"]["nuu"] = 1e300
+        steep["model"]["nodes"][0]["prices"][1] = 1e300  # node "nuu"
+        steps = "n_periods must be at most 1000000, got 1e+300"
+        bound = "must be at most 1e+150 in magnitude, got"
+        cases = [
+            ("frontier", iid, steps),
+            ("simulate", iid, steps),
+            (
+                "simulate",
+                pii,
+                "the value processes overflow over the horizon 1e+300: "
+                "exp(log L) or exp(log V) exceeds the float range",
+            ),
+            ("hedge", rich, f"wealth {bound} 1e+300"),
+            ("hedge", huge, f"a claim value {bound} 1e+300"),
+            ("oracle", huge, f"a claim value {bound} 1e+300"),
+            ("hedge", steep, f"every edge return {bound} 8e+299"),
+        ]
+        for command, data, message in cases:
+            path = tmp_path / "absurd.json"
+            path.write_text(json.dumps(data))
+            assert main([command, "--model", str(path)]) == 2
+            assert capsys.readouterr().err.splitlines() == [message]
+
+
+# Flags each command does not read; argparse rejects them (exit 2).
+UNREAD_FLAGS = [
+    ("frontier", "--claim"),
+    ("frontier", "--wealth"),
+    ("frontier", "--seed"),
+    ("frontier", "--paths"),
+    ("frontier", "--tol"),
+    ("hedge", "--seed"),
+    ("hedge", "--paths"),
+    ("hedge", "--tol"),
+    ("oracle", "--out"),
+    ("oracle", "--seed"),
+    ("oracle", "--paths"),
+    ("simulate", "--out"),
+    ("simulate", "--tol"),
+    ("solve-qp", "--claim"),
+    ("solve-qp", "--wealth"),
+    ("solve-qp", "--out"),
+    ("solve-qp", "--seed"),
+    ("solve-qp", "--paths"),
+    ("solve-qp", "--tol"),
+]
+
+
+@pytest.mark.parametrize("command, flag", UNREAD_FLAGS)
+def test_unread_flag_exits_2(command, flag, capsys):
+    with pytest.raises(SystemExit) as err:
+        main([command, "--model", cfg("tree_call_binomial.json"), flag, "3"])
+    assert err.value.code == 2
+    assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+
 
 class TestHedgeCommand:
     def test_complete_tree_has_zero_error_column(self, tmp_path, capsys):
@@ -401,6 +468,16 @@ PINNED = {
         "E[X_T^2] 1)\n"
         "numeraire asset 2: PASS (objective gap *, max holdings gap *, "
         "E[X_T^2] 1.42444225)\n",
+    ),
+    "simulate": (
+        ["simulate", "--model", cfg("tree_call_binomial.json")],
+        "paths = 4\n"
+        "seed = 0\n"
+        "exact = True\n"
+        "empirical error second moment = 0.00652018516901\n"
+        "empirical error mean = 0.0733520831514\n"
+        "standard error = 0\n"
+        "analytic hedging error = 0.00652018516901\n",
     ),
     "solve-qp": (
         ["solve-qp", "--model", cfg("qp_example.json")],

@@ -320,7 +320,7 @@ class TestTreeBackward:
         }
         sol = tree_backward(tree, Claim(payoff=payoff))
         for nid in tree.nodes:
-            assert sol.eps2[nid] < 1e-14
+            assert sol.eps2[tree.index[nid]] < 1e-14
         # risk-neutral price: q = (1 - down) / (up - down) per period
         q = (1.0 - 0.8) / (1.25 - 0.8)
         price = sum(
@@ -342,8 +342,8 @@ class TestTreeBackward:
             tree = make_tree(rng, n_assets=2, periods=3, constant_asset=True)
             sol = tree_backward(tree, Claim(constant=1.0))
             for nid in tree.nodes:
-                assert 0.0 < sol.L[nid] <= 1.0 + 1e-12
-                assert sol.eps2[nid] >= -1e-14
+                assert 0.0 < sol.L[tree.index[nid]] <= 1.0 + 1e-12
+                assert sol.eps2[tree.index[nid]] >= -1e-14
 
     def test_matches_closed_form_on_moment_tree(self, discrete_benchmark):
         tree = moment_matched_tree(
@@ -362,23 +362,23 @@ class TestTreeBackward:
         tree = make_tree(rng, n_assets=3, periods=2)
         claim = random_claim(rng, tree)
         sol = tree_backward(tree, claim)
-        for nid in sol.a:
-            assert abs(sol.a[nid].sum() + 1.0) < 1e-10
-            assert abs(sol.xi[nid].sum() - sol.V[nid]) < 1e-10
+        for i in range(len(sol.a)):
+            assert abs(sol.a[i].sum() + 1.0) < 1e-10
+            assert abs(sol.xi[i].sum() - sol.V[i]) < 1e-10
 
     def test_null_perturbation_leaves_outputs_unchanged(self):
         rng = np.random.default_rng(9)
         # A redundant duplicated asset guarantees nontrivial null directions.
         base = make_tree(rng, n_assets=2, periods=2)
         nodes = []
-        for nid in base._order:
+        for nid in base.ids:
             node = base.nodes[nid]
             prices = np.concatenate([node.prices, node.prices[-1:]])
             nodes.append((nid, node.time, prices, list(node.branches)))
         tree = models.FiniteTreeModel(nodes, base.root)
         claim = random_claim(rng, tree)
         sol = tree_backward(tree, claim)
-        saw_null = any(nb.shape[1] > 0 for nb in sol.null_basis.values())
+        saw_null = any(nb.shape[1] > 0 for nb in sol.null_basis)
         assert saw_null
 
         def perturb(nid, a, null_basis):
@@ -388,9 +388,10 @@ class TestTreeBackward:
 
         pert = tree_backward(tree, claim, adjustment_override=perturb)
         for nid in tree.nodes:
-            assert abs(sol.L[nid] - pert.L[nid]) < 1e-10
-            assert abs(sol.V[nid] - pert.V[nid]) < 1e-10
-            assert abs(sol.eps2[nid] - pert.eps2[nid]) < 1e-10
+            i = tree.index[nid]
+            assert abs(sol.L[i] - pert.L[i]) < 1e-10
+            assert abs(sol.V[i] - pert.V[i]) < 1e-10
+            assert abs(sol.eps2[i] - pert.eps2[i]) < 1e-10
         # wealth paths are unchanged too: null directions have zero wealth
         from mvhedge.oracle import enumerate_terminal_wealth
 

@@ -75,6 +75,40 @@ class TestPiiModel:
 
 
 class TestTreeModel:
+    def test_layout_matches_node_records(self):
+        rng = np.random.default_rng(14)
+        trees = []
+        for i in range(6):
+            base = make_tree(rng, n_assets=1 + i % 3, periods=1 + i % 4)
+            trees.append(base)
+            nodes = [  # a duplicated asset, as in the acceptance corpus
+                (nid, n.time, np.append(n.prices, n.prices[-1]), n.branches)
+                for nid, n in base.nodes.items()
+            ]
+            trees.append(FiniteTreeModel(nodes, base.root))
+        for tree in trees:
+            assert tree.ids[0] == tree.root and tree.parent[0] == -1
+            for nid, node in tree.nodes.items():
+                i = tree.index[nid]
+                assert tree.ids[i] == nid and tree.time[i] == node.time
+                assert (i < tree.n_internal) == bool(node.branches)
+                kids = [tree.index[ch] for _, ch in node.branches]
+                assert np.all(np.diff(kids) == 1)
+                for (p, ch), j in zip(node.branches, kids):
+                    assert tree.parent[j] == i and tree.prob[j] == p
+                    expected = tree.nodes[ch].prices / node.prices - 1.0
+                    assert np.array_equal(tree.rets[j], expected)
+            assert np.all(np.diff(tree.time) >= 0)
+            assert len(tree.levels) == tree.horizon
+            for t, (here, kids, sums, owner) in enumerate(tree.levels):
+                assert set(tree.time[here]) == {t} and set(tree.time[kids]) == {t + 1}
+                assert here.stop == kids.start
+                assert np.array_equal(here.start + owner, tree.parent[kids])
+                counts = [len(tree.nodes[nid].branches) for nid in tree.ids[here]]
+                assert sums(np.ones(kids.stop - kids.start)).tolist() == counts
+            terminal = tree.node_probabilities()[tree.n_internal :]
+            assert abs(terminal.sum() - 1.0) < 1e-12
+
     def test_two_point_single_asset(self):
         u = 0.3
         tree = FiniteTreeModel(
@@ -173,6 +207,27 @@ class TestLocalNoArbitrage:
         with pytest.raises(InvalidModelError):
             check_local_na(np.zeros(2), np.eye(2), mode="weekly")
 
+    def test_malformed_second_characteristic_rejected(self):
+        for c in (np.ones((2, 3)), [[1.0, 0.5], [0.0, 1.0]], [[1.0, 0.0], [0.0, -1.0]]):
+            with pytest.raises(InvalidModelError):
+                check_local_na(np.zeros(2), c)
+
+    def test_one_psd_validation_per_call(self, monkeypatch):
+        # The QpProblem behind check_bounded validates c (eigvalsh), then one
+        # SVD of ones' and one eigh of the restricted quadratic decide.
+        calls = []
+        for name in ("svd", "eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def counting(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        c = np.array([[0.04, 0.01, 0.0], [0.01, 0.09, 0.02], [0.0, 0.02, 0.16]])
+        assert check_local_na(np.array([0.05, 0.08, 0.1]), c)
+        assert calls.count("eigvalsh") == 1 and len(calls) <= 3, calls
+
     def test_agrees_with_range_membership(self):
         # b in Ran(c) + span(ones), tested directly by projection residual;
         # a zero row (riskless asset) or a repeated row (duplicated asset)
@@ -202,7 +257,7 @@ class TestDiscountTree:
         disc, weights = discount_tree(tree, 0)
         for nid, node in tree.nodes.items():
             assert np.allclose(disc.nodes[nid].prices, node.prices)
-            assert weights[nid] == 1.0
+            assert weights[tree.index[nid]] == 1.0
             for (p, ch), (pd, chd) in zip(node.branches, disc.nodes[nid].branches):
                 assert ch == chd and abs(p - pd) < 1e-15
 
@@ -217,7 +272,7 @@ class TestDiscountTree:
         rng = np.random.default_rng(5)
         tree = make_tree(rng, n_assets=2, periods=3)
         disc, _ = discount_tree(tree, 0)
-        total = sum(disc.node_probabilities()[t] for t in disc.terminal_ids)
+        total = sum(disc.node_probabilities()[disc.index[t]] for t in disc.terminal_ids)
         assert abs(total - 1.0) < 1e-12
 
     def test_second_moment_identity_for_claims(self):
@@ -228,9 +283,9 @@ class TestDiscountTree:
         disc, weights = discount_tree(tree, 0)
         probs = tree.node_probabilities()
         disc_probs = disc.node_probabilities()
-        lhs = sum(probs[t] * payoff[t] ** 2 for t in tree.terminal_ids)
-        rhs = weights[tree.root] * sum(
-            disc_probs[t] * (payoff[t] / tree.nodes[t].prices[0]) ** 2
+        lhs = sum(probs[tree.index[t]] * payoff[t] ** 2 for t in tree.terminal_ids)
+        rhs = weights[tree.index[tree.root]] * sum(
+            disc_probs[disc.index[t]] * (payoff[t] / tree.nodes[t].prices[0]) ** 2
             for t in tree.terminal_ids
         )
         assert abs(lhs - rhs) < 1e-12 * (1 + abs(lhs))
@@ -251,7 +306,7 @@ class TestDiscountTree:
         tree = make_tree(rng, n_assets=2, periods=2)
         payoff = {t: float(rng.normal()) for t in tree.terminal_ids}
         withpay = FiniteTreeModel(
-            [tree.nodes[nid] for nid in tree._order], tree.root, payoff=payoff
+            [tree.nodes[nid] for nid in tree.ids], tree.root, payoff=payoff
         )
         disc, _ = discount_tree(withpay, 1)
         for t in tree.terminal_ids:

@@ -47,10 +47,10 @@ class TestDpSolve:
             v = float(rng.normal())
             result = dp_solve(tree, claim, v)
             for nid in tree.nodes:
-                nv = result.node_values[nid]
-                assert abs(sol.L[nid] - nv.ell) < 1e-10
-                assert abs(sol.V[nid] - nv.v) < 1e-10
-                assert abs(sol.eps2[nid] - nv.e) < 1e-10
+                i = tree.index[nid]
+                assert abs(sol.L[i] - result.ell[i]) < 1e-10
+                assert abs(sol.V[i] - result.v[i]) < 1e-10
+                assert abs(sol.eps2[i] - result.e[i]) < 1e-10
             assert abs(engine.hedging_error(sol, v) - result.objective) < 1e-10
 
     def test_value_function_quadratic_shape(self):
@@ -61,10 +61,11 @@ class TestDpSolve:
         ell = (objs[1.0] + objs[-1.0] - 2.0 * objs[0.0]) / 2.0
         v_fit = (objs[-1.0] - objs[1.0]) / (4.0 * ell)
         e_fit = objs[0.0] - ell * v_fit**2
-        root = dp_solve(tree, claim, 0.0).node_values[tree.root]
-        assert abs(ell - root.ell) < 1e-10
-        assert abs(v_fit - root.v) < 1e-10
-        assert abs(e_fit - root.e) < 1e-10
+        root = dp_solve(tree, claim, 0.0)
+        i = tree.index[tree.root]
+        assert abs(ell - root.ell[i]) < 1e-10
+        assert abs(v_fit - root.v[i]) < 1e-10
+        assert abs(e_fit - root.e[i]) < 1e-10
 
     def test_invariant_under_relabeling(self):
         rng = np.random.default_rng(2)
@@ -76,18 +77,19 @@ class TestDpSolve:
         nodes = [
             (nid, tree.nodes[nid].time, tree.nodes[nid].prices[perm],
              list(tree.nodes[nid].branches))
-            for nid in tree._order
+            for nid in tree.ids
         ]
         permuted = models.FiniteTreeModel(nodes, tree.root)
         swapped = dp_solve(permuted, claim, 0.3)
         assert abs(base.objective - swapped.objective) < 1e-12
-        for nid, pi in base.holdings.items():
-            assert np.abs(pi[perm] - swapped.holdings[nid]).max() < 1e-10
+        for nid in tree.ids[: len(base.holdings)]:
+            pi, i = base.holdings[tree.index[nid]], permuted.index[nid]
+            assert np.abs(pi[perm] - swapped.holdings[i]).max() < 1e-10
         # relabel branches (reverse order at every node)
         nodes = [
             (nid, tree.nodes[nid].time, tree.nodes[nid].prices,
              list(reversed(tree.nodes[nid].branches)))
-            for nid in tree._order
+            for nid in tree.ids
         ]
         reordered = models.FiniteTreeModel(nodes, tree.root)
         rev = dp_solve(reordered, claim, 0.3)
@@ -99,9 +101,10 @@ class TestDpSolve:
         claim = random_claim(rng, tree)
         r1 = dp_solve(tree, claim, 0.0)
         r2 = dp_solve(tree, claim, 1.0)
-        pi0, pi1 = r1.policy[tree.root]
-        assert np.abs(r1.holdings[tree.root] - pi0).max() < 1e-12
-        assert np.abs(r2.holdings[tree.root] - (pi0 + pi1)).max() < 1e-12
+        root = tree.index[tree.root]
+        pi0, pi1 = r1.policy[root]
+        assert np.abs(r1.holdings[root] - pi0).max() < 1e-12
+        assert np.abs(r2.holdings[root] - (pi0 + pi1)).max() < 1e-12
 
 
 class TestNumeraireChange:
@@ -137,7 +140,7 @@ class TestNumeraireChange:
                 report = numeraire_change_check(tree, claim, j, 0.2)
                 assert report.passed(1e-9), (j, report)
                 m2 = sum(
-                    node_prob[t] * tree.nodes[t].prices[j] ** 2
+                    node_prob[tree.index[t]] * tree.nodes[t].prices[j] ** 2
                     for t in tree.terminal_ids
                 )
                 assert abs(report.terminal_second_moment - m2) <= 1e-12 * m2
@@ -187,11 +190,12 @@ class TestMonteCarlo:
         for _ in range(n_paths):
             nid, wealth = tree.root, v
             while tree.nodes[nid].branches:
-                pi = sol.xi[nid] + (sol.V[nid] - wealth) * sol.a[nid]
+                i = tree.index[nid]
+                pi = sol.xi[i] + (sol.V[i] - wealth) * sol.a[i]
                 branches = tree.nodes[nid].branches
                 probs = np.array([p for p, _ in branches])
                 child = branches[draws.choice(len(branches), p=probs / probs.sum())][1]
-                wealth += float(pi @ tree.returns(nid, child))
+                wealth += float(pi @ tree.rets[tree.index[child]])
                 nid = child
             errors.append(wealth - claim.value_at(nid))
         errors = np.array(errors)
