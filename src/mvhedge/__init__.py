@@ -63,7 +63,6 @@ from .qp import (
     QpSolution,
     UnboundedBelowError,
     check_bounded,
-    constrained_lsq,
     solve,
     solve_alt,
 )

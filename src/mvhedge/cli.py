@@ -8,7 +8,8 @@ oracle     dynamic-programming and numeraire-change consistency checks
 simulate   seeded Monte Carlo of the optimal feedback strategy
 solve-qp   raw access to the constrained quadratic solver
 
-Exit codes: 0 success, 2 invalid input or model, 3 verification failure.
+Exit codes: 0 success, 2 invalid input or model (including a factorization
+that fails on it, numpy's LinAlgError), 3 verification failure.
 Numbers are printed at 12 significant digits; identical config and seed give
 byte-identical outputs.
 """
@@ -252,6 +253,7 @@ _INPUT_ERRORS = (
     OSError,
     json.JSONDecodeError,
     UnicodeDecodeError,
+    np.linalg.LinAlgError,
 )
 
 

@@ -56,22 +56,25 @@ class LocalArbitrageError(Exception):
         super().__init__(message)
 
 
-def _solve_portfolio(c, target, cost, ctx, where=None):
-    """Min-norm minimizer of pi c pi' - 2 pi target subject to pi . ones = cost.
+def _solve_portfolio(c, target, cost, ctx, where=None, ones=None):
+    """Min-norm minimizers of pi c_i pi' - 2 pi target_i subject to pi . ones = cost.
 
-    ``target`` is (d,) with a scalar cost, or (d, m) with m costs (columns).
+    ``c`` and ``target`` are a :class:`qp.QpProblem`'s C and F, with a scalar
+    cost or one per target column; ``ones`` may be ones' as a factored
+    :class:`qp.Constraint`.  ``where(i)`` names an unbounded matrix i.
     """
     target = np.asarray(target, dtype=float)
-    ones = np.ones((1, target.shape[0]))
-    cost = np.reshape(cost, (1,) + target.shape[1:])
-    problem = qp.QpProblem(C=c, F=target, A=ones, b=cost, ctx=ctx)
+    cost = np.reshape(cost, (1,) + target.shape[np.ndim(c) - 1 :])
+    if ones is None:
+        ones = np.ones((1, np.shape(c)[-1]))
+    problem = qp.QpProblem(c, target, ones, cost, ctx)
     try:
         return qp.solve(problem)
     except qp.UnboundedBelowError as err:
         raise LocalArbitrageError(
             "local no-arbitrage condition fails: the mean return rate has a "
             "component outside Ran(c) + span(ones)",
-            where=where,
+            where=None if where is None else where(err.index),
             certificate=err.direction,
         ) from err
 
@@ -236,85 +239,55 @@ def _iid_closed_form(model, ctx):
     return ClosedFormResult(values, coeffs)
 
 
-def _pii_segment_table(model, ctx):
-    """Per-segment coefficients and log rates for a piecewise-constant model.
+def _tail_sums(x):
+    """Sums of x from each index to the end, then 0 (backward integrals)."""
+    return np.append(np.cumsum(x[::-1])[::-1], 0.0)
 
-    Returns ``(rows, int_L, int_LV)``.  ``rows`` is a list of dicts with keys
-    t0, t1, a, zeta, rate_L (d log L / dt, integrated backward), rate_LV,
-    rate_err (= a c a'), var_rate (zeta c zeta'), riskfree_rate.  ``int_L``
-    and ``int_LV`` hold the backward integrals of rate_L and rate_LV from each
-    segment boundary to the horizon, so L = exp(int_L) and
-    V = exp(int_LV - int_L) at the boundaries.
+
+def _pii_segment_table(model, ctx):
+    """Per-segment coefficients and log rates of a piecewise-constant model.
+
+    One stacked QP solves all m segments.  Returns a dict of arrays: ``t``
+    (the m + 1 boundaries), a and zeta (m, d), and per segment rate_L
+    (d log L / dt, integrated backward), rate_LV, rate_err (= a c a'),
+    var_rate (zeta c zeta') and riskfree_rate (NaN where none exists);
+    ``int_L`` and ``int_LV`` integrate rate_L and rate_LV from each boundary to
+    the horizon, so L = exp(int_L) and V = exp(int_LV - int_L) there.
     """
-    rows = []
-    t0 = 0.0
-    for seg in model.segments:
-        targets = np.column_stack([seg.b, np.zeros_like(seg.b)])
-        x = _solve_portfolio(seg.c, targets, [-1.0, 1.0], ctx).x_hat
-        a, zeta = x[:, 0], x[:, 1]
-        explicit = adjustment_explicit(seg.b, seg.c, ctx)
-        ab = float(a @ seg.b)
-        aca = float(a @ seg.c @ a)
-        rows.append(
-            {
-                "t0": t0,
-                "t1": t0 + seg.duration,
-                "a": a,
-                "zeta": zeta,
-                "rate_L": -2.0 * ab + aca,
-                "rate_LV": -ab,
-                "rate_err": aca,
-                "var_rate": float(zeta @ seg.c @ zeta),
-                "riskfree_rate": explicit.riskfree_rate,
-            }
-        )
-        t0 += seg.duration
-    m = len(rows)
-    int_L = np.zeros(m + 1)
-    int_LV = np.zeros(m + 1)
-    for i in range(m - 1, -1, -1):
-        dt = rows[i]["t1"] - rows[i]["t0"]
-        int_L[i] = int_L[i + 1] + rows[i]["rate_L"] * dt
-        int_LV[i] = int_LV[i + 1] + rows[i]["rate_LV"] * dt
+    segs = model.segments
+    b, c = np.array([seg.b for seg in segs]), np.array([seg.c for seg in segs])
+    targets = np.stack([b, np.zeros_like(b)], axis=-1)
+    x = _solve_portfolio(c, targets, [-1.0, 1.0], ctx, lambda i: f"segment {i}").x_hat
+    a, zeta = x[..., 0], x[..., 1]
+    ab, aca = _rowdot(a, b), _quad(a, c, a)
+    rate_L, rate_LV = -2.0 * ab + aca, -ab
+    t = np.concatenate([[0.0], np.cumsum([seg.duration for seg in segs])])
+    int_L, int_LV = _tail_sums(rate_L * np.diff(t)), _tail_sums(rate_LV * np.diff(t))
     if not np.all(np.maximum(int_L, int_LV - int_L) <= np.log(np.finfo(float).max)):
         raise InvalidInputError(
             f"the value processes overflow over the horizon {model.horizon:g}: "
             "exp(log L) or exp(log V) exceeds the float range"
         )
-    return rows, int_L, int_LV
+    riskfree = [adjustment_explicit(seg.b, seg.c, ctx).riskfree_rate for seg in segs]
+    return dict(
+        t=t, a=a, zeta=zeta, rate_L=rate_L, rate_LV=rate_LV, rate_err=aca,
+        var_rate=_quad(zeta, c, zeta), int_L=int_L, int_LV=int_LV,
+        riskfree_rate=np.array([np.nan if r is None else r for r in riskfree]),
+    )
 
 
 def _pii_closed_form(model, ctx):
-    rows, int_L, int_LV = _pii_segment_table(model, ctx)
-    m = len(rows)
-    # Backward error integral from each boundary to the horizon.
-    int_err = np.zeros(m + 1)
-    eps2 = np.zeros(m + 1)
-    for i in range(m - 1, -1, -1):
-        dt = rows[i]["t1"] - rows[i]["t0"]
-        w = rows[i]["rate_err"]
-        if abs(w * dt) < 1e-14:
-            piece = dt
-        else:
-            piece = (1.0 - np.exp(-w * dt)) / w
-        eps2[i] = eps2[i + 1] + rows[i]["var_rate"] * np.exp(-int_err[i + 1]) * piece
-        int_err[i] = int_err[i + 1] + w * dt
-    L = np.exp(int_L)
-    V = np.exp(int_LV - int_L)
-    times = np.array([rows[0]["t0"]] + [r["t1"] for r in rows])
-    a = np.array([r["a"] for r in rows])
-    zeta = np.array([r["zeta"] for r in rows])
-    xi = np.array([V[i] * rows[i]["zeta"] for i in range(m)])
-    rates = np.array(
-        [np.nan if r["riskfree_rate"] is None else r["riskfree_rate"] for r in rows]
+    seg = _pii_segment_table(model, ctx)
+    dt, w = np.diff(seg["t"]), seg["rate_err"]
+    int_err = _tail_sums(w * dt)  # error integral from each boundary to the horizon
+    piece = np.divide(
+        1.0 - np.exp(-w * dt), w, out=dt.copy(), where=np.abs(w * dt) >= 1e-14
     )
-    coeffs = HedgeCoefficients(
-        a=a,
-        xi=xi,
-        zeta=zeta,
-        riskfree_rate=None if np.all(np.isnan(rates)) else rates,
-    )
-    return ClosedFormResult(ValueProcesses(times, L, V, eps2), coeffs)
+    eps2 = _tail_sums(seg["var_rate"] * np.exp(-int_err[1:]) * piece)
+    L, V = np.exp(seg["int_L"]), np.exp(seg["int_LV"] - seg["int_L"])
+    rates = None if np.all(np.isnan(seg["riskfree_rate"])) else seg["riskfree_rate"]
+    coeffs = HedgeCoefficients(seg["a"], V[:-1, None] * seg["zeta"], seg["zeta"], rates)
+    return ClosedFormResult(ValueProcesses(seg["t"], L, V, eps2), coeffs)
 
 
 def closed_form_values(model, ctx=DEFAULT_CTX):
@@ -340,9 +313,8 @@ class TreeSolution:
 
     L, V, eps2 are (n,) arrays over all nodes; a, xi are (internal, d) dollar
     portfolios of the non-terminal nodes, which come first in node order;
-    null_basis lists, per non-terminal node, a basis of the flat directions of
-    both minimizers (zero-wealth strategies).  ``tree.index[nid]`` is the
-    position of node ``nid``.
+    ``levels`` holds the stacked QP solution of each non-terminal level, root
+    first.  ``tree.index[nid]`` is the position of node ``nid``.
     """
 
     tree: FiniteTreeModel
@@ -352,7 +324,12 @@ class TreeSolution:
     eps2: np.ndarray
     a: np.ndarray
     xi: np.ndarray
-    null_basis: list
+    levels: list = field(repr=False)
+
+    @property
+    def null_basis(self):
+        """Per non-terminal node, a basis of both minimizers' flat directions."""
+        return [basis for sol in self.levels for basis in sol.null_basis]
 
     @property
     def L0(self):
@@ -396,17 +373,18 @@ def tree_backward(
     The minimizer is linear in (target, cost), so one problem on c* solves
     (b*, -1) and (g, 0) and xi is the second column minus V times the first.
     Each level is one array step (sums over each node's children by
-    ``np.add.reduceat``) around one QP per node.
+    ``np.add.reduceat``) around one QP on the level's stack of c*, and the
+    constraint ones' is factored once for the whole tree.
 
     ``adjustment_override`` is a hook ``f(node_id, a, null_basis) -> a``
-    applied after each adjustment solve; results must stay within the
-    minimizer set for the outputs to be unchanged.
+    applied to each node after its level's solve; results must stay within
+    the minimizer set for the outputs to be unchanged.
     """
     n, n_int, d = len(tree.ids), tree.n_internal, tree.d
     L, V, eps2 = np.ones(n), np.empty(n), np.zeros(n)
     V[n_int:] = [claim.value_at(t) for t in tree.terminal_ids]
     a, xi = np.empty((n_int, d)), np.empty((n_int, d))
-    null_basis = [None] * n_int
+    ones, solutions = qp.Constraint(np.ones((1, d)), ctx), []
     for here, kids, sums, owner in reversed(tree.levels):
         p, R, L_next, V_next = tree.prob[kids], tree.rets[kids], L[kids], V[kids]
         pL = p * L_next
@@ -416,16 +394,17 @@ def tree_backward(
         c_star = sums(R[:, :, None] * (R * q[:, None])[:, None, :])
         c_star = 0.5 * (c_star + c_star.transpose(0, 2, 1))
         g = sums(q[:, None] * (R * V_next[:, None]))
-        x = np.empty((len(mean_L), d, 2))
-        for k, i in enumerate(range(here.start, here.stop)):
-            targets = np.column_stack([b_star[k], g[k]])
-            sol = _solve_portfolio(
-                c_star[k], targets, [-1.0, 0.0], ctx, f"node {tree.ids[i]!r}"
-            )
-            x[k], a[i], null_basis[i] = sol.x_hat, sol.x_hat[:, 0], sol.null_basis
-            if adjustment_override is not None:
-                a[i] = adjustment_override(tree.ids[i], a[i], sol.null_basis)
+        targets, ids = np.stack([b_star, g], axis=-1), tree.ids[here]
+        sol = _solve_portfolio(
+            c_star, targets, [-1.0, 0.0], ctx, lambda k: f"node {ids[k]!r}", ones
+        )
+        x = sol.x_hat
+        a[here] = x[:, :, 0]
+        if adjustment_override is not None:
+            for k, i in enumerate(range(here.start, here.stop)):
+                a[i] = adjustment_override(ids[k], a[i], sol.problem.flat(k))
         a_here = a[here]
+        solutions.append(sol)
         growth = 1.0 - 2.0 * _rowdot(a_here, b_star) + _quad(a_here, c_star, a_here)
         if np.any(growth <= _POSITIVITY_TOL):
             bad = here.start + np.argmax(growth <= _POSITIVITY_TOL)
@@ -442,7 +421,7 @@ def tree_backward(
         c_v = sums(q * V_next**2) - 2.0 * V_here * sums(q * V_next) + V_here**2
         residual = c_v - 2.0 * _rowdot(xi_here, cross) + _quad(xi_here, c_star, xi_here)
         eps2[here] = sums(p * eps2[kids]) + mean_L * residual
-    return TreeSolution(tree, claim, L, V, eps2, a, xi, null_basis)
+    return TreeSolution(tree, claim, L, V, eps2, a, xi, solutions[::-1])
 
 
 @dataclass(frozen=True)

@@ -55,12 +55,12 @@ class NumericContext:
     psd_tol: float = 1e-10
 
     def cutoff(self, singular_values, shape):
-        if len(singular_values) == 0:
-            return 0.0
+        """Rank cutoff for the singular values of a ``shape`` matrix (zero for
+        none); a stack of value rows gets one cutoff per row."""
         rtol = self.rank_rtol
         if rtol is None:
             rtol = max(shape) * np.finfo(float).eps
-        return rtol * float(singular_values[0])
+        return rtol * np.max(singular_values, axis=-1, initial=0.0)
 
 
 DEFAULT_CTX = NumericContext()
@@ -81,26 +81,29 @@ def _as_matrix(M, name="matrix", allow_empty=False):
 def symmetric_psd(M, name, error, ctx):
     """Return ``((M + M') / 2, ||M||_2)`` for a symmetric positive-semidefinite M.
 
-    The spectral norm is the largest eigenvalue magnitude from the one
-    eigvalsh that tests definiteness.  Non-finite entries raise
-    :class:`InvalidInputError`; a non-square, asymmetric or indefinite M
+    A stack M (m, n, n) is checked matrix by matrix and gets (m,) norms.  The
+    spectral norm is the largest eigenvalue magnitude from the one eigvalsh
+    that tests definiteness.  Non-finite entries raise
+    :class:`InvalidInputError`; a non-square, asymmetric or indefinite matrix
     raises the caller's exception type ``error``.
     """
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2]:
         raise error(f"{name} must be square, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
         raise InvalidInputError(f"{name} contains non-finite entries")
-    scale = max(np.abs(M).max(), 1.0)
-    if np.abs(M - M.T).max() > ctx.residual_tol * scale:
+    Mt, axes = M.swapaxes(-1, -2), (-2, -1)
+    scale = np.abs(M).max(axis=axes, initial=1.0)
+    if np.any(np.abs(M - Mt).max(axis=axes, initial=0.0) > ctx.residual_tol * scale):
         raise error(f"{name} is not symmetric")
-    M = 0.5 * (M + M.T)
+    M = 0.5 * (M + Mt)
     w = np.linalg.eigvalsh(M)
-    if w[0] < -ctx.psd_tol * max(np.trace(M), 1.0):
+    if np.any(w[..., 0] < -ctx.psd_tol * np.maximum(np.trace(M, 0, *axes), 1.0)):
         raise error(
-            f"{name} is not positive semidefinite (min eigenvalue {w[0]:.3e})"
+            f"{name} is not positive semidefinite "
+            f"(min eigenvalue {np.min(w[..., 0]):.3e})"
         )
-    return M, float(max(-w[0], w[-1]))
+    return M, np.maximum(-w[..., 0], w[..., -1])
 
 
 def pinv(M, ctx=DEFAULT_CTX):

@@ -1,7 +1,7 @@
 """Independent ground truth for the hedging engine.
 
 Contains an exact dynamic-programming solver for quadratic hedging on finite
-event trees (value functions are quadratics in wealth, solved node by node
+event trees (value functions are quadratics in wealth, solved level by level
 with the closed-form constrained QP), a checker for the numeraire-change
 equivalence, and a seeded Monte Carlo simulator of feedback strategies.
 
@@ -42,6 +42,7 @@ __all__ = [
 
 ENUMERATION_THRESHOLD = 10**6
 _RNG_BLOCK = 1 << 14
+_DRAW_FLOATS = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -71,14 +72,15 @@ def dp_solve(tree, claim, v, ctx=DEFAULT_CTX):
     coefficients follow from one closed-form constrained QP per unit of the
     wealth decomposition; the objective for initial wealth v is
     ell_root (v - v_root)^2 + e_root.  Each level is one array step over the
-    children's value-function coefficients around one QP per node.  Holdings
-    and wealth come from one wealth roll of the policy pi0 + wealth * pi1.
+    children's value-function coefficients around one stacked QP (ones' is
+    factored once per tree).  Holdings and wealth come from one wealth roll of
+    the policy pi0 + wealth * pi1.
     """
     n, n_int, d = len(tree.ids), tree.n_internal, tree.d
     ell, vals, errs = np.ones(n), np.empty(n), np.zeros(n)
     vals[n_int:] = [claim.value_at(t) for t in tree.terminal_ids]
     policy = np.empty((n_int, 2, d))
-    ones = np.ones((1, d))
+    ones = qp.Constraint(np.ones((1, d)), ctx)
     for here, kids, sums, _ in reversed(tree.levels):
         p, R = tree.prob[kids], tree.rets[kids]
         pl, vv = p * ell[kids], vals[kids]
@@ -86,17 +88,15 @@ def dp_solve(tree, claim, v, ctx=DEFAULT_CTX):
         C = 0.5 * (C + C.transpose(0, 2, 1))
         F0 = sums((pl * vv)[:, None] * R)
         F1 = -sums(pl[:, None] * R)
-        for k, i in enumerate(range(here.start, here.stop)):
-            F = np.column_stack([F0[k], F1[k]])
-            problem = qp.QpProblem(C[k], F, ones, [[0.0, 1.0]], ctx)
-            try:
-                policy[i] = qp.solve(problem).x_hat.T
-            except qp.UnboundedBelowError as err:
-                raise LocalArbitrageError(
-                    "one-step hedging problem is unbounded below",
-                    where=f"node {tree.ids[i]!r}",
-                    certificate=err.direction,
-                ) from err
+        problem = qp.QpProblem(C, np.stack([F0, F1], axis=-1), ones, [[0.0, 1.0]], ctx)
+        try:
+            policy[here] = qp.solve(problem).x_hat.transpose(0, 2, 1)
+        except qp.UnboundedBelowError as err:
+            raise LocalArbitrageError(
+                "one-step hedging problem is unbounded below",
+                where=f"node {tree.ids[here.start + err.index]!r}",
+                certificate=err.direction,
+            ) from err
         pi0, pi1 = policy[here, 0], policy[here, 1]
         a2 = _quad(pi1, C, pi1) - 2.0 * _rowdot(pi1, F1) + sums(pl)
         a1 = 2.0 * _quad(pi0, C, pi1) - 2.0 * _rowdot(pi0, F1)
@@ -254,16 +254,19 @@ def _simulate_iid(model, coeffs, values, v, n_paths, seed):
     errors = np.empty(n_paths)
     done = 0
     block = 0
+    # Path chunks of <= _DRAW_FLOATS normals continue one stream: same draws.
+    chunk = max(1, _DRAW_FLOATS // (T * d))
     while done < n_paths:
         size = min(_RNG_BLOCK, n_paths - done)
         rng = _block_rng(seed, block)
-        z = rng.standard_normal((size, T, d))
-        rets = model.mu + z @ factor.T
-        wealth = np.full(size, float(v))
-        for t in range(T):
-            pi = coeffs.xi[t] + (values.V[t] - wealth)[:, None] * coeffs.a[t]
-            wealth = wealth + np.einsum("ij,ij->i", pi, rets[:, t, :])
-        errors[done : done + size] = wealth - 1.0
+        for lo in range(done, done + size, chunk):
+            z = rng.standard_normal((min(chunk, done + size - lo), T, d))
+            rets = model.mu + z @ factor.T
+            wealth = np.full(len(z), float(v))
+            for t in range(T):
+                pi = coeffs.xi[t] + (values.V[t] - wealth)[:, None] * coeffs.a[t]
+                wealth = wealth + np.einsum("ij,ij->i", pi, rets[:, t, :])
+            errors[lo : lo + len(z)] = wealth - 1.0
         done += size
         block += 1
     return _report_from_samples(errors, seed)
@@ -272,24 +275,25 @@ def _simulate_iid(model, coeffs, values, v, n_paths, seed):
 def _simulate_pii(model, coeffs, v, n_paths, seed, step, ctx):
     if step is None or not step > 0:
         raise InvalidInputError(f"a positive Euler step is required, got {step}")
-    table, int_L, int_LV = _pii_segment_table(model, ctx)
+    table = _pii_segment_table(model, ctx)
+    bounds = table["t"]
 
     # Global substep grid: each segment is cut into ceil(duration/step) pieces
     # so segment boundaries are always grid points (integrands stay exact).
-    n_subs = [np.ceil((row["t1"] - row["t0"]) / step - 1e-12) for row in table]
-    if sum(n_subs) > MAX_STEPS:
+    n_subs = np.ceil(np.diff(bounds) / step - 1e-12)
+    if n_subs.sum() > MAX_STEPS:
         raise InvalidInputError(
-            f"an Euler step of {step:g} needs {sum(n_subs):.3g} steps; "
+            f"an Euler step of {step:g} needs {n_subs.sum():.3g} steps; "
             f"at most {MAX_STEPS} are allowed"
         )
     seg_grids = [
-        (i, np.linspace(row["t0"], row["t1"], max(1, int(n_sub)) + 1))
-        for i, (row, n_sub) in enumerate(zip(table, n_subs))
+        (i, np.linspace(bounds[i], bounds[i + 1], max(1, int(n_sub)) + 1))
+        for i, n_sub in enumerate(n_subs)
     ]
 
     def tracking_at(i, t):
-        tail_L = int_L[i + 1] + table[i]["rate_L"] * (table[i]["t1"] - t)
-        tail_LV = int_LV[i + 1] + table[i]["rate_LV"] * (table[i]["t1"] - t)
+        tail_L = table["int_L"][i + 1] + table["rate_L"][i] * (bounds[i + 1] - t)
+        tail_LV = table["int_LV"][i + 1] + table["rate_LV"][i] * (bounds[i + 1] - t)
         return np.exp(tail_LV - tail_L)
 
     seg_factors = [_psd_factor(seg.c) for seg in model.segments]
@@ -301,8 +305,8 @@ def _simulate_pii(model, coeffs, v, n_paths, seed, step, ctx):
         rng = _block_rng(seed, block)
         wealth = np.full(size, float(v))
         for i, edges in seg_grids:
-            a_i = table[i]["a"]
-            zeta_i = table[i]["zeta"]
+            a_i = table["a"][i]
+            zeta_i = table["zeta"][i]
             b_i = model.segments[i].b
             fac = seg_factors[i]
             for t0, t1 in zip(edges[:-1], edges[1:]):

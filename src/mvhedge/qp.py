@@ -1,11 +1,12 @@
 """Equality-constrained quadratic optimization in closed form.
 
-Minimizes q(x) = x'Cx - 2x'F over the affine set {x : Ax = b} for symmetric
-positive-semidefinite C, using pseudoinverse projectors.  Rank deficiency in C
-is handled exactly: the full solution set is an affine subspace and the
-reported minimizer is its minimum-norm element.  One eigendecomposition of the
-quadratic restricted to Null(A), taken once per problem, decides boundedness,
-minimizer and solution set for every right-hand side.
+Minimizes q_i(x) = x'C_i x - 2x'F_i over the affine set {x : Ax = b} for each
+symmetric positive-semidefinite C_i of a stack (one C is a stack of one), using
+pseudoinverse projectors.  Rank deficiency in C_i is handled exactly: the full
+solution set is an affine subspace and the reported minimizer is its
+minimum-norm element.  One SVD of A, which a :class:`Constraint` shares between
+problems, and one stacked eigendecomposition of the quadratics restricted to
+Null(A) decide boundedness, minimizer and solution set for the whole stack.
 """
 
 from dataclasses import dataclass, field
@@ -24,12 +25,12 @@ from .linalg import (
 __all__ = [
     "InvalidProblemError",
     "UnboundedBelowError",
+    "Constraint",
     "QpProblem",
     "QpSolution",
     "check_bounded",
     "solve",
     "solve_alt",
-    "constrained_lsq",
 ]
 
 
@@ -40,13 +41,15 @@ class InvalidProblemError(ValueError):
 class UnboundedBelowError(Exception):
     """The objective is unbounded below on the constraint set.
 
-    Carries a certificate: a feasible direction ``direction`` with
-    ``A @ direction = 0``, ``C @ direction = 0`` and ``F @ direction > 0``,
-    along which the objective decreases without bound.
+    Carries a certificate for ``index``, the first unbounded matrix of the
+    stack: a feasible direction ``direction`` with ``A @ direction = 0``,
+    ``C_i @ direction = 0`` and ``F_i @ direction > 0``, along which the
+    objective decreases without bound.
     """
 
-    def __init__(self, direction):
+    def __init__(self, direction, index=0):
         self.direction = np.asarray(direction, dtype=float)
+        self.index = index
         super().__init__(
             "objective is unbounded below on the constraint set; "
             "the linear term has a component outside Ran(A') + Ran(C)"
@@ -54,47 +57,62 @@ class UnboundedBelowError(Exception):
 
 
 def _as_columns(v, rows, name):
-    """(rows,) or (rows, m) float array; a scalar counts as one entry."""
+    """Float array of shape ``rows`` or ``rows + (columns,)``; a scalar is one entry."""
     x = np.atleast_1d(np.asarray(v, dtype=float))
-    if x.ndim > 2 or x.shape[0] != rows:
-        raise InvalidProblemError(f"{name} must have {rows} rows, got shape {x.shape}")
+    if x.shape[: len(rows)] != rows or x.ndim > len(rows) + 1:
+        raise InvalidProblemError(
+            f"{name} must have shape {rows} or {rows} + (k,), got {x.shape}"
+        )
     if not np.all(np.isfinite(x)):
         raise InvalidInputError(f"{name} contains non-finite entries")
     return x
 
 
-def _constraint(A, ctx):
-    """Validate A (full row rank); return A, A^+ and a basis of Null(A) from one SVD."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    if not np.all(np.isfinite(A)):
-        raise InvalidInputError("constraint matrix contains non-finite entries")
-    if A.ndim > 2 or A.shape[0] > A.shape[1]:
-        raise InvalidProblemError(
-            f"constraint matrix must be k x n with k <= n, got shape {A.shape}"
-        )
-    k, n = A.shape
-    U, s, Vh = np.linalg.svd(A)
-    cut = ctx.cutoff(s, A.shape)
-    if s[-1] <= cut:
-        raise InvalidProblemError(
-            "constraint matrix is (numerically) row rank deficient; "
-            f"rank {int(np.sum(s > cut))} < {k}"
-        )
-    return A, (Vh[:k].T / s) @ U.T, Vh[k:].T
+@dataclass(frozen=True)
+class Constraint:
+    """A full-row-rank constraint matrix A with ``A_pinv`` and an orthonormal
+    basis ``N`` of Null(A) from one SVD; as the ``A`` of any number of
+    :class:`QpProblem` it spares each of them the SVD."""
+
+    A: np.ndarray
+    ctx: "object" = field(default=DEFAULT_CTX, repr=False)
+    A_pinv: np.ndarray = field(init=False, repr=False)
+    N: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        A = np.atleast_2d(np.asarray(self.A, dtype=float))
+        if not np.all(np.isfinite(A)):
+            raise InvalidInputError("constraint matrix contains non-finite entries")
+        if A.ndim > 2 or A.shape[0] > A.shape[1]:
+            raise InvalidProblemError(
+                f"constraint matrix must be k x n with k <= n, got shape {A.shape}"
+            )
+        U, s, Vh = np.linalg.svd(A)
+        cut = self.ctx.cutoff(s, A.shape)
+        if s[-1] <= cut:
+            raise InvalidProblemError(
+                "constraint matrix is (numerically) row rank deficient; "
+                f"rank {int(np.sum(s > cut))} < {len(A)}"
+            )
+        pinv_A, N = (Vh[: len(A)].T / s) @ U.T, Vh[len(A) :].T
+        for name, value in zip(("A", "A_pinv", "N"), (A, pinv_A, N)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
 class QpProblem:
-    """Problem data (C, F, A, b) for min x'Cx - 2x'F subject to Ax = b.
+    """Problem data (C, F, A, b) for min x'C_i x - 2x'F_i subject to Ax = b.
 
-    C must be symmetric positive semidefinite and A must have full row rank.
-    Construction checks both and factors (C, A) once: the eigvalsh that
-    validates C also gives ||C||_2, one SVD of A gives ``A_pinv`` and an
-    orthonormal basis ``N`` of Null(A), and one eigh of N'CN, split at
-    ``max(max(shape) * eps * |lambda|_max, n * eps * ||C||_2)`` so that
-    directions C cannot see are never inverted, gives ``J = (N'CN)^+`` and
-    ``flat``, a basis of Null(C) & Null(A).  F may be (n,) or (n, m) and b
-    (k,) or (k, m): columns are right-hand sides of the one factorization.
+    C is one (n, n) matrix or a stack (m, n, n), each symmetric positive
+    semidefinite.  F is (n,) or (m, n), or (n, k) or (m, n, k) for k
+    right-hand sides; A (full row rank, or a :class:`Constraint`) and b,
+    (rows,) or (rows, k), are shared by the stack.  Construction checks all of
+    it and factors once: one stacked eigvalsh validates every C_i and gives
+    ||C_i||_2, the SVD of A gives ``A_pinv`` and an orthonormal basis ``N`` of
+    Null(A), and one stacked eigh of N'C_iN gives eigenvectors ``V[i]``, of
+    which ``keep[i]`` marks those with eigenvalues above
+    ``max(max(shape) * eps * |lambda|_max, n * eps * ||C_i||_2)`` (directions
+    C_i cannot see are never inverted); ``J[i] = (N'C_iN)^+`` on them.
     """
 
     C: np.ndarray
@@ -105,78 +123,97 @@ class QpProblem:
     A_pinv: np.ndarray = field(init=False, repr=False)
     N: np.ndarray = field(init=False, repr=False)
     J: np.ndarray = field(init=False, repr=False)
-    flat: np.ndarray = field(init=False, repr=False)
+    V: np.ndarray = field(init=False, repr=False)
+    keep: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         ctx = self.ctx
         C, norm_C = symmetric_psd(self.C, "quadratic term", InvalidProblemError, ctx)
-        A, A_pinv, N = _constraint(self.A, ctx)
-        n = C.shape[0]
-        if A.shape[1] != n:
+        con = self.A if isinstance(self.A, Constraint) else Constraint(self.A, ctx)
+        n = C.shape[-1]
+        if con.A.shape[1] != n:
             raise InvalidProblemError(
-                f"constraint has {A.shape[1]} columns but the quadratic is {n}x{n}"
+                f"constraint has {con.A.shape[1]} columns but the quadratic is {n}x{n}"
             )
-        F = _as_columns(self.F, n, "linear term F")
-        b = _as_columns(self.b, A.shape[0], "constraint value b")
-        if F.shape[1:] != b.shape[1:]:
+        F = _as_columns(self.F, C.shape[:-1], "linear term F")
+        b = _as_columns(self.b, con.A.shape[:1], "constraint value b")
+        if F.shape[C.ndim - 1 :] != b.shape[1:]:
             raise InvalidProblemError(
                 f"F and b must have the same columns, got {F.shape} and {b.shape}"
             )
-        restricted = N.T @ C @ N
-        w, V = np.linalg.eigh(0.5 * (restricted + restricted.T))
+        restricted = con.N.T @ C.reshape(-1, n, n) @ con.N
+        w, V = np.linalg.eigh(0.5 * (restricted + restricted.transpose(0, 2, 1)))
         mags = np.abs(w)
-        noise = n * np.finfo(float).eps * norm_C
-        keep = mags > max(ctx.cutoff(np.sort(mags)[::-1], restricted.shape), noise)
-        J = (V[:, keep] / w[keep]) @ V[:, keep].T
+        noise = n * np.finfo(float).eps * np.reshape(norm_C, (-1, 1))
+        keep = mags > np.maximum(ctx.cutoff(mags, restricted.shape[1:])[:, None], noise)
+        scaled = np.divide(V, w[:, None], out=np.zeros_like(V), where=keep[:, None])
         for name, value in zip(
-            ("C", "A", "F", "b", "A_pinv", "N", "J", "flat"),
-            (C, A, F, b, A_pinv, N, J, N @ V[:, ~keep]),
+            ("C", "A", "F", "b", "A_pinv", "N", "J", "V", "keep"),
+            (C, con.A, F, b, con.A_pinv, con.N, scaled @ V.transpose(0, 2, 1), V, keep),
         ):
             object.__setattr__(self, name, value)
 
     @property
     def n(self):
-        return self.C.shape[0]
+        return self.C.shape[-1]
+
+    def _stack(self):
+        """Views of C as (m, n, n), F as (m, n, k) and b as (rows, k)."""
+        C = self.C.reshape(-1, self.n, self.n)
+        return C, self.F.reshape(len(C), self.n, -1), self.b.reshape(len(self.b), -1)
+
+    def flat(self, i=0):
+        """Orthonormal basis of Null(C_i) & Null(A), along which q_i is constant."""
+        return self.N @ self.V[i][:, ~self.keep[i]]
 
     def objective(self, x):
-        """q(x) = x'Cx - 2x'F; column by column when F has columns."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return float(x @ self.C @ x - 2.0 * x @ self.F)
-        return np.einsum("ij,ij->j", x, self.C @ x - 2.0 * self.F)
+        """q_i(x) for x shaped like F: one value per matrix and column."""
+        C, F, _ = self._stack()
+        x = np.asarray(x, dtype=float).reshape(F.shape)
+        q = np.einsum("kij,kij->kj", x, C @ x - 2.0 * F)
+        return q.reshape(np.delete(self.F.shape, self.C.ndim - 2))[()]
 
     def _require_bounded(self):
-        """Raise :class:`UnboundedBelowError` for the first column of F whose
-        component in ``flat`` (a descent direction) exceeds the tolerance."""
-        F = self.F.reshape(self.n, -1)
-        directions = self.flat @ (self.flat.T @ F)
-        tol = self.ctx.residual_tol * (1.0 + np.linalg.norm(F, axis=0))
-        bad = np.flatnonzero(np.linalg.norm(directions, axis=0) > tol)
+        """Raise :class:`UnboundedBelowError` for the first matrix with a column
+        of F whose component in Null(C_i) & Null(A) (a descent direction)
+        exceeds the tolerance."""
+        _, F, _ = self._stack()
+        flat = self.N @ (self.V * ~self.keep[:, None])
+        directions = flat @ (flat.transpose(0, 2, 1) @ F)
+        tol = self.ctx.residual_tol * (1.0 + np.linalg.norm(F, axis=1))
+        bad = np.argwhere(np.linalg.norm(directions, axis=1) > tol)
         if bad.size:
-            raise UnboundedBelowError(directions[:, bad[0]])
+            i, j = bad[0]
+            raise UnboundedBelowError(directions[i, :, j], int(i))
 
 
 @dataclass(frozen=True)
 class QpSolution:
-    """Minimum-norm minimizer, optimal value, and the solution-set geometry.
+    """Minimum-norm minimizers, optimal values, and the solution-set geometry.
 
-    The full solution set is ``x_hat + span(null_basis)`` where the basis
-    spans Null(C) & Null(A); ``x_hat`` is orthogonal to it.  ``x_hat`` and
-    ``value`` have one column (entry) per right-hand side when F has columns.
+    ``x_hat`` has the shape of F and ``value`` one entry per matrix and column
+    (a float for one of each).  The solution set of matrix i is
+    ``x_hat[i] + span(problem.flat(i))``, and ``x_hat[i]`` is orthogonal to it.
     """
 
     x_hat: np.ndarray
     value: float | np.ndarray
-    null_basis: np.ndarray
+    problem: QpProblem = field(repr=False)
     branch: str | None = None
+
+    @property
+    def null_basis(self):
+        """Basis of Null(C) & Null(A); for a stack, a list of one per matrix."""
+        flats = [self.problem.flat(i) for i in range(len(self.problem.keep))]
+        return flats if self.problem.C.ndim == 3 else flats[0]
 
 
 def check_bounded(C, F, A, ctx=DEFAULT_CTX):
-    """True iff x'Cx - 2x'F is bounded below on every {x : Ax = b}.
+    """True iff x'C_ix - 2x'F_i is bounded below on every {x : Ax = b}.
 
-    The criterion is F in Ran(A') + Ran(C) for every column of F, as in solve.
+    The criterion is F_i in Ran(A') + Ran(C_i) for every column, as in solve.
     """
-    b = np.zeros(np.shape(np.atleast_2d(A))[:1] + np.shape(F)[1:])
+    b = np.zeros(np.shape(np.atleast_2d(A))[:1] + np.shape(F)[np.ndim(C) - 1 :])
     try:
         QpProblem(C=C, F=F, A=A, b=b, ctx=ctx)._require_bounded()
     except UnboundedBelowError:
@@ -185,20 +222,22 @@ def check_bounded(C, F, A, ctx=DEFAULT_CTX):
 
 
 def solve(problem: QpProblem) -> QpSolution:
-    """Closed-form minimizer x_hat = J F + (I - J C) A^+ b with J = (M C M)^+.
+    """Closed-form x_hat_i = J_i F_i + (I - J_i C_i) A^+ b with J_i = (M C_i M)^+.
 
-    M = I - A^+ A is the orthogonal projector onto Null(A).  J is evaluated
+    M = I - A^+ A is the orthogonal projector onto Null(A).  J_i is evaluated
     through the orthonormal nullspace basis N of A, using the exact identity
-    (M C M)^+ = N (N'C N)^+ N', from the problem's stored factorization.
-    x_hat is the minimum-norm element of the solution set, one column per
-    right-hand side; raises :class:`UnboundedBelowError` with a descent
-    certificate for the first unbounded column.
+    (M C M)^+ = N (N'C N)^+ N', from the problem's stored factorization, for
+    the whole stack at once.  x_hat_i is the minimum-norm element of its
+    solution set, one column per right-hand side; raises
+    :class:`UnboundedBelowError` with a descent certificate for the first
+    unbounded matrix.
     """
     problem._require_bounded()
-    C, F, N = problem.C, problem.F, problem.N
-    x_part = problem.A_pinv @ problem.b
-    x_hat = x_part + N @ (problem.J @ (N.T @ (F - C @ x_part)))
-    return QpSolution(x_hat, problem.objective(x_hat), problem.flat)
+    C, F, b = problem._stack()
+    N = problem.N
+    x_part = problem.A_pinv @ b
+    x = x_part + N @ (problem.J @ (N.T @ (F - C @ x_part)))
+    return QpSolution(x.reshape(problem.F.shape), problem.objective(x), problem)
 
 
 def _oblique_constraint_projector(problem, C_pinv):
@@ -252,7 +291,7 @@ def _oblique_constraint_projector(problem, C_pinv):
 
 
 def solve_alt(problem: QpProblem) -> QpSolution:
-    """Same minimizer as :func:`solve`, via the oblique-projector representation.
+    """Same minimizer as :func:`solve` for a single C, via the oblique projector.
 
     x_hat = (I - P) C^+ (I - P') F + P A^+ b, where P projects along Null(A)
     onto an image space adapted to Ran(C).  The branch taken ("direct" when
@@ -265,30 +304,4 @@ def solve_alt(problem: QpProblem) -> QpSolution:
     eye = np.eye(problem.n)
     x_part = problem.A_pinv @ problem.b
     x_hat = (eye - P) @ C_pinv @ (eye - P.T) @ problem.F + P @ x_part
-    return QpSolution(x_hat, problem.objective(x_hat), problem.flat, branch)
-
-
-def constrained_lsq(A1, b1, A2, b2, ctx=DEFAULT_CTX):
-    """Minimum-norm minimizer of ||A1 x - b1||^2 subject to A2 x = b2.
-
-    Requires A2 of full row rank.  The minimizer is
-    x = (A1 M)^+ A1 A1^+ b1 + (I - (A1 M)^+ A1) A2^+ b2 with M = I - A2^+ A2;
-    it is evaluated through an orthonormal nullspace basis N of A2 via the
-    exact identity (A1 M)^+ = N (A1 N)^+.
-    """
-    A1 = np.asarray(A1, dtype=float)
-    if A1.ndim == 1:
-        A1 = A1.reshape(1, -1)
-    if not np.all(np.isfinite(A1)):
-        raise InvalidInputError("A1 contains non-finite entries")
-    A2, A2_pinv, N = _constraint(A2, ctx)
-    n = A1.shape[1]
-    if A2.shape[1] != n:
-        raise InvalidProblemError("A1 and A2 must have the same number of columns")
-    b1 = _as_columns(np.ravel(b1), A1.shape[0], "b1")
-    b2 = _as_columns(np.ravel(b2), A2.shape[0], "b2")
-    x_part = A2_pinv @ b2
-    if N.shape[1] == 0:
-        return x_part
-    target = A1 @ (pinv(A1, ctx) @ b1) - A1 @ x_part
-    return x_part + N @ (pinv(A1 @ N, ctx) @ target)
+    return QpSolution(x_hat, problem.objective(x_hat), problem, branch)

@@ -2,6 +2,7 @@ import json
 import os
 import re
 
+import numpy as np
 import pytest
 
 from mvhedge import engine, oracle
@@ -74,6 +75,15 @@ class TestFrontierCommand:
         monkeypatch.setattr(engine, "closed_form_values", broken)
         with pytest.raises(ValueError, match="internal failure"):
             main(["frontier", "--model", cfg("iid_3assets_t4.json")])
+
+    def test_failed_factorization_exits_2(self, monkeypatch, capsys):
+        # LinAlgError subclasses ValueError, so it needs its own entry
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        assert main(["solve-qp", "--model", cfg("qp_example.json")]) == 2
+        assert capsys.readouterr().err.splitlines() == ["SVD did not converge"]
 
     def test_missing_model_key_exits_2(self, tmp_path, capsys):
         path = tmp_path / "no_sigma.json"

@@ -311,6 +311,13 @@ class TestClosedFormIto:
         assert values.eps2_0 == 0.0
         assert np.allclose(coeffs.a[0], [-1.0])
 
+    def test_arbitrage_names_segment(self):
+        # all segments are one stacked QP; the error names the unbounded one
+        calm = (1.0, [0.1, 0.2], [[0.04, 0.01], [0.01, 0.09]])
+        model = models.PiiItoModel([calm, (1.0, [0.1, 0.2], np.zeros((2, 2))), calm])
+        with pytest.raises(LocalArbitrageError, match=r"\(at segment 1\)"):
+            closed_form_values(model)
+
 
 class TestTreeBackward:
     def test_complete_market_replicates(self):
@@ -431,6 +438,31 @@ class TestTreeBackward:
             dp_solve(tree, claim, 0.3)
         internal = len(tree.nodes) - len(tree.terminal_ids)
         assert len(calls) <= 3 * internal, (len(calls), internal)
+
+    @pytest.mark.parametrize("solver", ["tree_backward", "dp_solve"])
+    def test_decompositions_per_level(self, solver, monkeypatch):
+        # One stacked QP per level: one eigvalsh validates every c* of the
+        # level and one eigh splits them all; ones' gets one SVD per pass.
+        from mvhedge.oracle import dp_solve
+
+        rng = np.random.default_rng(12)
+        tree = make_tree(rng, n_assets=3, periods=3)
+        claim = random_claim(rng, tree)
+        calls = []
+        for name in ("svd", "eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def counting(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        if solver == "tree_backward":
+            tree_backward(tree, claim)
+        else:
+            dp_solve(tree, claim, 0.3)
+        assert calls.count("svd") <= 1, calls
+        assert len(calls) - calls.count("svd") <= 2 * len(tree.levels), calls
 
     def test_deterministic_arbitrage_names_node(self):
         tree = models.FiniteTreeModel(

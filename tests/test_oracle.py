@@ -1,3 +1,6 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,8 @@ from conftest import (
     moment_matched_tree,
     random_claim,
 )
-from mvhedge import engine, models
+from mvhedge import engine, models, oracle
+from mvhedge.cli import main
 from mvhedge.engine import closed_form_values, tree_backward
 from mvhedge.models import Claim
 from mvhedge.oracle import (
@@ -261,6 +265,26 @@ class TestMonteCarlo:
             20_000, seed=43,
         )
         assert other.error_second_moment != reps[0].error_second_moment
+
+    def test_long_horizon_draws_in_bounded_memory(self, tmp_path, monkeypatch, capsys):
+        # One block of 600 paths over 2000 periods holds 2.4e6 normals (19 MB
+        # per array, three arrays); drawn in path chunks it needs a fraction,
+        # and the chunks continue one stream, so the report is unchanged.
+        model = {"mu": [0.001, 0.002], "sigma": [[1e-4, 2e-5], [2e-5, 4e-4]]}
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({"model": dict(model, kind="iid", T=2000)}))
+        argv = ["simulate", "--model", str(path), "--paths", "600", "--seed", "3"]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30e6, peak
+        chunked = capsys.readouterr().out
+        monkeypatch.setattr(oracle, "_DRAW_FLOATS", 1 << 62)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == chunked
 
     def test_ito_euler_converges(self, ito_benchmark):
         values, coeffs = closed_form_values(ito_benchmark)

@@ -254,6 +254,62 @@ class TestSolve:
             assert np.abs(gap).max() < 1e-12 * (1.0 + np.abs(F_bad).max())
             assert not qp.check_bounded(C, F, A)
 
+    def test_stacks_match_single_matrix_problems(self):
+        # Each matrix of a stack, riskless (a zero row) and duplicated assets
+        # included, keeps the rank, flat dimension and minimizer of its own
+        # single-matrix problem; the constraint is shared.
+        rng = np.random.default_rng(13)
+        kinds = set()
+        for _ in range(40):
+            n, m, k = int(rng.integers(2, 6)), int(rng.integers(1, 7)), 1
+            A = np.ones((1, n)) if rng.random() < 0.5 else rng.normal(size=(k, n))
+            C = []
+            for _ in range(m):
+                G = rng.normal(size=(n, int(rng.integers(1, n + 1))))
+                kind = int(rng.integers(3))
+                if kind == 1:
+                    G[0] = 0.0
+                elif kind == 2:
+                    G[-1] = G[-2]
+                kinds.add(kind)
+                C.append(G @ G.T)
+            C = np.array(C)
+            F = A.T @ rng.normal(size=(k, 2)) + C @ rng.normal(size=(m, n, 2))
+            b = rng.normal(size=(k, 2))
+            stacked = qp.QpProblem(C=C, F=F, A=A, b=b)
+            sol = qp.solve(stacked)
+            assert sol.x_hat.shape == F.shape and sol.value.shape == (m, 2)
+            for i in range(m):
+                single = qp.QpProblem(C=C[i], F=F[i], A=A, b=b)
+                assert stacked.keep[i].sum() == single.keep[0].sum()
+                assert stacked.flat(i).shape == single.flat().shape
+                assert np.array_equal(sol.x_hat[i], qp.solve(single).x_hat)
+        assert kinds == {0, 1, 2}
+
+    def test_unbounded_stack_member_raises_with_index_and_certificate(self):
+        from mvhedge.linalg import subspace_complement, subspace_sum
+
+        rng = np.random.default_rng(14)
+        for _ in range(20):
+            n, m = 5, int(rng.integers(2, 6))
+            A = rng.normal(size=(2, n))
+            C = np.array([np.eye(n)] * m)
+            bad = int(rng.integers(m))
+            G = rng.normal(size=(n, 2))
+            C[bad] = G @ G.T
+            F = A.T @ rng.normal(size=(m, 2, 1)) + C @ rng.normal(size=(m, n, 1))
+            escape = subspace_complement(subspace_sum(A.T, C[bad]))
+            F[bad] += escape @ rng.normal(size=(escape.shape[1], 1))
+            b = rng.normal(size=(2, 1))
+            with pytest.raises(qp.UnboundedBelowError) as single:
+                qp.solve(qp.QpProblem(C=C[bad], F=F[bad], A=A, b=b))
+            assert single.value.index == 0
+            with pytest.raises(qp.UnboundedBelowError) as stacked:
+                qp.solve(qp.QpProblem(C=C, F=F, A=A, b=b))
+            assert stacked.value.index == bad
+            gap = stacked.value.direction - single.value.direction
+            assert np.abs(gap).max() < 1e-12 * (1.0 + np.abs(F[bad]).max())
+
     def test_right_hand_side_shapes_must_agree(self):
         with pytest.raises(qp.InvalidProblemError):
             qp.QpProblem(C=np.eye(2), F=np.zeros((2, 2)), A=np.ones((1, 2)), b=[1.0])
@@ -330,47 +386,3 @@ class TestSolveAlt:
         C, F, A, b = unbounded_instance(rng, 5, 2)
         with pytest.raises(qp.UnboundedBelowError):
             qp.solve_alt(qp.QpProblem(C=C, F=F, A=A, b=b))
-
-
-class TestConstrainedLsq:
-    def test_nearest_point_on_line(self):
-        x = qp.constrained_lsq(np.eye(2), np.zeros(2), np.ones((1, 2)), [1.0])
-        assert np.allclose(x, [0.5, 0.5], atol=1e-12)
-
-    def test_compatible_constraint_reduces_to_plain_lsq(self):
-        rng = np.random.default_rng(9)
-        A1 = rng.normal(size=(5, 4))
-        b1 = rng.normal(size=5)
-        x_free = np.linalg.lstsq(A1, b1, rcond=None)[0]
-        A2 = rng.normal(size=(1, 4))
-        b2 = A2 @ x_free
-        x = qp.constrained_lsq(A1, b1, A2, b2)
-        assert np.linalg.norm(A1 @ x - b1) <= np.linalg.norm(A1 @ x_free - b1) + 1e-10
-
-    def test_kkt_oracle(self):
-        rng = np.random.default_rng(10)
-        for _ in range(50):
-            n = int(rng.integers(2, 7))
-            m = int(rng.integers(1, 7))
-            k = int(rng.integers(1, min(2, n) + 1))
-            A1 = rng.normal(size=(m, n))
-            b1 = rng.normal(size=m)
-            A2 = rng.normal(size=(k, n))
-            if np.linalg.svd(A2, compute_uv=False)[-1] < 0.2:
-                continue
-            b2 = rng.normal(size=k)
-            x = qp.constrained_lsq(A1, b1, A2, b2)
-            # stationarity of ||A1 x - b1||^2 with multipliers on A2 x = b2
-            value = np.linalg.norm(A1 @ x - b1) ** 2
-            value_kkt = kkt_value(A1.T @ A1, A1.T @ b1, A2, b2) + float(b1 @ b1)
-            assert abs(value - value_kkt) < 1e-9
-            assert np.abs(A2 @ x - b2).max() < 1e-10
-
-    def test_rank_deficient_constraint_rejected(self):
-        with pytest.raises(qp.InvalidProblemError):
-            qp.constrained_lsq(
-                np.eye(3),
-                np.zeros(3),
-                np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]]),
-                np.zeros(2),
-            )
