@@ -17,7 +17,7 @@ import numpy as np
 from . import qp
 from .linalg import DEFAULT_CTX, InvalidInputError, in_span, pinv
 from .models import Claim, FiniteTreeModel, IidDiscreteModel, PiiItoModel
-from .models import _quad, _rowdot
+from .models import _quad, _rowdot, _terminal_values
 
 __all__ = [
     "LocalArbitrageError",
@@ -382,7 +382,7 @@ def tree_backward(
     """
     n, n_int, d = len(tree.ids), tree.n_internal, tree.d
     L, V, eps2 = np.ones(n), np.empty(n), np.zeros(n)
-    V[n_int:] = [claim.value_at(t) for t in tree.terminal_ids]
+    V[n_int:] = _terminal_values(tree, claim.value_at)
     a, xi = np.empty((n_int, d)), np.empty((n_int, d))
     ones, solutions = qp.Constraint(np.ones((1, d)), ctx), []
     for here, kids, sums, owner in reversed(tree.levels):

@@ -9,7 +9,8 @@ and validated eagerly.
 import json
 import warnings
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -160,7 +161,12 @@ class PiiItoModel:
 
 
 class TreeNode(NamedTuple):
-    """Event-tree node: integer time, price vector, branch list (prob, child id)."""
+    """Event-tree node record: id, integer time, prices, branches (prob, child id).
+
+    The records are the input format of :class:`FiniteTreeModel`; the tree
+    keeps only its arrays, and ``FiniteTreeModel.nodes`` rebuilds the records
+    from them on request.
+    """
 
     id: str
     time: int
@@ -178,125 +184,123 @@ def _quad(x, M, y):
     return (x[:, None, :] @ M @ y[:, :, None])[:, 0, 0]
 
 
+def _branch_sums(prob, first):
+    """Sum of ``prob[first[i]:first[i + 1]]`` for each i, rounded like ``.sum()``.
+
+    Grouped by branch count, each sum is one row of a 2-d ``sum``, which adds
+    in the order of a node's own ``probs.sum()`` (``np.add.reduceat`` does
+    not), so the sum checks and renormalization round as a node-by-node
+    check would.
+    """
+    counts = np.diff(first)
+    sums = np.empty(len(counts))
+    for k in set(counts.tolist()):
+        rows = np.flatnonzero(counts == k)
+        sums[rows] = prob[first[rows, None] + np.arange(k)].sum(axis=1)
+    return sums
+
+
+def _terminal_values(tree, value_at):
+    """``value_at(id)`` at every terminal node of ``tree``, in node order."""
+    return np.array([value_at(t) for t in tree.terminal_ids], dtype=float)
+
+
+# What the structure step of FiniteTreeModel lays out; trees that differ only
+# in their values share it.
+_STRUCTURE = (
+    "root", "horizon", "terminal_ids", "n_internal", "ids", "index", "parent",
+    "time", "levels",
+)
+
+
 class FiniteTreeModel:
     """Finite-state event tree with per-node prices and branch probabilities.
 
-    Nodes form an explicit DAG-free tree (each node has a unique parent path),
-    child times increase by one, branch probabilities at a node are positive
-    and sum to one (sums within 1e-12 are renormalized with a warning), all
-    terminal nodes share the same time, and at least one asset is strictly
-    positive on every node so that a numeraire candidate exists.
-
-    The tree is laid out once, in time-major node order: internal nodes come
+    The tree is a set of arrays in time-major node order: internal nodes come
     first, the root is position 0 and each node's children sit next to each
     other in branch order.  ``ids[i]`` is the id at position ``i`` and
     ``index`` maps ids back to positions, and the first ``n_internal``
     positions are the non-terminal nodes; ``parent``, ``prob`` (the branch
-    probability into the node), ``time``, ``prices`` and ``rets`` (the simple
-    returns over the edge from the parent; zero at the root) are arrays in
-    node order.  ``levels`` holds one ``(nodes, children, sums, owner)``
-    tuple per non-terminal time, root first: the position slices of the level
-    and of its children, ``sums(x)`` adding per-child rows ``x`` over each
-    node's children (``np.add.reduceat``), and each child's parent relative
-    to ``nodes.start``.  Every tree pass runs level by level over these.
+    probability into the node; 1 at the root), ``time``, ``prices`` and
+    ``rets`` (the simple returns over the edge from the parent; zero at the
+    root) are arrays in node order.  ``levels`` holds one ``(nodes, children,
+    sums, owner)`` tuple per non-terminal time, root first: the position
+    slices of the level and of its children, ``sums(x)`` adding per-child rows
+    ``x`` over each node's children (``np.add.reduceat``), and each child's
+    parent relative to ``nodes.start``.  Every tree pass runs level by level
+    over these.  ``nodes``, the :class:`TreeNode` records by id, is a
+    read-only view built from the arrays on request; no computation reads it.
+
+    The records given to the constructor are checked in two steps.  The
+    structure step parses them into the layout: ids are unique, every child
+    exists and is reached once, every node is reachable from the root, child
+    times increase by one, all terminal nodes share the same time and every
+    node has the root's asset count.  The value step checks the arrays:
+    prices are finite and non-zero, branch probabilities at a node are
+    positive and sum to one (sums within 1e-12 are renormalized with a
+    warning), no edge return exceeds ``MAX_AMOUNT`` in magnitude, at least
+    one asset is strictly positive on every node (a numeraire candidate) and
+    the payoff, when given, covers every terminal node.
+    :func:`discount_tree` shares the structure and runs only the value step.
     """
 
     def __init__(self, nodes, root, payoff=None, ctx=DEFAULT_CTX):
-        cleaned = {}
+        prob, prices = self._lay_out(nodes, str(root))
+        self._set_values(prob, prices, payoff)
+
+    def _lay_out(self, nodes, root):
+        """The structure step: parse the records breadth first into the layout.
+
+        Returns the branch probabilities and prices in node order for the
+        value step.
+        """
+        records = {}
         for nid, time, prices, branches in nodes:
             nid = str(nid)
-            if nid in cleaned:
+            if nid in records:
                 raise InvalidModelError(f"duplicate node id {nid!r}")
-            prices = np.asarray(prices, dtype=float).ravel()
-            if not np.all(np.isfinite(prices)):
-                raise InvalidModelError(f"node {nid!r} has non-finite prices")
-            if np.any(prices == 0.0):
-                raise InvalidModelError(
-                    f"node {nid!r} has a zero price; returns are undefined"
-                )
-            branches = tuple((float(p), str(ch)) for p, ch in branches)
-            cleaned[nid] = TreeNode(nid, int(time), prices, branches)
-        if str(root) not in cleaned:
+            records[nid] = (
+                int(time),
+                np.asarray(prices, dtype=float).ravel(),
+                tuple((float(p), str(ch)) for p, ch in branches),
+            )
+        if root not in records:
             raise InvalidModelError(f"root node {root!r} not present")
-        self.nodes = cleaned
-        self.root = str(root)
-        self._validate(ctx)
-        self.payoff = None if payoff is None else {
-            str(k): float(v) for k, v in payoff.items()
-        }
-        if self.payoff is not None:
-            missing = [t for t in self.terminal_ids if t not in self.payoff]
-            if missing:
+        d = records[root][1].shape[0]
+        order, parent, prob = [root], [-1], [1.0]
+        index = {root: 0}
+        for pos, nid in enumerate(order):  # grows as children are queued
+            time, prices, branches = records[nid]
+            if prices.shape[0] != d:
                 raise InvalidModelError(
-                    f"payoff missing for terminal nodes {missing[:5]}"
+                    f"inconsistent asset count across nodes: node {nid!r} has "
+                    f"{prices.shape[0]}, the root {d}"
                 )
-
-    def _validate(self, ctx):
-        """Check the tree breadth first and lay it out in the same pass."""
-        d = self.nodes[self.root].prices.shape[0]
-        order, parent, prob = [self.root], [-1], [1.0]
-        index = {self.root: 0}
-        pos = 0
-        while pos < len(order):
-            nid = order[pos]
-            node = self.nodes[nid]
-            if node.prices.shape[0] != d:
-                raise InvalidModelError("inconsistent asset count across nodes")
-            if node.branches:
-                probs = np.array([p for p, _ in node.branches])
-                if np.any(probs <= 0):
-                    raise InvalidModelError(
-                        f"node {nid!r} has a non-positive branch probability"
-                    )
-                gap = abs(probs.sum() - 1.0)
-                if gap > _PROB_SUM_TOL:
-                    raise InvalidModelError(
-                        f"branch probabilities at node {nid!r} sum to {probs.sum()}"
-                    )
-                if gap > _PROB_SUM_EXACT:
-                    warnings.warn(
-                        f"renormalizing branch probabilities at node {nid!r} "
-                        f"(sum off by {gap:.2e})"
-                    )
-                    probs = probs / probs.sum()
-                    kids = [ch for _, ch in node.branches]
-                    node = self.nodes[nid] = node._replace(
-                        branches=tuple(zip(probs.tolist(), kids))
-                    )
-                for p, child in node.branches:
-                    if child not in self.nodes:
-                        raise InvalidModelError(f"unknown child node {child!r}")
-                    if child in index:
-                        raise InvalidModelError(
-                            f"node {child!r} reached twice; not a tree"
-                        )
-                    if self.nodes[child].time != node.time + 1:
-                        raise InvalidModelError(
-                            f"child {child!r} time must be {node.time + 1}"
-                        )
-                    index[child] = len(order)
-                    order.append(child)
-                    parent.append(pos)
-                    prob.append(p)
-            pos += 1
-        unreachable = set(self.nodes) - set(index)
+            for p, child in branches:
+                if child not in records:
+                    raise InvalidModelError(f"unknown child node {child!r}")
+                if child in index:
+                    raise InvalidModelError(f"node {child!r} reached twice; not a tree")
+                if records[child][0] != time + 1:
+                    raise InvalidModelError(f"child {child!r} time must be {time + 1}")
+                index[child] = len(order)
+                order.append(child)
+                parent.append(pos)
+                prob.append(p)
+        unreachable = set(records) - set(index)
         if unreachable:
             raise InvalidModelError(f"unreachable nodes: {sorted(unreachable)[:5]}")
-        terminals = [nid for nid in order if not self.nodes[nid].branches]
-        times = {self.nodes[t].time for t in terminals}
+        terminals = [nid for nid in order if not records[nid][2]]
+        times = {records[t][0] for t in terminals}
         if len(times) != 1:
             raise InvalidModelError("terminal nodes must share a common time")
+        self.root = root
         self.horizon = times.pop()
         self.terminal_ids = tuple(terminals)
         self.n_internal = len(order) - len(terminals)
         self.ids, self.index = tuple(order), index
         self.parent = np.array(parent)
-        self.prob = np.array(prob)
-        self.time = np.array([self.nodes[nid].time for nid in order])
-        self.prices = np.array([self.nodes[nid].prices for nid in order])
-        self.rets = np.zeros_like(self.prices)
-        self.rets[1:] = self.prices[1:] / self.prices[self.parent[1:]] - 1.0
-        _amount(float(np.max(np.abs(self.rets))), "every edge return")
+        self.time = np.array([records[nid][0] for nid in order])
         lb = np.searchsorted(self.time, np.arange(self.time[0], self.horizon + 2))
         first = np.searchsorted(self.parent, np.arange(len(order)))
         self.levels = tuple(
@@ -304,11 +308,79 @@ class FiniteTreeModel:
              self.parent[b:c] - a)
             for a, b, c in zip(lb, lb[1:], lb[2:])
         )
+        return np.array(prob), np.array([records[nid][1] for nid in order])
+
+    def _set_values(self, prob, prices, payoff):
+        """The value step: check and store ``prob``, ``prices`` and ``payoff``.
+
+        The checks run over whole arrays in node order; a failure names the
+        first offending node.
+        """
+        ids = self.ids
+        bad = ~np.all(np.isfinite(prices) & (prices != 0.0), axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            if not np.all(np.isfinite(prices[i])):
+                raise InvalidModelError(f"node {ids[i]!r} has non-finite prices")
+            raise InvalidModelError(
+                f"node {ids[i]!r} has a zero price; returns are undefined"
+            )
+        prob[0] = 1.0  # the root has no incoming branch
+        bad = ~(prob > 0.0)
+        if bad.any():
+            nid = ids[self.parent[int(np.argmax(bad))]]
+            raise InvalidModelError(
+                f"node {nid!r} has a non-positive branch probability"
+            )
+        first = np.searchsorted(self.parent, np.arange(self.n_internal + 1))
+        sums = _branch_sums(prob, first)
+        gap = np.abs(sums - 1.0)
+        bad = ~(gap <= _PROB_SUM_TOL)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise InvalidModelError(
+                f"branch probabilities at node {ids[i]!r} sum to {sums[i]}"
+            )
+        off = gap > _PROB_SUM_EXACT
+        if off.any():
+            for i in np.flatnonzero(off):
+                warnings.warn(
+                    f"renormalizing branch probabilities at node {ids[i]!r} "
+                    f"(sum off by {gap[i]:.2e})"
+                )
+            prob[1:] = prob[1:] / np.where(off, sums, 1.0)[self.parent[1:]]
+        rets = np.zeros_like(prices)
+        rets[1:] = prices[1:] / prices[self.parent[1:]] - 1.0
+        _amount(float(np.max(np.abs(rets), initial=0.0)), "every edge return")
+        self.prob, self.prices, self.rets = prob, prices, rets
         if not self.positive_assets():
             raise InvalidModelError(
                 "no strictly positive asset exists; the tree admits no "
                 "self-financing numeraire candidate"
             )
+        self.payoff = payoff
+        if payoff is not None:
+            self.payoff = {str(k): float(v) for k, v in payoff.items()}
+            missing = [t for t in self.terminal_ids if t not in self.payoff]
+            if missing:
+                raise InvalidModelError(
+                    f"payoff missing for terminal nodes {missing[:5]}"
+                )
+
+    @cached_property
+    def nodes(self):
+        """The :class:`TreeNode` records by id in node order, built on request."""
+        prices = self.prices.view()
+        prices.flags.writeable = False
+        first = np.searchsorted(self.parent, np.arange(len(self.ids) + 1)).tolist()
+        ids, time, prob = self.ids, self.time.tolist(), self.prob.tolist()
+        return MappingProxyType({
+            nid: TreeNode(
+                nid, time[i], prices[i],
+                tuple(zip(prob[first[i] : first[i + 1]], ids[first[i] : first[i + 1]])),
+            )
+            for i, nid in enumerate(ids)
+        })
 
     @property
     def d(self):
@@ -406,7 +478,14 @@ def discount_tree(tree, numeraire_index, ctx=DEFAULT_CTX):
     becomes identically 1.  Branch probabilities are reweighted by the ratio of
     conditional terminal second moments of the numeraire,
     ``p_hat = p * E[X_T^2 | child] / E[X_T^2 | node]``, which realizes the
-    change of measure with density X_T^2 / E[X_T^2].
+    change of measure with density X_T^2 / E[X_T^2], and the payoff (if any)
+    is divided by X_T.
+
+    The discounted tree shares ``tree``'s structure (ids, parents, times and
+    levels): no records are built and only the value step of
+    :class:`FiniteTreeModel` runs on the new arrays, so every value check
+    still applies (a discounted edge return can exceed ``MAX_AMOUNT`` where
+    no undiscounted one does).
 
     Returns the discounted tree and E[X_T^2 | node] for every node, in node
     order.
@@ -423,18 +502,15 @@ def discount_tree(tree, numeraire_index, ctx=DEFAULT_CTX):
         weights[here] = sums(tree.prob[kids] * weights[kids])
     prob = tree.prob * weights / weights[tree.parent]
     prices = tree.prices / tree.prices[:, j : j + 1]
-    new_nodes = []
-    for i, nid in enumerate(tree.ids):
-        node = tree.nodes[nid]
-        branches = tuple((float(prob[tree.index[ch]]), ch) for _, ch in node.branches)
-        new_nodes.append(TreeNode(nid, node.time, prices[i], branches))
     payoff = None
     if tree.payoff is not None:
-        terminal_prices = tree.prices[tree.n_internal :, j]
-        payoff = {
-            t: tree.payoff[t] / x for t, x in zip(tree.terminal_ids, terminal_prices)
-        }
-    return FiniteTreeModel(new_nodes, tree.root, payoff=payoff, ctx=ctx), weights
+        values = _terminal_values(tree, tree.payoff.__getitem__)
+        values = values / tree.prices[tree.n_internal :, j]
+        payoff = dict(zip(tree.terminal_ids, values.tolist()))
+    disc = object.__new__(FiniteTreeModel)
+    disc.__dict__.update((name, vars(tree)[name]) for name in _STRUCTURE)
+    disc._set_values(prob, prices, payoff)
+    return disc, weights
 
 
 def _typed(value, kind, what):

@@ -26,6 +26,7 @@ from .models import (
     PiiItoModel,
     _quad,
     _rowdot,
+    _terminal_values,
     discount_tree,
 )
 
@@ -78,7 +79,7 @@ def dp_solve(tree, claim, v, ctx=DEFAULT_CTX):
     """
     n, n_int, d = len(tree.ids), tree.n_internal, tree.d
     ell, vals, errs = np.ones(n), np.empty(n), np.zeros(n)
-    vals[n_int:] = [claim.value_at(t) for t in tree.terminal_ids]
+    vals[n_int:] = _terminal_values(tree, claim.value_at)
     policy = np.empty((n_int, 2, d))
     ones = qp.Constraint(np.ones((1, d)), ctx)
     for here, kids, sums, _ in reversed(tree.levels):
@@ -162,12 +163,8 @@ def _numeraire_report(tree, claim, numeraire_index, v, base, ctx):
     disc_tree, weights = discount_tree(tree, j, ctx)
     m2 = weights[0]
     n_int = tree.n_internal
-    disc_claim = Claim(
-        payoff={
-            t: claim.value_at(t) / x
-            for t, x in zip(tree.terminal_ids, tree.prices[n_int:, j])
-        }
-    )
+    values = _terminal_values(tree, claim.value_at) / tree.prices[n_int:, j]
+    disc_claim = Claim(payoff=dict(zip(tree.terminal_ids, values.tolist())))
     v_hat = float(v) / tree.prices[0, j]
     disc = dp_solve(disc_tree, disc_claim, v_hat, ctx)
     objective_gap = abs(base.objective - m2 * disc.objective)
@@ -193,7 +190,7 @@ def enumerate_terminal_wealth(tree, solution: TreeSolution, v):
     tree's branch probabilities.
     """
     _, wealth = tree.roll_wealth(solution.feedback, v)
-    h = np.array([solution.claim.value_at(t) for t in tree.terminal_ids])
+    h = _terminal_values(tree, solution.claim.value_at)
     n_int = tree.n_internal
     return tree.node_probabilities()[n_int:], wealth[n_int:], h
 
@@ -345,20 +342,30 @@ def _simulate_tree(tree, solution, claim, v, n_paths, seed, exhaustive):
     # one roll over the tree serves every path.
     _, wealth = tree.roll_wealth(solution.feedback, v)
     n_int = tree.n_internal
-    errors_at = wealth[n_int:] - [claim.value_at(t) for t in tree.terminal_ids]
+    errors_at = wealth[n_int:] - _terminal_values(tree, claim.value_at)
+    # Each child's key is its parent's position plus the cumulative branch
+    # probability up to and including it (exactly 1 for the last sibling), so
+    # a path at node k with a uniform draw u moves to the first child whose
+    # key exceeds k + u: one searchsorted per level for every path of a block.
+    # The cap at the last child guards k + u rounding up to k + 1.
     first = np.searchsorted(tree.parent, np.arange(n_int + 1))
+    last, owner = first[1:] - 1, tree.parent[1:]
+    cum = np.cumsum(tree.prob)
+    start = cum[first[:-1] - 1]
+    keys = np.zeros(len(tree.ids))
+    keys[1:] = owner + (cum[1:] - start[owner]) / (cum[last] - start)[owner]
     errors = np.empty(n_paths)
     done = 0
     block = 0
     while done < n_paths:
         size = min(_RNG_BLOCK, n_paths - done)
         rng = _block_rng(seed, block)
-        for i in range(size):
-            pos = 0
-            while pos < n_int:
-                probs = tree.prob[first[pos] : first[pos + 1]]
-                pos = first[pos] + rng.choice(len(probs), p=probs / probs.sum())
-            errors[done + i] = errors_at[pos - n_int]
+        pos = np.zeros(size, dtype=np.intp)
+        for _, kids, _, _ in tree.levels:
+            u = rng.random(size)
+            child = kids.start + np.searchsorted(keys[kids], pos + u, "right")
+            pos = np.minimum(child, last[pos])
+        errors[done : done + size] = errors_at[pos - n_int]
         done += size
         block += 1
     return _report_from_samples(errors, seed)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import complete_binomial_tree, make_tree
+from mvhedge.linalg import InvalidInputError
 from mvhedge.models import (
     Claim,
     FiniteTreeModel,
@@ -192,6 +193,76 @@ class TestTreeModel:
             Claim()
 
 
+# Two periods, two assets; each case below breaks one rule of the structure
+# or value step of FiniteTreeModel.
+VALID_TREE = [
+    ("r", 0, [1.0, 2.0], [(0.5, "a"), (0.5, "b")]),
+    ("a", 1, [1.2, 2.2], [(0.4, "aa"), (0.6, "ab")]),
+    ("b", 1, [0.9, 1.8], [(0.5, "ba"), (0.5, "bb")]),
+    ("aa", 2, [1.3, 2.0], []),
+    ("ab", 2, [1.1, 2.5], []),
+    ("ba", 2, [0.8, 1.9], []),
+    ("bb", 2, [1.0, 1.7], []),
+]
+TERMINAL_PAYOFF = {"aa": 1.0, "ab": 0.0, "ba": 0.5, "bb": 0.2}
+
+
+def _edit(nid, **fields):
+    """Replace fields of node ``nid`` in a record list."""
+    def apply(records):
+        i = [r[0] for r in records].index(nid)
+        old = dict(zip(("id", "time", "prices", "branches"), records[i]))
+        records[i] = tuple({**old, **fields}.values())
+    return apply
+
+
+MALFORMED_TREES = [
+    ("duplicate id", lambda r: r.append(r[2]), None,
+     InvalidModelError, "duplicate node id 'b'"),
+    ("unknown child", _edit("b", branches=[(0.5, "ba"), (0.5, "bx")]), None,
+     InvalidModelError, "unknown child node 'bx'"),
+    ("node reached twice", _edit("b", branches=[(0.5, "ba"), (0.5, "ab")]), None,
+     InvalidModelError, "node 'ab' reached twice; not a tree"),
+    ("unreachable node", lambda r: r.append(("z", 2, [1.0, 1.0], [])), None,
+     InvalidModelError, r"unreachable nodes: \['z'\]"),
+    ("wrong child time", _edit("ba", time=3), None,
+     InvalidModelError, "child 'ba' time must be 2"),
+    ("inconsistent asset count", _edit("ab", prices=[1.1]), None,
+     InvalidModelError, "node 'ab' has 1, the root 2"),
+    ("non-finite price", _edit("ba", prices=[0.8, np.inf]), None,
+     InvalidModelError, "node 'ba' has non-finite prices"),
+    ("zero price", _edit("ab", prices=[0.0, 2.5]), None,
+     InvalidModelError, "node 'ab' has a zero price"),
+    ("non-positive branch probability", _edit("b", branches=[(1.0, "ba"), (0.0, "bb")]),
+     None, InvalidModelError, "node 'b' has a non-positive branch probability"),
+    ("bad probability sum", _edit("a", branches=[(0.4, "aa"), (0.5, "ab")]), None,
+     InvalidModelError, "branch probabilities at node 'a' sum to 0.9"),
+    # The edge-return message is pinned by the CLI's exit-2 contract and names
+    # the bound, not the node.
+    ("edge return above MAX_AMOUNT", _edit("bb", prices=[1.0, 1e151]), None,
+     InvalidInputError, r"every edge return must be at most 1e\+150 in magnitude"),
+    ("missing terminal payoff", lambda r: None, {"aa": 1.0, "ab": 0.0, "bb": 0.2},
+     InvalidModelError, r"payoff missing for terminal nodes \['ba'\]"),
+]
+
+
+class TestTreeValidation:
+    def test_valid_tree_passes(self):
+        tree = FiniteTreeModel(VALID_TREE, "r", payoff=TERMINAL_PAYOFF)
+        assert tree.ids == ("r", "a", "b", "aa", "ab", "ba", "bb")
+
+    @pytest.mark.parametrize(
+        "edit, payoff, error, message",
+        [case[1:] for case in MALFORMED_TREES],
+        ids=[case[0] for case in MALFORMED_TREES],
+    )
+    def test_malformed_tree_names_the_offending_node(self, edit, payoff, error, message):
+        records = list(VALID_TREE)
+        edit(records)
+        with pytest.raises(error, match=message):
+            FiniteTreeModel(records, "r", payoff=payoff or TERMINAL_PAYOFF)
+
+
 class TestLocalNoArbitrage:
     def test_full_rank_always_passes(self):
         assert check_local_na(np.array([5.0, -3.0]), np.eye(2))
@@ -325,6 +396,94 @@ class TestDiscountTree:
         with pytest.raises(InvalidNumeraireError):
             discount_tree(tree, 1)
         assert tree.positive_assets() == [0]
+
+
+def _layout(tree):
+    """Every array and field of the layout, for bit-for-bit comparison."""
+    arrays = [tree.prob, tree.prices, tree.rets, tree.parent, tree.time]
+    for here, kids, sums, owner in tree.levels:
+        arrays.append(owner)
+        arrays.append(sums(np.arange(kids.stop - kids.start, dtype=float)))
+    fields = (tree.root, tree.ids, tree.index, tree.n_internal, tree.terminal_ids,
+              tree.horizon, tree.payoff,
+              [(here, kids) for here, kids, _, _ in tree.levels])
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays], fields
+
+
+def _layout_trees():
+    rng = np.random.default_rng(21)
+    for i in range(3):
+        yield make_tree(rng, n_assets=2 + i, periods=2 + i)
+        yield make_tree(rng, n_assets=3, periods=3, constant_asset=True)
+        base = make_tree(rng, n_assets=2, periods=3)
+        yield FiniteTreeModel(  # a duplicated asset
+            [(n.id, n.time, np.append(n.prices, n.prices[-1]), n.branches)
+             for n in base.nodes.values()],
+            base.root,
+            payoff={t: float(rng.normal()) for t in base.terminal_ids},
+        )
+        base = make_tree(rng, n_assets=3, periods=2)
+        with pytest.warns(UserWarning, match="renormalizing"):
+            renormalized = FiniteTreeModel(  # every first branch 5e-13 too likely
+                [(n.id, n.time, n.prices,
+                  [(p + 5e-13 * (k == 0), ch) for k, (p, ch) in enumerate(n.branches)])
+                 for n in base.nodes.values()],
+                base.root,
+            )
+        yield renormalized
+
+
+class TestTreeLayout:
+    def test_records_round_trip_to_the_same_layout(self):
+        count = 0
+        for tree in _layout_trees():
+            discounted = [discount_tree(tree, j)[0] for j in tree.positive_assets()]
+            for t in [tree, *discounted]:
+                again = FiniteTreeModel(t.nodes.values(), t.root, payoff=t.payoff)
+                assert _layout(again) == _layout(t)
+                count += 1
+        assert count >= 40
+
+    def test_nodes_is_a_read_only_view(self):
+        tree = make_tree(np.random.default_rng(22), n_assets=2, periods=2)
+        node = tree.nodes[tree.root]
+        assert not node.prices.flags.writeable
+        with pytest.raises(TypeError):
+            tree.nodes["x"] = node
+        assert tree.nodes is tree.nodes
+
+    def test_discounting_shares_the_structure_and_builds_no_records(self, monkeypatch):
+        calls = []
+        init = FiniteTreeModel.__init__
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            init(self, *args, **kwargs)
+
+        trees = list(_layout_trees())
+        monkeypatch.setattr(FiniteTreeModel, "__init__", counting)
+        for tree in trees:
+            for j in tree.positive_assets():
+                disc, _ = discount_tree(tree, j)
+                assert disc.ids is tree.ids and disc.levels is tree.levels
+                assert disc.parent is tree.parent and disc.index is tree.index
+                assert "nodes" not in vars(disc) and "nodes" not in vars(tree)
+        assert calls == []
+
+    def test_discounted_edge_return_is_still_bounded(self):
+        # Asset 0 falls by 1e-160 along one edge: every undiscounted return is
+        # at most 1, but in units of asset 0 asset 1 rises by 1e160.
+        tree = FiniteTreeModel(
+            [
+                ("r", 0, [1.0, 1.0], [(0.5, "a"), (0.5, "b")]),
+                ("a", 1, [1e-160, 1.0], []),
+                ("b", 1, [1.0, 1.2], []),
+            ],
+            "r",
+        )
+        assert np.max(np.abs(tree.rets)) <= 1.0
+        with pytest.raises(InvalidInputError, match="every edge return"):
+            discount_tree(tree, 0)
 
 
 class TestConfigIO:

@@ -182,26 +182,27 @@ class TestMonteCarlo:
         assert gap < 6 * sampled.std_error + 1e-12
 
     def test_tree_sampling_matches_per_path_rollout(self):
-        # Reference: roll the feedback rule along each sampled path with the
-        # same Philox draws; the sampler must reproduce it bit for bit.
+        # Reference: roll the feedback rule along each sampled path, one node
+        # at a time, with the sampler's Philox uniforms (one row per level,
+        # one column per path): a path moves to the first child whose share
+        # of the cumulative branch probability exceeds its draw.  The sampler
+        # must reproduce it bit for bit.
         rng = np.random.default_rng(11)
         tree = make_tree(rng, n_assets=3, periods=3)
         claim = random_claim(rng, tree)
         sol = tree_backward(tree, claim)
         v, n_paths, seed = 0.2, 300, 4
         errors = []
-        draws = _block_rng(seed, 0)
-        for _ in range(n_paths):
-            nid, wealth = tree.root, v
-            while tree.nodes[nid].branches:
-                i = tree.index[nid]
-                pi = sol.xi[i] + (sol.V[i] - wealth) * sol.a[i]
-                branches = tree.nodes[nid].branches
-                probs = np.array([p for p, _ in branches])
-                child = branches[draws.choice(len(branches), p=probs / probs.sum())][1]
-                wealth += float(pi @ tree.rets[tree.index[child]])
-                nid = child
-            errors.append(wealth - claim.value_at(nid))
+        draws = _block_rng(seed, 0).random((len(tree.levels), n_paths))
+        for path in range(n_paths):
+            pos, wealth = 0, v
+            for u in draws[:, path]:
+                pi = sol.xi[pos] + (sol.V[pos] - wealth) * sol.a[pos]
+                kids = np.flatnonzero(tree.parent == pos)
+                share = np.cumsum(tree.prob[kids]) / tree.prob[kids].sum()
+                pos = int(kids[min(np.sum(share <= u), len(kids) - 1)])
+                wealth += float(pi @ tree.rets[pos])
+            errors.append(wealth - claim.value_at(tree.ids[pos]))
         errors = np.array(errors)
         with pytest.warns(UserWarning, match="sampling"):
             sampled = mc_simulate(
