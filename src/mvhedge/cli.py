@@ -151,9 +151,7 @@ def cmd_simulate(args):
     if isinstance(model, models.FiniteTreeModel):
         _require_tree(model, claim)
         solution = engine.tree_backward(model, claim, ctx)
-        report = oracle.mc_simulate(
-            model, solution, None, claim, wealth, n_paths, seed, ctx=ctx
-        )
+        report = oracle.mc_simulate(model, solution, None, claim, wealth, n_paths, seed)
         analytic = engine.hedging_error(solution, wealth)
     else:
         if claim is None:
@@ -170,7 +168,6 @@ def cmd_simulate(args):
             n_paths,
             seed,
             step=step,
-            ctx=ctx,
         )
         analytic = engine.hedging_error(result.values, wealth)
     print(f"paths = {report.n_paths}")

@@ -228,7 +228,7 @@ def _iid_closed_form(model, ctx):
     kappa = 1.0 - bpb - (1.0 - ab) ** 2 / growth
     contrib = L[1:] * V[1:] ** 2 * kappa
     eps2 = np.concatenate([np.cumsum(contrib[::-1])[::-1], [0.0]])
-    xi = np.array([(V[t + 1] - V[t]) * pb + V[t] * zeta for t in range(T)])
+    xi = (V[1:] - V[:-1])[:, None] * pb + V[:-1, None] * zeta
     coeffs = HedgeCoefficients(
         a=np.tile(a, (T, 1)),
         xi=xi,

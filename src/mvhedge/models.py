@@ -351,7 +351,13 @@ class FiniteTreeModel:
             prob[1:] = prob[1:] / np.where(off, sums, 1.0)[self.parent[1:]]
         rets = np.zeros_like(prices)
         rets[1:] = prices[1:] / prices[self.parent[1:]] - 1.0
-        _amount(float(np.max(np.abs(rets), initial=0.0)), "every edge return")
+        if not np.max(np.abs(rets), initial=0.0) <= MAX_AMOUNT:
+            i = int(np.argmax(~np.all(np.abs(rets) <= MAX_AMOUNT, axis=1)))
+            raise InvalidInputError(
+                f"every edge return must be at most {MAX_AMOUNT:g} in magnitude, "
+                f"got {float(np.max(np.abs(rets[i])))!r} on the edge into node "
+                f"{ids[i]!r}"
+            )
         self.prob, self.prices, self.rets = prob, prices, rets
         if not self.positive_assets():
             raise InvalidModelError(

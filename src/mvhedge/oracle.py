@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qp
-from .engine import LocalArbitrageError, TreeSolution, _pii_segment_table
+from .engine import LocalArbitrageError, TreeSolution
 from .linalg import DEFAULT_CTX, InvalidInputError
 from .models import (
     MAX_STEPS,
@@ -43,7 +43,6 @@ __all__ = [
 
 ENUMERATION_THRESHOLD = 10**6
 _RNG_BLOCK = 1 << 14
-_DRAW_FLOATS = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -223,9 +222,23 @@ def _block_rng(seed, block):
 
 
 def _psd_factor(c):
+    """Clipped-``eigh`` square root F of each symmetric PSD matrix: F F' = c.
+
+    Accepts one matrix or a stack; eigenvalues are clipped at 0, so singular
+    and zero matrices keep an exact (singular or zero) factor.
+    """
     w, Q = np.linalg.eigh(np.asarray(c, dtype=float))
-    w = np.clip(w, 0.0, None)
-    return Q * np.sqrt(w)
+    return Q * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
+
+
+def _pair_law(P, m, S):
+    """Law of the pairs P r for r ~ N(m, S): means (K, 2) and factors (K, 2, 2).
+
+    ``P`` stacks K pairs of rows [p; q] as (K, 2, d); the pair (p.r, q.r) is
+    exactly normal with mean P m and covariance P S P' = factor factor'
+    (``eigh`` reads the lower triangle of each computed P S P').
+    """
+    return P @ m, _psd_factor(P @ S @ P.transpose(0, 2, 1))
 
 
 def _report_from_samples(errors, seed, exact=False):
@@ -245,78 +258,79 @@ def _report_from_samples(errors, seed, exact=False):
     )
 
 
-def _simulate_iid(model, coeffs, values, v, n_paths, seed):
-    factor = _psd_factor(model.sigma)
-    T, d = model.n_periods, model.d
+def _simulate_steps(track, mean, factor, v, n_paths, seed):
+    """Roll the feedback rule's wealth over K steps of a Gaussian pair law.
+
+    Step k moves wealth by y0 + (track[k] - wealth) y1, where (y0, y1) =
+    mean[k] + factor[k] z is the pair (p.r, q.r) of the rule
+    pi = p + (track - wealth) q and z holds two standard normals per path,
+    drawn as one (2, paths) array per step from the Philox stream of the
+    path's block.  Memory is two path vectors per step, whatever K is.
+    """
     errors = np.empty(n_paths)
-    done = 0
-    block = 0
-    # Path chunks of <= _DRAW_FLOATS normals continue one stream: same draws.
-    chunk = max(1, _DRAW_FLOATS // (T * d))
-    while done < n_paths:
-        size = min(_RNG_BLOCK, n_paths - done)
+    for block, lo in enumerate(range(0, n_paths, _RNG_BLOCK)):
+        size = min(_RNG_BLOCK, n_paths - lo)
         rng = _block_rng(seed, block)
-        for lo in range(done, done + size, chunk):
-            z = rng.standard_normal((min(chunk, done + size - lo), T, d))
-            rets = model.mu + z @ factor.T
-            wealth = np.full(len(z), float(v))
-            for t in range(T):
-                pi = coeffs.xi[t] + (values.V[t] - wealth)[:, None] * coeffs.a[t]
-                wealth = wealth + np.einsum("ij,ij->i", pi, rets[:, t, :])
-            errors[lo : lo + len(z)] = wealth - 1.0
-        done += size
-        block += 1
+        wealth = np.full(size, float(v))
+        for k in range(len(track)):
+            z0, z1 = rng.standard_normal((2, size))
+            (f00, f01), (f10, f11) = factor[k]
+            y0 = mean[k, 0] + f00 * z0 + f01 * z1
+            y1 = mean[k, 1] + f10 * z0 + f11 * z1
+            wealth += y0 + (track[k] - wealth) * y1
+        errors[lo : lo + size] = wealth - 1.0
     return _report_from_samples(errors, seed)
 
 
-def _simulate_pii(model, coeffs, v, n_paths, seed, step, ctx):
+def _iid_law(model, coeffs, values):
+    """Per-period law of the pair (xi[t].r, a[t].r), r ~ N(mu, sigma)."""
+    P = np.stack([coeffs.xi, coeffs.a], axis=1)
+    return (values.V[:-1], *_pair_law(P, model.mu, model.sigma))
+
+
+def _segment_tracking(v0, v1, slope, t0, t1, t):
+    """V at times t in [t0, t1) of a segment on which log V has the given slope.
+
+    Anchored at a boundary value that is positive: the other may have
+    underflowed to 0 and carries no logarithm.  Both ends at 0 means every
+    point between underflows too.
+    """
+    if v0 > 0.0:
+        return np.exp(np.log(v0) + slope * (t - t0))
+    if v1 > 0.0:
+        return np.exp(np.log(v1) - slope * (t1 - t))
+    return np.zeros_like(t)
+
+
+def _pii_law(model, coeffs, values, step):
+    """Per-substep law of (V zeta_i . dlog, a_i . dlog) on the Euler grid.
+
+    Each segment is cut into ceil(duration / step) substeps, so segment
+    boundaries are grid points; dlog ~ N(b_i dt, c_i dt).  V at each substep
+    start comes from the segment's boundary values, since log V is linear on
+    a segment with slope d log V / dt = a_i c_i a_i' - a_i b_i.
+    """
     if step is None or not step > 0:
         raise InvalidInputError(f"a positive Euler step is required, got {step}")
-    table = _pii_segment_table(model, ctx)
-    bounds = table["t"]
-
-    # Global substep grid: each segment is cut into ceil(duration/step) pieces
-    # so segment boundaries are always grid points (integrands stay exact).
+    bounds = values.times
     n_subs = np.ceil(np.diff(bounds) / step - 1e-12)
     if n_subs.sum() > MAX_STEPS:
         raise InvalidInputError(
             f"an Euler step of {step:g} needs {n_subs.sum():.3g} steps; "
             f"at most {MAX_STEPS} are allowed"
         )
-    seg_grids = [
-        (i, np.linspace(bounds[i], bounds[i + 1], max(1, int(n_sub)) + 1))
-        for i, n_sub in enumerate(n_subs)
-    ]
-
-    def tracking_at(i, t):
-        tail_L = table["int_L"][i + 1] + table["rate_L"][i] * (bounds[i + 1] - t)
-        tail_LV = table["int_LV"][i + 1] + table["rate_LV"][i] * (bounds[i + 1] - t)
-        return np.exp(tail_LV - tail_L)
-
-    seg_factors = [_psd_factor(seg.c) for seg in model.segments]
-    errors = np.empty(n_paths)
-    done = 0
-    block = 0
-    while done < n_paths:
-        size = min(_RNG_BLOCK, n_paths - done)
-        rng = _block_rng(seed, block)
-        wealth = np.full(size, float(v))
-        for i, edges in seg_grids:
-            a_i = table["a"][i]
-            zeta_i = table["zeta"][i]
-            b_i = model.segments[i].b
-            fac = seg_factors[i]
-            for t0, t1 in zip(edges[:-1], edges[1:]):
-                dt = t1 - t0
-                v_track = tracking_at(i, t0)
-                pi = v_track * zeta_i + (v_track - wealth)[:, None] * a_i
-                z = rng.standard_normal((size, model.d))
-                dlog = b_i * dt + np.sqrt(dt) * (z @ fac.T)
-                wealth = wealth + np.einsum("ij,ij->i", pi, dlog)
-        errors[done : done + size] = wealth - 1.0
-        done += size
-        block += 1
-    return _report_from_samples(errors, seed)
+    laws = []
+    for i, seg in enumerate(model.segments):
+        edges = np.linspace(bounds[i], bounds[i + 1], max(1, int(n_subs[i])) + 1)
+        t0, dt = edges[:-1], np.diff(edges)
+        a = coeffs.a[i]
+        slope = a @ seg.c @ a - a @ seg.b
+        track = _segment_tracking(*values.V[i : i + 2], slope, *bounds[i : i + 2], t0)
+        p, q = np.broadcast_arrays(track[:, None] * coeffs.zeta[i], a)
+        P = np.stack([p, q], axis=1)
+        mean, factor = _pair_law(P, seg.b, seg.c)
+        laws.append((track, mean * dt[:, None], factor * np.sqrt(dt)[:, None, None]))
+    return tuple(np.concatenate(parts) for parts in zip(*laws))
 
 
 def _simulate_tree(tree, solution, claim, v, n_paths, seed, exhaustive):
@@ -381,7 +395,6 @@ def mc_simulate(
     seed,
     step=None,
     exhaustive=None,
-    ctx=DEFAULT_CTX,
 ):
     """Simulate the feedback strategy and report the empirical hedging error.
 
@@ -389,9 +402,12 @@ def mc_simulate(
     Philox substreams keyed by (seed, block index) with a fixed block size.
     For trees the distribution is enumerated exactly whenever the number of
     terminal paths is at most ``ENUMERATION_THRESHOLD`` (or ``exhaustive`` is
-    forced); IID models draw one-period simple returns directly from
-    N(mu, sigma); piecewise-constant models use an Euler scheme on log returns
-    with the user-supplied ``step``.
+    forced).  IID models step once per period with simple returns
+    r ~ N(mu, sigma); piecewise-constant models use an Euler scheme on log
+    returns with the user-supplied ``step``.  Under the feedback rule
+    pi = p + (V - wealth) q a step reads r only through the pair (p.r, q.r),
+    so each step draws that pair from its exact bivariate normal law: two
+    normals per path and step, streamed one step at a time.
     """
     if int(n_paths) < 1:
         raise InvalidInputError(f"the path count must be at least 1, got {n_paths}")
@@ -404,7 +420,9 @@ def mc_simulate(
             "closed-form models support only the constant payoff 1"
         )
     if isinstance(model, IidDiscreteModel):
-        return _simulate_iid(model, coeffs, values, v, int(n_paths), seed)
-    if isinstance(model, PiiItoModel):
-        return _simulate_pii(model, coeffs, v, int(n_paths), seed, step, ctx)
-    raise TypeError(f"unsupported model type {type(model).__name__}")
+        law = _iid_law(model, coeffs, values)
+    elif isinstance(model, PiiItoModel):
+        law = _pii_law(model, coeffs, values, step)
+    else:
+        raise TypeError(f"unsupported model type {type(model).__name__}")
+    return _simulate_steps(*law, v, int(n_paths), seed)

@@ -171,7 +171,11 @@ class TestFrontierCommand:
             ("hedge", rich, f"wealth {bound} 1e+300"),
             ("hedge", huge, f"a claim value {bound} 1e+300"),
             ("oracle", huge, f"a claim value {bound} 1e+300"),
-            ("hedge", steep, f"every edge return {bound} 8e+299"),
+            (
+                "hedge",
+                steep,
+                f"every edge return {bound} 8e+299 on the edge into node 'nuu'",
+            ),
         ]
         for command, data, message in cases:
             path = tmp_path / "absurd.json"

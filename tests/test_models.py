@@ -237,10 +237,10 @@ MALFORMED_TREES = [
      None, InvalidModelError, "node 'b' has a non-positive branch probability"),
     ("bad probability sum", _edit("a", branches=[(0.4, "aa"), (0.5, "ab")]), None,
      InvalidModelError, "branch probabilities at node 'a' sum to 0.9"),
-    # The edge-return message is pinned by the CLI's exit-2 contract and names
-    # the bound, not the node.
+    # The CLI's exit-2 contract pins this message too (test_cli.py).
     ("edge return above MAX_AMOUNT", _edit("bb", prices=[1.0, 1e151]), None,
-     InvalidInputError, r"every edge return must be at most 1e\+150 in magnitude"),
+     InvalidInputError, r"every edge return must be at most 1e\+150 in magnitude, "
+     r"got 5\.555555555555556e\+150 on the edge into node 'bb'"),
     ("missing terminal payoff", lambda r: None, {"aa": 1.0, "ab": 0.0, "bb": 0.2},
      InvalidModelError, r"payoff missing for terminal nodes \['ba'\]"),
 ]

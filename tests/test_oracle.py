@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -267,10 +268,10 @@ class TestMonteCarlo:
         )
         assert other.error_second_moment != reps[0].error_second_moment
 
-    def test_long_horizon_draws_in_bounded_memory(self, tmp_path, monkeypatch, capsys):
-        # One block of 600 paths over 2000 periods holds 2.4e6 normals (19 MB
-        # per array, three arrays); drawn in path chunks it needs a fraction,
-        # and the chunks continue one stream, so the report is unchanged.
+    def test_long_horizon_draws_in_bounded_memory(self, tmp_path, capsys):
+        # One block of 600 paths over 2000 periods: drawn all at once it would
+        # hold 2.4e6 normals (19 MB per array); streamed one period at a time
+        # it needs two path vectors per step.  A repeat run prints the same.
         model = {"mu": [0.001, 0.002], "sigma": [[1e-4, 2e-5], [2e-5, 4e-4]]}
         path = tmp_path / "long.json"
         path.write_text(json.dumps({"model": dict(model, kind="iid", T=2000)}))
@@ -282,10 +283,24 @@ class TestMonteCarlo:
         finally:
             tracemalloc.stop()
         assert peak < 30e6, peak
-        chunked = capsys.readouterr().out
-        monkeypatch.setattr(oracle, "_DRAW_FLOATS", 1 << 62)
+        first = capsys.readouterr().out
         assert main(argv) == 0
-        assert capsys.readouterr().out == chunked
+        assert capsys.readouterr().out == first
+
+    def test_horizon_of_1e5_periods_in_bounded_memory(self, tmp_path, capsys):
+        # The law of all 10^5 steps is a few MB; the paths need two vectors.
+        model = {"mu": [0.001, 0.002], "sigma": [[1e-4, 2e-5], [2e-5, 4e-4]]}
+        path = tmp_path / "longer.json"
+        path.write_text(json.dumps({"model": dict(model, kind="iid", T=10**5)}))
+        argv = ["simulate", "--model", str(path), "--paths", "200", "--seed", "5"]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30e6, peak
+        assert "paths = 200" in capsys.readouterr().out
 
     def test_ito_euler_converges(self, ito_benchmark):
         values, coeffs = closed_form_values(ito_benchmark)
@@ -333,6 +348,169 @@ class TestMonteCarlo:
             mc_simulate(
                 discrete_benchmark, coeffs, values, Claim(constant=2.0), 0.0, 10, seed=0
             )
+
+
+def _rollout(law, v, n_paths, seed, block):
+    """Per-path Python rollout of the pair-law kernel on its own normals.
+
+    Block b holds paths [b * block, (b + 1) * block); its Philox stream gives
+    one (2, size) array of standard normals per step.
+    """
+    track, mean, factor = (np.asarray(x).tolist() for x in law)
+    errors = []
+    for b, lo in enumerate(range(0, n_paths, block)):
+        size = min(block, n_paths - lo)
+        rng = _block_rng(seed, b)
+        z = [rng.standard_normal((2, size)).tolist() for _ in track]
+        for j in range(size):
+            wealth = v
+            for k, tracking in enumerate(track):
+                z0, z1 = z[k][0][j], z[k][1][j]
+                (m0, m1), ((f00, f01), (f10, f11)) = mean[k], factor[k]
+                y0 = m0 + f00 * z0 + f01 * z1
+                y1 = m1 + f10 * z0 + f11 * z1
+                wealth += y0 + (tracking - wealth) * y1
+            errors.append(wealth - 1.0)
+    return np.array(errors)
+
+
+def _reference_simulate(model, coeffs, values, v, n_paths, seed, step=None):
+    """Full d-dimensional sampler: d normals per path step, holdings pi formed
+    per path and applied to the drawn returns (simple returns per period for
+    IID models, Euler log returns for piecewise-constant ones).  Returns the
+    estimate of E[(wealth_T - 1)^2] and its standard error.
+    """
+    rng = np.random.default_rng(seed)
+    steps = []  # (tracking V, xi-like p, a, mean, Cholesky factor) per step
+    if isinstance(model, models.IidDiscreteModel):
+        chol = np.linalg.cholesky(model.sigma)
+        for t in range(model.n_periods):
+            steps.append((values.V[t], coeffs.xi[t], coeffs.a[t], model.mu, chol))
+    else:
+        for i, seg in enumerate(model.segments):
+            t_i, t_j = values.times[i], values.times[i + 1]
+            n = max(1, int(np.ceil((t_j - t_i) / step - 1e-12)))
+            edges = np.linspace(t_i, t_j, n + 1)
+            log_v = np.log(values.V[i : i + 2])
+            for t0, t1 in zip(edges[:-1], edges[1:]):
+                dt = t1 - t0
+                s = (t0 - t_i) / (t_j - t_i)
+                V = np.exp(log_v[0] + s * (log_v[1] - log_v[0]))
+                chol = np.linalg.cholesky(seg.c * dt)
+                steps.append((V, V * coeffs.zeta[i], coeffs.a[i], seg.b * dt, chol))
+    wealth = np.full(n_paths, float(v))
+    for V, p, a, m, chol in steps:
+        rets = m + rng.standard_normal((n_paths, model.d)) @ chol.T
+        pi = p + (V - wealth)[:, None] * a
+        wealth = wealth + np.sum(pi * rets, axis=1)
+    sq = (wealth - 1.0) ** 2
+    return float(np.mean(sq)), float(np.std(sq, ddof=1) / np.sqrt(n_paths))
+
+
+def _pooled(results):
+    """Mean of per-seed estimates and its standard error."""
+    est, se = np.array(results).T
+    return float(np.mean(est)), float(np.sqrt(np.sum(se**2)) / len(se))
+
+
+class TestPairLawSampler:
+    @pytest.mark.parametrize("kind", ["random", "rank-deficient", "zero"])
+    def test_pair_law_reproduces_projected_covariance(self, kind):
+        rng = np.random.default_rng(21)
+        d, K = 4, 64
+        G = rng.normal(size=(d, d))
+        if kind == "rank-deficient":
+            G[:, 3] = G[:, 1]  # asset 3 duplicates asset 1
+            G[:, 2] = 0.0
+        S = G.T @ G if kind != "zero" else np.zeros((d, d))
+        m = rng.normal(size=d)
+        P = rng.normal(size=(K, 2, d))
+        mean, factor = oracle._pair_law(P, m, S)
+        cov = np.einsum("kia,ab,kjb->kij", P, S, P)
+        gap = np.abs(factor @ factor.transpose(0, 2, 1) - cov).max(axis=(1, 2))
+        assert np.all(gap <= 1e-14 * np.abs(cov).max(axis=(1, 2)))
+        exact_mean = np.einsum("kia,a->ki", P, m)
+        assert np.abs(mean - exact_mean).max() <= 1e-14 * np.abs(exact_mean).max()
+        if kind == "zero":
+            assert not factor.any()
+
+    def test_kernel_matches_per_path_rollout(self, discrete_benchmark, monkeypatch):
+        # Three Philox blocks of 64 paths (the last one partial), on the IID
+        # law and on a two-segment Euler grid; errors must agree bit for bit.
+        monkeypatch.setattr(oracle, "_RNG_BLOCK", 64)
+        rng = np.random.default_rng(13)
+        segments = []
+        for duration in (0.6, 1.4):
+            G = rng.normal(size=(2, 2)) * 0.3
+            segments.append((duration, rng.normal(size=2) * 0.05, G @ G.T))
+        ito = models.PiiItoModel(segments)
+        v, n_paths, seed = 0.3, 150, 8
+        for model, step in ((discrete_benchmark, None), (ito, 0.1)):
+            values, coeffs = closed_form_values(model)
+            if step is None:
+                law = oracle._iid_law(model, coeffs, values)
+            else:
+                law = oracle._pii_law(model, coeffs, values, step)
+            errors = _rollout(law, v, n_paths, seed, 64)
+            report = mc_simulate(
+                model, coeffs, values, None, v, n_paths, seed, step=step
+            )
+            assert report.error_mean == float(np.mean(errors))
+            assert report.error_second_moment == float(np.mean(errors**2))
+
+    def test_pooled_estimates_match_full_dimensional_reference(
+        self, discrete_benchmark, ito_benchmark
+    ):
+        # 32 seeds of 4096 paths each.  The IID estimates must also match the
+        # analytic error; the Euler scheme's law differs from the continuous
+        # one, so the Ito kernel is compared with the reference only.
+        n_paths, seeds = 4096, range(32)
+        for model, step in ((discrete_benchmark, None), (ito_benchmark, 0.05)):
+            values, coeffs = closed_form_values(model)
+            v = values.V0
+            kernel = _pooled([
+                (r.error_second_moment, r.std_error)
+                for r in (
+                    mc_simulate(model, coeffs, values, None, v, n_paths, s, step=step)
+                    for s in seeds
+                )
+            ])
+            reference = _pooled([
+                _reference_simulate(model, coeffs, values, v, n_paths, 1000 + s, step)
+                for s in seeds
+            ])
+            se = np.hypot(kernel[1], reference[1])
+            assert abs(kernel[0] - reference[0]) <= 4.0 * se, (kernel, reference)
+            if step is None:
+                analytic = engine.hedging_error(values, v)
+                assert abs(kernel[0] - analytic) <= 4.0 * kernel[1]
+                assert abs(reference[0] - analytic) <= 4.0 * reference[1]
+
+    def test_simulates_the_strategy_it_is_handed(self, ito_benchmark):
+        # A zero strategy never trades, so every path ends at its initial
+        # wealth; the simulator must not re-solve the model's own strategy.
+        values, coeffs = closed_form_values(ito_benchmark)
+        zero = engine.HedgeCoefficients(
+            np.zeros_like(coeffs.a), np.zeros_like(coeffs.xi), np.zeros_like(coeffs.zeta)
+        )
+        report = mc_simulate(ito_benchmark, zero, values, None, 0.25, 100, 3, step=0.5)
+        assert report.error_mean == -0.75
+        assert report.error_second_moment == 0.5625
+
+    def test_underflowed_tracking_process_simulates(self):
+        # log V(t) = -(2400 - t) / 2: V underflows to 0 at the first two
+        # boundaries (log V = -1200 and -800) but not at the third (-400).
+        b = np.array([0.33, -0.33])
+        model = models.PiiItoModel([(800.0, b, np.eye(2))] * 3)
+        values, coeffs = closed_form_values(model)
+        assert values.V[0] == 0.0 and values.V[1] == 0.0 < values.V[2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = mc_simulate(
+                model, coeffs, values, None, 0.0, 4000, 19, step=2.4
+            )
+        analytic = engine.hedging_error(values, 0.0)
+        assert abs(report.error_second_moment - analytic) < 0.05 * (1 + analytic)
 
 
 class TestEnumeration:
