@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import engine, frontier, models, oracle, qp
-from .linalg import DEFAULT_CTX, InvalidInputError
+from .linalg import InvalidInputError
 
 __all__ = ["main"]
 
@@ -35,8 +35,8 @@ def _fmt_vec(v):
     return "[" + ", ".join(_fmt(x) for x in np.asarray(v).ravel()) + "]"
 
 
-def _load(args, ctx):
-    model, claim, wealth, step = models.load_config(args.model, ctx=ctx)
+def _load(args):
+    model, claim, wealth, step = models.load_config(args.model)
     if args.claim is not None:
         claim = models.Claim(constant=args.claim)
     if args.wealth is not None:
@@ -54,9 +54,8 @@ def _require_tree(model, claim):
 
 
 def cmd_frontier(args):
-    ctx = DEFAULT_CTX
-    model = models.load_config(args.model, ctx=ctx)[0]
-    result = engine.closed_form_values(model, ctx)
+    model = models.load_config(args.model)[0]
+    result = engine.closed_form_values(model)
     triple = frontier.FrontierTriple.from_values(result.values)
     sm, var = frontier.frontier_coeffs(triple)
     print(f"L0 = {_fmt(triple.L0)}")
@@ -80,10 +79,9 @@ def cmd_frontier(args):
 
 
 def cmd_hedge(args):
-    ctx = DEFAULT_CTX
-    model, claim, wealth, _ = _load(args, ctx)
+    model, claim, wealth, _ = _load(args)
     _require_tree(model, claim)
-    solution = engine.tree_backward(model, claim, ctx)
+    solution = engine.tree_backward(model, claim)
     if wealth is None:
         wealth = solution.V0
     d = model.d
@@ -114,19 +112,18 @@ def cmd_hedge(args):
 
 
 def cmd_oracle(args):
-    ctx = DEFAULT_CTX
-    model, claim, wealth, _ = _load(args, ctx)
+    model, claim, wealth, _ = _load(args)
     _require_tree(model, claim)
     if wealth is None:
         wealth = 0.0
     tol = args.tol if args.tol is not None else 1e-9
     if not tol >= 0:
         raise InvalidInputError(f"--tol must be non-negative, got {tol}")
-    result = oracle.dp_solve(model, claim, wealth, ctx)
+    result = oracle.dp_solve(model, claim, wealth)
     print(f"dp objective at wealth {_fmt(wealth)} = {_fmt(result.objective)}")
     failures = 0
     for j in model.positive_assets():
-        report = oracle._numeraire_report(model, claim, j, wealth, result, ctx)
+        report = oracle._numeraire_report(model, claim, j, wealth, result)
         ok = report.passed(tol)
         failures += 0 if ok else 1
         print(
@@ -142,21 +139,20 @@ def cmd_oracle(args):
 
 
 def cmd_simulate(args):
-    ctx = DEFAULT_CTX
-    model, claim, wealth, step = _load(args, ctx)
+    model, claim, wealth, step = _load(args)
     if wealth is None:
         wealth = 0.0
     seed = args.seed if args.seed is not None else 0
     n_paths = args.paths if args.paths is not None else 100_000
     if isinstance(model, models.FiniteTreeModel):
         _require_tree(model, claim)
-        solution = engine.tree_backward(model, claim, ctx)
+        solution = engine.tree_backward(model, claim)
         report = oracle.mc_simulate(model, solution, None, claim, wealth, n_paths, seed)
         analytic = engine.hedging_error(solution, wealth)
     else:
         if claim is None:
             claim = models.Claim.constant_one()
-        result = engine.closed_form_values(model, ctx)
+        result = engine.closed_form_values(model)
         if isinstance(model, models.PiiItoModel) and step is None:
             step = min(s.duration for s in model.segments) / 100.0
         report = oracle.mc_simulate(
@@ -181,7 +177,6 @@ def cmd_simulate(args):
 
 
 def cmd_solve_qp(args):
-    ctx = DEFAULT_CTX
     with open(args.model, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
@@ -198,7 +193,7 @@ def cmd_solve_qp(args):
         raise models.InvalidModelError(
             "solve-qp solves one right-hand side: F and b must be vectors"
         )
-    problem = qp.QpProblem(**fields, ctx=ctx)
+    problem = qp.QpProblem(**fields)
     try:
         sol = qp.solve(problem)
     except qp.UnboundedBelowError as err:

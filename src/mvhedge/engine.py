@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import qp
-from .linalg import DEFAULT_CTX, InvalidInputError, in_span, pinv
+from .linalg import InvalidInputError, in_span, pinv
 from .models import Claim, FiniteTreeModel, IidDiscreteModel, PiiItoModel
 from .models import _quad, _rowdot, _terminal_values
 
@@ -56,7 +56,7 @@ class LocalArbitrageError(Exception):
         super().__init__(message)
 
 
-def _solve_portfolio(c, target, cost, ctx, where=None, ones=None):
+def _solve_portfolio(c, target, cost, where=None, ones=None):
     """Min-norm minimizers of pi c_i pi' - 2 pi target_i subject to pi . ones = cost.
 
     ``c`` and ``target`` are a :class:`qp.QpProblem`'s C and F, with a scalar
@@ -67,7 +67,7 @@ def _solve_portfolio(c, target, cost, ctx, where=None, ones=None):
     cost = np.reshape(cost, (1,) + target.shape[np.ndim(c) - 1 :])
     if ones is None:
         ones = np.ones((1, np.shape(c)[-1]))
-    problem = qp.QpProblem(c, target, ones, cost, ctx)
+    problem = qp.QpProblem(c, target, ones, cost)
     try:
         return qp.solve(problem)
     except qp.UnboundedBelowError as err:
@@ -79,7 +79,7 @@ def _solve_portfolio(c, target, cost, ctx, where=None, ones=None):
         ) from err
 
 
-def adjustment(b, c, ctx=DEFAULT_CTX):
+def adjustment(b, c):
     """Adjustment portfolio: argmin of pi c pi' - 2 pi b over pi . ones = -1.
 
     Returns the minimum-norm minimizer together with an orthonormal basis of
@@ -87,7 +87,7 @@ def adjustment(b, c, ctx=DEFAULT_CTX):
     flat (null strategies).
     """
     b = np.asarray(b, dtype=float).ravel()
-    sol = _solve_portfolio(c, b, -1.0, ctx)
+    sol = _solve_portfolio(c, b, -1.0)
     return sol.x_hat, sol.null_basis
 
 
@@ -113,7 +113,7 @@ class ExplicitAdjustment:
         return base + (v_prev - base.sum()) * self.weight
 
 
-def adjustment_explicit(b, c, ctx=DEFAULT_CTX):
+def adjustment_explicit(b, c):
     """Adjustment portfolio via the two-branch explicit formulas.
 
     Agrees with :func:`adjustment` whenever the local no-arbitrage condition
@@ -126,8 +126,8 @@ def adjustment_explicit(b, c, ctx=DEFAULT_CTX):
     c = np.asarray(c, dtype=float)
     d = b.shape[0]
     ones = np.ones(d)
-    ci = pinv(c, ctx)
-    if in_span(ones, c, ctx):
+    ci = pinv(c)
+    if in_span(ones, c):
         denom = ones @ ci @ ones
         weight = (ci @ ones) / denom
         a = b @ ci - (1.0 + b @ ci @ ones) * weight
@@ -145,14 +145,14 @@ def adjustment_explicit(b, c, ctx=DEFAULT_CTX):
     )
 
 
-def myopic_minvar(b, c, ctx=DEFAULT_CTX):
+def myopic_minvar(b, c):
     """Fully invested portfolio minimizing the instantaneous variance rate.
 
     zeta = (ones'/d)(I - c p) with p = (m c m)^+, m = I - ones ones'/d, is the
     minimizer of pi c pi' at cost 1.  It depends on c only (b is accepted for
     interface symmetry); zeta c zeta' = a c a' - b'p b.
     """
-    return _solve_portfolio(c, np.zeros(np.shape(c)[0]), 1.0, ctx).x_hat
+    return _solve_portfolio(c, np.zeros(np.shape(c)[0]), 1.0).x_hat
 
 
 @dataclass(frozen=True)
@@ -206,12 +206,12 @@ class ClosedFormResult(NamedTuple):
     coeffs: HedgeCoefficients
 
 
-def _iid_closed_form(model, ctx):
+def _iid_closed_form(model):
     b, c = model.log_characteristics(0)
     T = model.n_periods
     # Columns (b, -1), (0, 1) and (b, 0) give a, zeta and p b, p = (m c m)^+.
     targets = np.column_stack([b, np.zeros_like(b), b])
-    x = _solve_portfolio(c, targets, [-1.0, 1.0, 0.0], ctx).x_hat
+    x = _solve_portfolio(c, targets, [-1.0, 1.0, 0.0]).x_hat
     a, zeta, pb = x[:, 0], x[:, 1], x[:, 2]
     ab = float(a @ b)
     aca = float(a @ c @ a)
@@ -229,10 +229,11 @@ def _iid_closed_form(model, ctx):
     contrib = L[1:] * V[1:] ** 2 * kappa
     eps2 = np.concatenate([np.cumsum(contrib[::-1])[::-1], [0.0]])
     xi = (V[1:] - V[:-1])[:, None] * pb + V[:-1, None] * zeta
+    # Every period shares a and zeta, so both are read-only views of one row.
     coeffs = HedgeCoefficients(
-        a=np.tile(a, (T, 1)),
+        a=np.broadcast_to(a, (T, a.shape[0])),
         xi=xi,
-        zeta=np.tile(zeta, (T, 1)),
+        zeta=np.broadcast_to(zeta, (T, zeta.shape[0])),
         riskfree_rate=None,
     )
     values = ValueProcesses(times=np.arange(T + 1, dtype=float), L=L, V=V, eps2=eps2)
@@ -244,53 +245,38 @@ def _tail_sums(x):
     return np.append(np.cumsum(x[::-1])[::-1], 0.0)
 
 
-def _pii_segment_table(model, ctx):
-    """Per-segment coefficients and log rates of a piecewise-constant model.
-
-    One stacked QP solves all m segments.  Returns a dict of arrays: ``t``
-    (the m + 1 boundaries), a and zeta (m, d), and per segment rate_L
-    (d log L / dt, integrated backward), rate_LV, rate_err (= a c a'),
-    var_rate (zeta c zeta') and riskfree_rate (NaN where none exists);
-    ``int_L`` and ``int_LV`` integrate rate_L and rate_LV from each boundary to
-    the horizon, so L = exp(int_L) and V = exp(int_LV - int_L) there.
-    """
+def _pii_closed_form(model):
     segs = model.segments
     b, c = np.array([seg.b for seg in segs]), np.array([seg.c for seg in segs])
+    # One stacked QP solves a and zeta for every segment.
     targets = np.stack([b, np.zeros_like(b)], axis=-1)
-    x = _solve_portfolio(c, targets, [-1.0, 1.0], ctx, lambda i: f"segment {i}").x_hat
+    x = _solve_portfolio(c, targets, [-1.0, 1.0], lambda i: f"segment {i}").x_hat
     a, zeta = x[..., 0], x[..., 1]
-    ab, aca = _rowdot(a, b), _quad(a, c, a)
-    rate_L, rate_LV = -2.0 * ab + aca, -ab
+    ab, w = _rowdot(a, b), _quad(a, c, a)
     t = np.concatenate([[0.0], np.cumsum([seg.duration for seg in segs])])
-    int_L, int_LV = _tail_sums(rate_L * np.diff(t)), _tail_sums(rate_LV * np.diff(t))
+    dt = np.diff(t)
+    # Backward integrals of d log L / dt and d log(L V) / dt from each boundary
+    # to the horizon: L = exp(int_L) and V = exp(int_LV - int_L) there.
+    int_L, int_LV = _tail_sums((-2.0 * ab + w) * dt), _tail_sums(-ab * dt)
     if not np.all(np.maximum(int_L, int_LV - int_L) <= np.log(np.finfo(float).max)):
         raise InvalidInputError(
             f"the value processes overflow over the horizon {model.horizon:g}: "
             "exp(log L) or exp(log V) exceeds the float range"
         )
-    riskfree = [adjustment_explicit(seg.b, seg.c, ctx).riskfree_rate for seg in segs]
-    return dict(
-        t=t, a=a, zeta=zeta, rate_L=rate_L, rate_LV=rate_LV, rate_err=aca,
-        var_rate=_quad(zeta, c, zeta), int_L=int_L, int_LV=int_LV,
-        riskfree_rate=np.array([np.nan if r is None else r for r in riskfree]),
-    )
-
-
-def _pii_closed_form(model, ctx):
-    seg = _pii_segment_table(model, ctx)
-    dt, w = np.diff(seg["t"]), seg["rate_err"]
+    riskfree = [adjustment_explicit(seg.b, seg.c).riskfree_rate for seg in segs]
+    riskfree = np.array([np.nan if r is None else r for r in riskfree])
     int_err = _tail_sums(w * dt)  # error integral from each boundary to the horizon
     piece = np.divide(
         1.0 - np.exp(-w * dt), w, out=dt.copy(), where=np.abs(w * dt) >= 1e-14
     )
-    eps2 = _tail_sums(seg["var_rate"] * np.exp(-int_err[1:]) * piece)
-    L, V = np.exp(seg["int_L"]), np.exp(seg["int_LV"] - seg["int_L"])
-    rates = None if np.all(np.isnan(seg["riskfree_rate"])) else seg["riskfree_rate"]
-    coeffs = HedgeCoefficients(seg["a"], V[:-1, None] * seg["zeta"], seg["zeta"], rates)
-    return ClosedFormResult(ValueProcesses(seg["t"], L, V, eps2), coeffs)
+    eps2 = _tail_sums(_quad(zeta, c, zeta) * np.exp(-int_err[1:]) * piece)
+    L, V = np.exp(int_L), np.exp(int_LV - int_L)
+    rates = None if np.all(np.isnan(riskfree)) else riskfree
+    coeffs = HedgeCoefficients(a, V[:-1, None] * zeta, zeta, rates)
+    return ClosedFormResult(ValueProcesses(t, L, V, eps2), coeffs)
 
 
-def closed_form_values(model, ctx=DEFAULT_CTX):
+def closed_form_values(model):
     """Opportunity/tracking/error processes for the constant payoff 1.
 
     Deterministic closed forms: for the IID model L and V decay geometrically
@@ -298,9 +284,9 @@ def closed_form_values(model, ctx=DEFAULT_CTX):
     exponentials and the error is an exact segment integral.
     """
     if isinstance(model, IidDiscreteModel):
-        return _iid_closed_form(model, ctx)
+        return _iid_closed_form(model)
     if isinstance(model, PiiItoModel):
-        return _pii_closed_form(model, ctx)
+        return _pii_closed_form(model)
     raise TypeError(
         "closed-form values exist for the IID and piecewise-constant models "
         f"only, not {type(model).__name__}"
@@ -351,12 +337,7 @@ class TreeSolution:
         return self.xi[nodes] + (self.V[nodes] - wealth)[..., None] * self.a[nodes]
 
 
-def tree_backward(
-    tree,
-    claim,
-    ctx=DEFAULT_CTX,
-    adjustment_override=None,
-):
+def tree_backward(tree, claim, adjustment_override=None):
     """Backward induction of (L, V, eps2, a, xi) over a finite event tree.
 
     At each non-terminal node the next-step characteristics are weighted by
@@ -384,7 +365,7 @@ def tree_backward(
     L, V, eps2 = np.ones(n), np.empty(n), np.zeros(n)
     V[n_int:] = _terminal_values(tree, claim.value_at)
     a, xi = np.empty((n_int, d)), np.empty((n_int, d))
-    ones, solutions = qp.Constraint(np.ones((1, d)), ctx), []
+    ones, solutions = qp.Constraint(np.ones((1, d))), []
     for here, kids, sums, owner in reversed(tree.levels):
         p, R, L_next, V_next = tree.prob[kids], tree.rets[kids], L[kids], V[kids]
         pL = p * L_next
@@ -396,7 +377,7 @@ def tree_backward(
         g = sums(q[:, None] * (R * V_next[:, None]))
         targets, ids = np.stack([b_star, g], axis=-1), tree.ids[here]
         sol = _solve_portfolio(
-            c_star, targets, [-1.0, 0.0], ctx, lambda k: f"node {ids[k]!r}", ones
+            c_star, targets, [-1.0, 0.0], lambda k: f"node {ids[k]!r}", ones
         )
         x = sol.x_hat
         a[here] = x[:, :, 0]

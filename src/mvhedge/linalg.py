@@ -78,7 +78,7 @@ def _as_matrix(M, name="matrix", allow_empty=False):
     return A
 
 
-def symmetric_psd(M, name, error, ctx):
+def symmetric_psd(M, name, error, ctx=DEFAULT_CTX):
     """Return ``((M + M') / 2, ||M||_2)`` for a symmetric positive-semidefinite M.
 
     A stack M (m, n, n) is checked matrix by matrix and gets (m,) norms.  The

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import qp
-from .linalg import DEFAULT_CTX, InvalidInputError, symmetric_psd
+from .linalg import InvalidInputError, symmetric_psd
 
 __all__ = [
     "InvalidModelError",
@@ -64,11 +64,11 @@ class IidDiscreteModel:
     n_periods : number of trading periods (T)
     """
 
-    def __init__(self, mu, sigma, n_periods, ctx=DEFAULT_CTX):
+    def __init__(self, mu, sigma, n_periods):
         self.mu = np.asarray(mu, dtype=float).ravel()
         if not np.all(np.isfinite(self.mu)):
             raise InvalidModelError("mu contains non-finite entries")
-        self.sigma, _ = symmetric_psd(sigma, "sigma", InvalidModelError, ctx)
+        self.sigma, _ = symmetric_psd(sigma, "sigma", InvalidModelError)
         if self.sigma.shape[0] != self.mu.shape[0]:
             raise InvalidModelError("mu and sigma dimensions differ")
         self.n_periods = int(n_periods)
@@ -110,7 +110,7 @@ class PiiItoModel:
     segment sums.
     """
 
-    def __init__(self, segments, ctx=DEFAULT_CTX):
+    def __init__(self, segments):
         if not segments:
             raise InvalidModelError("at least one segment is required")
         cleaned = []
@@ -127,7 +127,7 @@ class PiiItoModel:
             if not np.all(np.isfinite(b)):
                 raise InvalidModelError(f"segment {i} drift has non-finite entries")
             c, _ = symmetric_psd(
-                c, f"segment {i} second characteristic", InvalidModelError, ctx
+                c, f"segment {i} second characteristic", InvalidModelError
             )
             if d is None:
                 d = b.shape[0]
@@ -244,7 +244,7 @@ class FiniteTreeModel:
     :func:`discount_tree` shares the structure and runs only the value step.
     """
 
-    def __init__(self, nodes, root, payoff=None, ctx=DEFAULT_CTX):
+    def __init__(self, nodes, root, payoff=None):
         prob, prices = self._lay_out(nodes, str(root))
         self._set_values(prob, prices, payoff)
 
@@ -460,24 +460,22 @@ class Claim:
         return Claim(constant=1.0)
 
 
-def check_local_na(b, c, mode="discrete", ctx=DEFAULT_CTX):
+def check_local_na(b, c):
     """Local no-arbitrage test: the drift must lie in Ran(c) + Ran(ones).
 
-    The same range condition applies in discrete and continuous time
-    (``mode`` is informational only).  Failure means the one-step mean-variance
-    problem is unbounded: some costless exposure has positive drift and no
-    second moment.  This is :func:`qp.check_bounded` with ``A = ones'``.
+    The same range condition applies in discrete and continuous time.  Failure
+    means the one-step mean-variance problem is unbounded: some costless
+    exposure has positive drift and no second moment.  This is
+    :func:`qp.check_bounded` with ``A = ones'``.
     """
-    if mode not in ("discrete", "continuous"):
-        raise InvalidModelError(f"unknown mode {mode!r}")
     b = np.asarray(b, dtype=float).ravel()
     try:
-        return qp.check_bounded(c, b, np.ones((1, b.shape[0])), ctx)
+        return qp.check_bounded(c, b, np.ones((1, b.shape[0])))
     except qp.InvalidProblemError as err:
         raise InvalidModelError(str(err)) from None
 
 
-def discount_tree(tree, numeraire_index, ctx=DEFAULT_CTX):
+def discount_tree(tree, numeraire_index):
     """Re-express a tree in units of one of its assets, reweighting probabilities.
 
     Prices are divided pathwise by the numeraire asset's price, so that asset
@@ -559,7 +557,7 @@ def _tree_node(n):
     )
 
 
-def model_from_dict(data, ctx=DEFAULT_CTX):
+def model_from_dict(data):
     """Build a model from a config mapping; malformed data is an InvalidModelError.
 
     A missing key, a section of the wrong JSON type and a value that does not
@@ -573,7 +571,6 @@ def model_from_dict(data, ctx=DEFAULT_CTX):
                 _array(data["mu"], "mu"),
                 _array(data["sigma"], "sigma"),
                 _number(int, data["T"], "T"),
-                ctx=ctx,
             )
         if kind == "pii":
             segments = [
@@ -587,7 +584,7 @@ def model_from_dict(data, ctx=DEFAULT_CTX):
                     for s in _typed(data["segments"], list, "'segments'")
                 )
             ]
-            return PiiItoModel(segments, ctx=ctx)
+            return PiiItoModel(segments)
         if kind == "tree":
             nodes = [
                 _tree_node(n) for n in _typed(data["nodes"], list, "'nodes'")
@@ -598,7 +595,7 @@ def model_from_dict(data, ctx=DEFAULT_CTX):
                     k: _number(float, v, f"payoff at {k!r}")
                     for k, v in _typed(payoff, dict, "'payoff'").items()
                 }
-            return FiniteTreeModel(nodes, data["root"], payoff=payoff, ctx=ctx)
+            return FiniteTreeModel(nodes, data["root"], payoff=payoff)
     except KeyError as err:
         raise InvalidModelError(f"{kind} model config lacks the key {err}") from None
     raise InvalidModelError(f"unknown model kind {kind!r}")
@@ -661,7 +658,7 @@ def _config_number(data, key):
     return x
 
 
-def load_config(path, ctx=DEFAULT_CTX):
+def load_config(path):
     """Load a config file: {"model": {...}, "claim": ..., "wealth": ..., "step": ...}.
 
     Returns (model, claim_or_None, wealth_or_None, step_or_None).  ``claim``
@@ -673,7 +670,7 @@ def load_config(path, ctx=DEFAULT_CTX):
         data = json.load(fh)
     if not isinstance(data, dict) or "model" not in data:
         raise InvalidModelError("config file lacks a 'model' section")
-    model = model_from_dict(data["model"], ctx=ctx)
+    model = model_from_dict(data["model"])
     claim = None
     raw = data.get("claim")
     if raw is not None:

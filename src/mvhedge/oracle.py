@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qp
-from .engine import LocalArbitrageError, TreeSolution
-from .linalg import DEFAULT_CTX, InvalidInputError
+from .engine import LocalArbitrageError, TreeSolution, _solve_portfolio
+from .linalg import InvalidInputError
 from .models import (
     MAX_STEPS,
     Claim,
@@ -65,7 +65,7 @@ class DpResult:
     objective: float
 
 
-def dp_solve(tree, claim, v, ctx=DEFAULT_CTX):
+def dp_solve(tree, claim, v):
     """Exact backward induction for min E[(wealth_T - H)^2] on a finite tree.
 
     At each node the continuation value is a quadratic in wealth whose
@@ -80,7 +80,7 @@ def dp_solve(tree, claim, v, ctx=DEFAULT_CTX):
     ell, vals, errs = np.ones(n), np.empty(n), np.zeros(n)
     vals[n_int:] = _terminal_values(tree, claim.value_at)
     policy = np.empty((n_int, 2, d))
-    ones = qp.Constraint(np.ones((1, d)), ctx)
+    ones = qp.Constraint(np.ones((1, d)))
     for here, kids, sums, _ in reversed(tree.levels):
         p, R = tree.prob[kids], tree.rets[kids]
         pl, vv = p * ell[kids], vals[kids]
@@ -88,15 +88,11 @@ def dp_solve(tree, claim, v, ctx=DEFAULT_CTX):
         C = 0.5 * (C + C.transpose(0, 2, 1))
         F0 = sums((pl * vv)[:, None] * R)
         F1 = -sums(pl[:, None] * R)
-        problem = qp.QpProblem(C, np.stack([F0, F1], axis=-1), ones, [[0.0, 1.0]], ctx)
-        try:
-            policy[here] = qp.solve(problem).x_hat.transpose(0, 2, 1)
-        except qp.UnboundedBelowError as err:
-            raise LocalArbitrageError(
-                "one-step hedging problem is unbounded below",
-                where=f"node {tree.ids[here.start + err.index]!r}",
-                certificate=err.direction,
-            ) from err
+        ids = tree.ids[here]
+        policy[here] = _solve_portfolio(
+            C, np.stack([F0, F1], axis=-1), [0.0, 1.0],
+            lambda k: f"node {ids[k]!r}", ones,
+        ).x_hat.transpose(0, 2, 1)
         pi0, pi1 = policy[here, 0], policy[here, 1]
         a2 = _quad(pi1, C, pi1) - 2.0 * _rowdot(pi1, F1) + sums(pl)
         a1 = 2.0 * _quad(pi0, C, pi1) - 2.0 * _rowdot(pi0, F1)
@@ -143,7 +139,7 @@ class NumeraireCheckReport:
         )
 
 
-def numeraire_change_check(tree, claim, numeraire_index, v, ctx=DEFAULT_CTX):
+def numeraire_change_check(tree, claim, numeraire_index, v):
     """Solve the problem with and without discounting by one asset and compare.
 
     Discounting divides prices pathwise by the chosen strictly positive asset,
@@ -151,21 +147,19 @@ def numeraire_change_check(tree, claim, numeraire_index, v, ctx=DEFAULT_CTX):
     the claim by X_T and the initial wealth by X_0.  The optimal share
     holdings are invariant and the objectives differ by the factor E[X_T^2].
     """
-    return _numeraire_report(
-        tree, claim, numeraire_index, v, dp_solve(tree, claim, v, ctx), ctx
-    )
+    return _numeraire_report(tree, claim, numeraire_index, v, dp_solve(tree, claim, v))
 
 
-def _numeraire_report(tree, claim, numeraire_index, v, base, ctx):
+def _numeraire_report(tree, claim, numeraire_index, v, base):
     """:func:`numeraire_change_check` given its undiscounted ``base`` DP result."""
     j = int(numeraire_index)
-    disc_tree, weights = discount_tree(tree, j, ctx)
+    disc_tree, weights = discount_tree(tree, j)
     m2 = weights[0]
     n_int = tree.n_internal
     values = _terminal_values(tree, claim.value_at) / tree.prices[n_int:, j]
     disc_claim = Claim(payoff=dict(zip(tree.terminal_ids, values.tolist())))
     v_hat = float(v) / tree.prices[0, j]
-    disc = dp_solve(disc_tree, disc_claim, v_hat, ctx)
+    disc = dp_solve(disc_tree, disc_claim, v_hat)
     objective_gap = abs(base.objective - m2 * disc.objective)
     shares = base.holdings / tree.prices[:n_int]
     shares_hat = disc.holdings / disc_tree.prices[:n_int]
@@ -333,11 +327,13 @@ def _pii_law(model, coeffs, values, step):
     return tuple(np.concatenate(parts) for parts in zip(*laws))
 
 
-def _simulate_tree(tree, solution, claim, v, n_paths, seed, exhaustive):
+def _simulate_tree(tree, solution, claim, v, n_paths, seed):
+    if claim is not None and claim != solution.claim:
+        raise InvalidInputError(
+            "the claim must be the one the tree solution hedges, or None"
+        )
     n_terminal = len(tree.terminal_ids)
-    if exhaustive is None:
-        exhaustive = n_terminal <= ENUMERATION_THRESHOLD
-    if exhaustive:
+    if n_terminal <= ENUMERATION_THRESHOLD:
         probs, wealth, payoff = enumerate_terminal_wealth(tree, solution, v)
         err = wealth - payoff
         second = float(probs @ err**2)
@@ -356,7 +352,7 @@ def _simulate_tree(tree, solution, claim, v, n_paths, seed, exhaustive):
     # one roll over the tree serves every path.
     _, wealth = tree.roll_wealth(solution.feedback, v)
     n_int = tree.n_internal
-    errors_at = wealth[n_int:] - _terminal_values(tree, claim.value_at)
+    errors_at = wealth[n_int:] - _terminal_values(tree, solution.claim.value_at)
     # Each child's key is its parent's position plus the cumulative branch
     # probability up to and including it (exactly 1 for the last sibling), so
     # a path at node k with a uniform draw u moves to the first child whose
@@ -385,26 +381,17 @@ def _simulate_tree(tree, solution, claim, v, n_paths, seed, exhaustive):
     return _report_from_samples(errors, seed)
 
 
-def mc_simulate(
-    model,
-    coeffs,
-    values,
-    claim,
-    v,
-    n_paths,
-    seed,
-    step=None,
-    exhaustive=None,
-):
+def mc_simulate(model, coeffs, values, claim, v, n_paths, seed, step=None):
     """Simulate the feedback strategy and report the empirical hedging error.
 
     Deterministic given (seed, n_paths): normal draws come from counter-based
     Philox substreams keyed by (seed, block index) with a fixed block size.
-    For trees the distribution is enumerated exactly whenever the number of
-    terminal paths is at most ``ENUMERATION_THRESHOLD`` (or ``exhaustive`` is
-    forced).  IID models step once per period with simple returns
-    r ~ N(mu, sigma); piecewise-constant models use an Euler scheme on log
-    returns with the user-supplied ``step``.  Under the feedback rule
+    For trees ``claim`` is None or the :class:`TreeSolution`'s own claim, and
+    the distribution is enumerated exactly whenever the number of terminal
+    paths is at most ``ENUMERATION_THRESHOLD`` and sampled otherwise.  IID
+    models step once per period with simple returns r ~ N(mu, sigma);
+    piecewise-constant models use an Euler scheme on log returns with the
+    user-supplied ``step``.  Under the feedback rule
     pi = p + (V - wealth) q a step reads r only through the pair (p.r, q.r),
     so each step draws that pair from its exact bivariate normal law: two
     normals per path and step, streamed one step at a time.
@@ -414,7 +401,7 @@ def mc_simulate(
     if isinstance(model, FiniteTreeModel):
         if not isinstance(coeffs, TreeSolution):
             raise TypeError("tree simulation needs the TreeSolution as coeffs")
-        return _simulate_tree(model, coeffs, claim, v, n_paths, seed, exhaustive)
+        return _simulate_tree(model, coeffs, claim, v, n_paths, seed)
     if claim is not None and claim.constant != 1.0:
         raise InvalidInputError(
             "closed-form models support only the constant payoff 1"

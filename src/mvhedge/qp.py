@@ -75,7 +75,6 @@ class Constraint:
     :class:`QpProblem` it spares each of them the SVD."""
 
     A: np.ndarray
-    ctx: "object" = field(default=DEFAULT_CTX, repr=False)
     A_pinv: np.ndarray = field(init=False, repr=False)
     N: np.ndarray = field(init=False, repr=False)
 
@@ -88,7 +87,7 @@ class Constraint:
                 f"constraint matrix must be k x n with k <= n, got shape {A.shape}"
             )
         U, s, Vh = np.linalg.svd(A)
-        cut = self.ctx.cutoff(s, A.shape)
+        cut = DEFAULT_CTX.cutoff(s, A.shape)
         if s[-1] <= cut:
             raise InvalidProblemError(
                 "constraint matrix is (numerically) row rank deficient; "
@@ -119,7 +118,6 @@ class QpProblem:
     F: np.ndarray
     A: np.ndarray
     b: np.ndarray
-    ctx: "object" = field(default=DEFAULT_CTX, repr=False)
     A_pinv: np.ndarray = field(init=False, repr=False)
     N: np.ndarray = field(init=False, repr=False)
     J: np.ndarray = field(init=False, repr=False)
@@ -127,9 +125,8 @@ class QpProblem:
     keep: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        ctx = self.ctx
-        C, norm_C = symmetric_psd(self.C, "quadratic term", InvalidProblemError, ctx)
-        con = self.A if isinstance(self.A, Constraint) else Constraint(self.A, ctx)
+        C, norm_C = symmetric_psd(self.C, "quadratic term", InvalidProblemError)
+        con = self.A if isinstance(self.A, Constraint) else Constraint(self.A)
         n = C.shape[-1]
         if con.A.shape[1] != n:
             raise InvalidProblemError(
@@ -145,7 +142,8 @@ class QpProblem:
         w, V = np.linalg.eigh(0.5 * (restricted + restricted.transpose(0, 2, 1)))
         mags = np.abs(w)
         noise = n * np.finfo(float).eps * np.reshape(norm_C, (-1, 1))
-        keep = mags > np.maximum(ctx.cutoff(mags, restricted.shape[1:])[:, None], noise)
+        cut = DEFAULT_CTX.cutoff(mags, restricted.shape[1:])
+        keep = mags > np.maximum(cut[:, None], noise)
         scaled = np.divide(V, w[:, None], out=np.zeros_like(V), where=keep[:, None])
         for name, value in zip(
             ("C", "A", "F", "b", "A_pinv", "N", "J", "V", "keep"),
@@ -180,7 +178,7 @@ class QpProblem:
         _, F, _ = self._stack()
         flat = self.N @ (self.V * ~self.keep[:, None])
         directions = flat @ (flat.transpose(0, 2, 1) @ F)
-        tol = self.ctx.residual_tol * (1.0 + np.linalg.norm(F, axis=1))
+        tol = DEFAULT_CTX.residual_tol * (1.0 + np.linalg.norm(F, axis=1))
         bad = np.argwhere(np.linalg.norm(directions, axis=1) > tol)
         if bad.size:
             i, j = bad[0]
@@ -208,14 +206,14 @@ class QpSolution:
         return flats if self.problem.C.ndim == 3 else flats[0]
 
 
-def check_bounded(C, F, A, ctx=DEFAULT_CTX):
+def check_bounded(C, F, A):
     """True iff x'C_ix - 2x'F_i is bounded below on every {x : Ax = b}.
 
     The criterion is F_i in Ran(A') + Ran(C_i) for every column, as in solve.
     """
     b = np.zeros(np.shape(np.atleast_2d(A))[:1] + np.shape(F)[np.ndim(C) - 1 :])
     try:
-        QpProblem(C=C, F=F, A=A, b=b, ctx=ctx)._require_bounded()
+        QpProblem(C=C, F=F, A=A, b=b)._require_bounded()
     except UnboundedBelowError:
         return False
     return True
@@ -250,17 +248,17 @@ def _oblique_constraint_projector(problem, C_pinv):
     Null(C), which keeps the two dimension decisions consistent and the total
     number of image directions equal to the row count of A.
     """
-    ctx = problem.ctx
     C, A = problem.C, problem.A
-    Q_A = range_basis(A.T, ctx)
-    Z = null_basis(C, ctx)
+    Q_A = range_basis(A.T)
+    Z = null_basis(C)
     if Z.shape[1]:
         # One SVD splits Ran(A') into its parts outside and inside Ran(C);
         # entries of coeff carry absolute noise ~ n*eps (orthonormal factors),
         # so the rank cutoff needs an absolute floor, not just a relative one.
         coeff = Z.T @ Q_A
         Uc, sc, Vch = np.linalg.svd(coeff)
-        cut = max(ctx.cutoff(sc, coeff.shape), 8.0 * problem.n * np.finfo(float).eps)
+        floor = 8.0 * problem.n * np.finfo(float).eps
+        cut = max(DEFAULT_CTX.cutoff(sc, coeff.shape), floor)
         rank_out = int(np.sum(sc > cut))
     else:
         coeff = Uc = Vch = None
@@ -287,7 +285,7 @@ def _oblique_constraint_projector(problem, C_pinv):
             break
         rank_out -= 1
     branch = "direct" if rank_out == 0 else "complement"
-    return U @ pinv(A @ U, ctx) @ A, branch
+    return U @ pinv(A @ U) @ A, branch
 
 
 def solve_alt(problem: QpProblem) -> QpSolution:
@@ -299,7 +297,7 @@ def solve_alt(problem: QpProblem) -> QpSolution:
     solution; boundedness, A^+ and the basis are shared with :func:`solve`.
     """
     problem._require_bounded()
-    C_pinv = pinv(problem.C, problem.ctx)
+    C_pinv = pinv(problem.C)
     P, branch = _oblique_constraint_projector(problem, C_pinv)
     eye = np.eye(problem.n)
     x_part = problem.A_pinv @ problem.b

@@ -274,10 +274,6 @@ class TestLocalNoArbitrage:
     def test_unspanned_drift_fails(self):
         assert not check_local_na(np.array([0.1, 0.2]), np.zeros((2, 2)))
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(InvalidModelError):
-            check_local_na(np.zeros(2), np.eye(2), mode="weekly")
-
     def test_malformed_second_characteristic_rejected(self):
         for c in (np.ones((2, 3)), [[1.0, 0.5], [0.0, 1.0]], [[1.0, 0.0], [0.0, -1.0]]):
             with pytest.raises(InvalidModelError):

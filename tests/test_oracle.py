@@ -14,6 +14,7 @@ from conftest import (
 from mvhedge import engine, models, oracle
 from mvhedge.cli import main
 from mvhedge.engine import closed_form_values, tree_backward
+from mvhedge.linalg import InvalidInputError
 from mvhedge.models import Claim
 from mvhedge.oracle import (
     _block_rng,
@@ -168,21 +169,20 @@ class TestMonteCarlo:
         assert report.std_error == 0.0
         assert abs(report.error_second_moment - dp_solve(tree, claim, v).objective) < 1e-10
 
-    def test_tree_sampling_approaches_enumeration(self):
+    def test_tree_sampling_approaches_enumeration(self, monkeypatch):
         rng = np.random.default_rng(6)
         tree = make_tree(rng, n_assets=2, periods=2)
         claim = random_claim(rng, tree)
         sol = tree_backward(tree, claim)
         exact = mc_simulate(tree, sol, None, claim, 0.1, 10, seed=3)
+        monkeypatch.setattr(oracle, "ENUMERATION_THRESHOLD", 0)
         with pytest.warns(UserWarning, match="sampling"):
-            sampled = mc_simulate(
-                tree, sol, None, claim, 0.1, 4000, seed=3, exhaustive=False
-            )
+            sampled = mc_simulate(tree, sol, None, claim, 0.1, 4000, seed=3)
         assert not sampled.exact
         gap = abs(sampled.error_second_moment - exact.error_second_moment)
         assert gap < 6 * sampled.std_error + 1e-12
 
-    def test_tree_sampling_matches_per_path_rollout(self):
+    def test_tree_sampling_matches_per_path_rollout(self, monkeypatch):
         # Reference: roll the feedback rule along each sampled path, one node
         # at a time, with the sampler's Philox uniforms (one row per level,
         # one column per path): a path moves to the first child whose share
@@ -205,12 +205,25 @@ class TestMonteCarlo:
                 wealth += float(pi @ tree.rets[pos])
             errors.append(wealth - claim.value_at(tree.ids[pos]))
         errors = np.array(errors)
+        monkeypatch.setattr(oracle, "ENUMERATION_THRESHOLD", 0)
         with pytest.warns(UserWarning, match="sampling"):
-            sampled = mc_simulate(
-                tree, sol, None, claim, v, n_paths, seed=seed, exhaustive=False
-            )
+            sampled = mc_simulate(tree, sol, None, claim, v, n_paths, seed=seed)
         assert sampled.error_mean == float(np.mean(errors))
         assert sampled.error_second_moment == float(np.mean(errors**2))
+
+    def test_tree_sampler_hedges_the_solution_claim(self, monkeypatch):
+        # Both tree branches read the solution's claim: None samples the same
+        # bits as that claim, and any other claim is rejected, not hedged.
+        rng = np.random.default_rng(6)
+        tree = make_tree(rng, n_assets=2, periods=2)
+        sol = tree_backward(tree, random_claim(rng, tree))
+        monkeypatch.setattr(oracle, "ENUMERATION_THRESHOLD", 0)
+        with pytest.warns(UserWarning, match="sampling"):
+            given = mc_simulate(tree, sol, None, sol.claim, 0.1, 500, seed=3)
+            default = mc_simulate(tree, sol, None, None, 0.1, 500, seed=3)
+        assert default == given
+        with pytest.raises(InvalidInputError, match="claim"):
+            mc_simulate(tree, sol, None, Claim(constant=0.0), 0.1, 500, seed=3)
 
     def test_zero_variance_model_exact(self):
         r = 0.02
