@@ -119,15 +119,16 @@ def cmd_oracle(args):
     tol = args.tol if args.tol is not None else 1e-9
     if not tol >= 0:
         raise InvalidInputError(f"--tol must be non-negative, got {tol}")
-    result = oracle.dp_solve(model, claim, wealth)
+    result, reports = oracle._numeraire_reports(
+        model, claim, model.positive_assets(), wealth
+    )
     print(f"dp objective at wealth {_fmt(wealth)} = {_fmt(result.objective)}")
     failures = 0
-    for j in model.positive_assets():
-        report = oracle._numeraire_report(model, claim, j, wealth, result)
+    for report in reports:
         ok = report.passed(tol)
         failures += 0 if ok else 1
         print(
-            f"numeraire asset {j + 1}: {'PASS' if ok else 'FAIL'} "
+            f"numeraire asset {report.numeraire_index + 1}: {'PASS' if ok else 'FAIL'} "
             f"(objective gap {_fmt(report.objective_gap)}, "
             f"max holdings gap {_fmt(report.max_holdings_gap)}, "
             f"E[X_T^2] {_fmt(report.terminal_second_moment)})"

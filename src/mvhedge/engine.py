@@ -297,7 +297,9 @@ def closed_form_values(model):
 class TreeSolution:
     """Per-node hedging solution on a finite event tree, in the tree's node order.
 
-    L, V, eps2 are (n,) arrays over all nodes; a, xi are (internal, d) dollar
+    L, V, eps2 are (n,) arrays over all nodes (each node's one-step error,
+    a minimized conditional second moment, is clamped at 0 before it enters
+    eps2, so rounding never makes eps2 negative); a, xi are (internal, d) dollar
     portfolios of the non-terminal nodes, which come first in node order;
     ``levels`` holds the stacked QP solution of each non-terminal level, root
     first.  ``tree.index[nid]`` is the position of node ``nid``.
@@ -401,6 +403,8 @@ def tree_backward(tree, claim, adjustment_override=None):
         xi_here = xi[here] = x[:, :, 1] - V_here[:, None] * x[:, :, 0]
         c_v = sums(q * V_next**2) - 2.0 * V_here * sums(q * V_next) + V_here**2
         residual = c_v - 2.0 * _rowdot(xi_here, cross) + _quad(xi_here, c_star, xi_here)
+        # a minimized conditional second moment: below 0 only by rounding
+        residual = np.maximum(residual, 0.0)
         eps2[here] = sums(p * eps2[kids]) + mean_L * residual
     return TreeSolution(tree, claim, L, V, eps2, a, xi, solutions[::-1])
 

@@ -175,13 +175,19 @@ class TreeNode(NamedTuple):
 
 
 def _rowdot(x, y):
-    """Row-wise x_i . y_i by stacked matmul, rounding exactly like ``x_i @ y_i``."""
-    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+    """Row-wise x_i . y_i by stacked matmul, rounding exactly like ``x_i @ y_i``.
+
+    Rows run over every leading axis: x and y are (..., d).
+    """
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
 def _quad(x, M, y):
-    """Row-wise x_i M_i y_i, rounding exactly like ``x_i @ M_i @ y_i``."""
-    return (x[:, None, :] @ M @ y[:, :, None])[:, 0, 0]
+    """Row-wise x_i M_i y_i, rounding exactly like ``x_i @ M_i @ y_i``.
+
+    Rows run over every leading axis: x and y are (..., d), M is (..., d, d).
+    """
+    return (x[..., None, :] @ M @ y[..., :, None])[..., 0, 0]
 
 
 def _branch_sums(prob, first):
@@ -407,12 +413,23 @@ class FiniteTreeModel:
         the holdings of every non-terminal node and the wealth of every node,
         in node order.
         """
-        wealth = np.empty(len(self.ids))
+        return self._roll(self.rets, holdings, v)
+
+    def _roll(self, rets, holdings, v):
+        """:meth:`roll_wealth` over the edge returns ``rets`` on this layout.
+
+        ``rets`` is (n, ..., d), node-major with any trailing batch axes, and
+        ``v`` has the batch shape: every batch member rolls its own wealth
+        from its own root value, with holdings (internal, ..., d) and wealth
+        (n, ...).
+        """
+        v = np.asarray(v, dtype=float)
+        wealth = np.empty((len(self.ids),) + v.shape)
         wealth[0] = v
-        pis = np.empty((self.n_internal, self.d))
+        pis = np.empty((self.n_internal,) + rets.shape[1:])
         for here, kids, _, owner in self.levels:
             pi = pis[here] = holdings(here, wealth[here])
-            wealth[kids] = wealth[here][owner] + _rowdot(pi[owner], self.rets[kids])
+            wealth[kids] = wealth[here][owner] + _rowdot(pi[owner], rets[kids])
         return pis, wealth
 
     def positive_assets(self):

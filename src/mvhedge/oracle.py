@@ -71,48 +71,79 @@ def dp_solve(tree, claim, v):
     At each node the continuation value is a quadratic in wealth whose
     coefficients follow from one closed-form constrained QP per unit of the
     wealth decomposition; the objective for initial wealth v is
-    ell_root (v - v_root)^2 + e_root.  Each level is one array step over the
-    children's value-function coefficients around one stacked QP (ones' is
-    factored once per tree).  Holdings and wealth come from one wealth roll of
-    the policy pi0 + wealth * pi1.
+    ell_root (v - v_root)^2 + e_root.  The one-step error e, a minimized
+    conditional second moment, is clamped at 0 against rounding.  Each level
+    is one array step over the children's value-function coefficients around
+    one stacked QP (ones' is factored once per tree).  Holdings and wealth
+    come from one wealth roll of the policy pi0 + wealth * pi1.  This is the
+    batch of one of the pass that :func:`numeraire_change_check` runs on a
+    tree and its discounted trees together.
     """
-    n, n_int, d = len(tree.ids), tree.n_internal, tree.d
-    ell, vals, errs = np.ones(n), np.empty(n), np.zeros(n)
-    vals[n_int:] = _terminal_values(tree, claim.value_at)
-    policy = np.empty((n_int, 2, d))
+    terminal = _terminal_values(tree, claim.value_at)[:, None]
+    return _dp_pass(tree, tree.prob[:, None], tree.rets[:, None], terminal, [v])[0]
+
+
+def _dp_pass(tree, prob, rets, terminal, v):
+    """:func:`dp_solve` on K trees of ``tree``'s layout in one backward pass.
+
+    Member k of the batch has the branch probabilities ``prob[:, k]``, edge
+    returns ``rets[:, k]``, terminal claim values ``terminal[:, k]`` and
+    initial wealth ``v[k]``; the value arrays are node-major with the batch
+    as a trailing axis, so each level solves one QP stack for every member.
+    The stack is member-major, so when several members fail on one level the
+    error names the first failing member's node, the base tree's first.
+    Returns one :class:`DpResult` per member.
+    """
+    n, K = prob.shape
+    n_int, d = tree.n_internal, tree.d
+    v = np.asarray(v, dtype=float)
+    ell, vals, errs = np.ones((n, K)), np.empty((n, K)), np.zeros((n, K))
+    vals[n_int:] = terminal
+    policy = np.empty((n_int, K, 2, d))
     ones = qp.Constraint(np.ones((1, d)))
     for here, kids, sums, _ in reversed(tree.levels):
-        p, R = tree.prob[kids], tree.rets[kids]
+        p, R = prob[kids], rets[kids]
         pl, vv = p * ell[kids], vals[kids]
-        C = sums(R[:, :, None] * (R * pl[:, None])[:, None, :])
-        C = 0.5 * (C + C.transpose(0, 2, 1))
-        F0 = sums((pl * vv)[:, None] * R)
-        F1 = -sums(pl[:, None] * R)
-        ids = tree.ids[here]
-        policy[here] = _solve_portfolio(
-            C, np.stack([F0, F1], axis=-1), [0.0, 1.0],
-            lambda k: f"node {ids[k]!r}", ones,
-        ).x_hat.transpose(0, 2, 1)
-        pi0, pi1 = policy[here, 0], policy[here, 1]
+        C = sums(R[..., :, None] * (R * pl[..., None])[..., None, :])
+        C = 0.5 * (C + C.swapaxes(-1, -2))
+        F0 = sums((pl * vv)[..., None] * R)
+        F1 = -sums(pl[..., None] * R)
+        ids, m = tree.ids[here], len(C)
+        x = _solve_portfolio(
+            C.swapaxes(0, 1).reshape(-1, d, d),
+            np.stack([F0, F1], axis=-1).swapaxes(0, 1).reshape(-1, d, 2),
+            [0.0, 1.0], lambda k: f"node {ids[k % m]!r}", ones,
+        ).x_hat
+        policy[here] = x.reshape(K, m, d, 2).transpose(1, 0, 3, 2)
+        pi0, pi1 = policy[here, :, 0], policy[here, :, 1]
         a2 = _quad(pi1, C, pi1) - 2.0 * _rowdot(pi1, F1) + sums(pl)
         a1 = 2.0 * _quad(pi0, C, pi1) - 2.0 * _rowdot(pi0, F1)
         a1 = a1 - 2.0 * _rowdot(pi1, F0) - 2.0 * sums(pl * vv)
         a0 = _quad(pi0, C, pi0) - 2.0 * _rowdot(pi0, F0)
         a0 = a0 + (sums(pl * vv**2) + sums(p * errs[kids]))
         if np.any(a2 <= 1e-12):
+            _, i = np.argwhere(a2.T <= 1e-12)[0]
             raise LocalArbitrageError(
                 "value function degenerates: wealth has no quadratic cost, so a "
                 "fully invested portfolio attains zero conditional second moment",
-                where=f"node {tree.ids[here.start + int(np.argmax(a2 <= 1e-12))]!r}",
+                where=f"node {tree.ids[here.start + i]!r}",
             )
         ell[here] = a2
         vals[here] = -a1 / (2.0 * a2)
-        errs[here] = a0 - a1**2 / (4.0 * a2)
-    holdings, wealth = tree.roll_wealth(
-        lambda nodes, w: policy[nodes, 0] + w[:, None] * policy[nodes, 1], v
+        errs[here] = np.maximum(a0 - a1**2 / (4.0 * a2), 0.0)
+    holdings, wealth = tree._roll(
+        rets,
+        lambda nodes, w: policy[nodes, :, 0] + w[..., None] * policy[nodes, :, 1],
+        v,
     )
-    objective = float(ell[0] * (float(v) - vals[0]) ** 2 + errs[0])
-    return DpResult(ell, vals, errs, policy, holdings, wealth, objective)
+    return [
+        DpResult(
+            ell[:, k], vals[:, k], errs[:, k], policy[:, k], holdings[:, k],
+            wealth[:, k],
+            float(ell[0, k] * (float(v[k]) - vals[0, k]) ** 2 + errs[0, k]),
+        )
+        for k in range(K)
+    ]
 
 
 @dataclass(frozen=True)
@@ -121,7 +152,9 @@ class NumeraireCheckReport:
 
     The undiscounted objective must equal ``terminal_second_moment`` (the
     numeraire's E[X_T^2]) times the discounted objective, and the share
-    holdings must coincide node by node.
+    holdings must coincide node by node.  A report is the same whether its
+    asset is checked alone or with others: each discounted tree is a
+    separate member of one stacked DP pass.
     """
 
     numeraire_index: int
@@ -146,33 +179,55 @@ def numeraire_change_check(tree, claim, numeraire_index, v):
     reweights probabilities by its conditional terminal second moment, divides
     the claim by X_T and the initial wealth by X_0.  The optimal share
     holdings are invariant and the objectives differ by the factor E[X_T^2].
+    The undiscounted and the discounted tree are solved together, in one
+    stacked DP pass.
     """
-    return _numeraire_report(tree, claim, numeraire_index, v, dp_solve(tree, claim, v))
+    return _numeraire_reports(tree, claim, [numeraire_index], v)[1][0]
 
 
-def _numeraire_report(tree, claim, numeraire_index, v, base):
-    """:func:`numeraire_change_check` given its undiscounted ``base`` DP result."""
-    j = int(numeraire_index)
-    disc_tree, weights = discount_tree(tree, j)
-    m2 = weights[0]
+def _numeraire_reports(tree, claim, assets, v):
+    """The undiscounted :class:`DpResult` and one :class:`NumeraireCheckReport`
+    per numeraire in ``assets``, from one DP pass.
+
+    Each asset's tree is discounted by :func:`discount_tree`, which runs every
+    value check on it, and its discounted claim is bounded by ``Claim``; then
+    the undiscounted tree and every discounted one, which share one layout,
+    are stacked as the members of one :func:`_dp_pass`.
+    """
     n_int = tree.n_internal
-    values = _terminal_values(tree, claim.value_at) / tree.prices[n_int:, j]
-    disc_claim = Claim(payoff=dict(zip(tree.terminal_ids, values.tolist())))
-    v_hat = float(v) / tree.prices[0, j]
-    disc = dp_solve(disc_tree, disc_claim, v_hat)
-    objective_gap = abs(base.objective - m2 * disc.objective)
-    shares = base.holdings / tree.prices[:n_int]
-    shares_hat = disc.holdings / disc_tree.prices[:n_int]
-    gaps = np.abs(shares - shares_hat) / (1.0 + np.abs(shares))
-    max_gap = float(np.max(gaps, initial=0.0))
-    return NumeraireCheckReport(
-        numeraire_index=j,
-        objective=base.objective,
-        objective_discounted=disc.objective,
-        terminal_second_moment=float(m2),
-        objective_gap=float(objective_gap),
-        max_holdings_gap=max_gap,
+    h = _terminal_values(tree, claim.value_at)
+    assets = [int(j) for j in assets]
+    trees, moments, terminal, wealth = [tree], [], [h], [float(v)]
+    for j in assets:
+        disc_tree, weights = discount_tree(tree, j)
+        values = h / tree.prices[n_int:, j]
+        # Claim rejects a discounted value beyond MAX_AMOUNT
+        Claim(payoff=dict(zip(tree.terminal_ids, values.tolist())))
+        trees.append(disc_tree)
+        moments.append(weights[0])
+        terminal.append(values)
+        wealth.append(float(v) / tree.prices[0, j])
+    base, *solved = _dp_pass(
+        tree,
+        np.stack([t.prob for t in trees], axis=1),
+        np.stack([t.rets for t in trees], axis=1),
+        np.stack(terminal, axis=1),
+        wealth,
     )
+    shares = base.holdings / tree.prices[:n_int]
+    reports = []
+    for j, disc_tree, m2, disc in zip(assets, trees[1:], moments, solved):
+        shares_hat = disc.holdings / disc_tree.prices[:n_int]
+        gaps = np.abs(shares - shares_hat) / (1.0 + np.abs(shares))
+        reports.append(NumeraireCheckReport(
+            numeraire_index=j,
+            objective=base.objective,
+            objective_discounted=disc.objective,
+            terminal_second_moment=float(m2),
+            objective_gap=float(abs(base.objective - m2 * disc.objective)),
+            max_holdings_gap=float(np.max(gaps, initial=0.0)),
+        ))
+    return base, reports
 
 
 def enumerate_terminal_wealth(tree, solution: TreeSolution, v):

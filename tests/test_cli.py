@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from mvhedge import engine, oracle
+from mvhedge import engine, models, oracle
 from mvhedge.cli import main
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -13,6 +13,19 @@ CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 def cfg(name):
     return os.path.join(CONFIGS, name)
+
+
+def huge_put_config():
+    """Complete one-period market whose claim is in bounds undiscounted but
+    exceeds MAX_AMOUNT once divided by asset 1 (2e150 at node "d")."""
+    nodes = [
+        {"id": "r", "time": 0, "prices": [1.0, 1.0],
+         "branches": [{"prob": 0.5, "child": "u"}, {"prob": 0.5, "child": "d"}]},
+        {"id": "u", "time": 1, "prices": [1.1, 1.3]},
+        {"id": "d", "time": 1, "prices": [0.5, 0.8]},
+    ]
+    payoff = {"u": 1.0, "d": 1e150}
+    return {"model": {"kind": "tree", "root": "r", "nodes": nodes, "payoff": payoff}}
 
 
 class TestFrontierCommand:
@@ -266,6 +279,21 @@ class TestHedgeCommand:
     def test_tree_required(self, capsys):
         assert main(["hedge", "--model", cfg("iid_3assets_t4.json")]) == 2
 
+    def test_hedging_error_never_negative(self, tmp_path, capsys):
+        # The market is complete, so the true error is 0; at the 1e300 scale
+        # of the squared payoff, rounding used to leave eps2_0 at -5.9e284.
+        path = tmp_path / "huge_put.json"
+        path.write_text(json.dumps(huge_put_config()))
+        tree, claim, _, _ = models.load_config(path)
+        sol = engine.tree_backward(tree, claim)
+        assert np.all(sol.eps2 >= 0.0)
+        for v in (0.0, sol.V0):
+            assert np.all(oracle.dp_solve(tree, claim, v).e >= 0.0)
+        assert main(["hedge", "--model", str(path)]) == 0
+        out = capsys.readouterr().out
+        lines = [l for l in out.splitlines() if l.startswith("hedging error")]
+        assert len(lines) == 1 and float(lines[0].split("=")[1]) >= 0.0
+
 
 class TestOracleCommand:
     def test_all_numeraires_pass(self, capsys):
@@ -315,19 +343,31 @@ class TestOracleCommand:
         assert abs(hedge_err - dp_obj) < 1e-10
 
     def test_base_dp_solved_once(self, capsys, monkeypatch):
-        # one undiscounted solve shared by both numeraire checks, plus one
-        # discounted solve per positive asset
-        calls = []
-        dp_solve = oracle.dp_solve
+        # the base tree is solved once, together with one discounted tree per
+        # positive asset: one stacked QP per level holds all three
+        tree = models.load_config(cfg("tree_call_binomial.json"))[0]
+        stacks = []
+        solve_portfolio = oracle._solve_portfolio
 
-        def counting(*args, **kwargs):
-            calls.append(args[0])
-            return dp_solve(*args, **kwargs)
+        def counting(c, *args, **kwargs):
+            stacks.append(len(c))
+            return solve_portfolio(c, *args, **kwargs)
 
-        monkeypatch.setattr(oracle, "dp_solve", counting)
+        monkeypatch.setattr(oracle, "_solve_portfolio", counting)
         assert main(["oracle", "--model", cfg("tree_call_binomial.json")]) == 0
         assert capsys.readouterr().out.count("PASS") == 2
-        assert len(calls) == 3
+        assert len(tree.positive_assets()) == 2
+        assert len(stacks) == len(tree.levels)
+        sizes = [here.stop - here.start for here, _, _, _ in reversed(tree.levels)]
+        assert stacks == [3 * m for m in sizes]
+
+    def test_discounted_claim_bound(self, tmp_path, capsys):
+        path = tmp_path / "huge_put.json"
+        path.write_text(json.dumps(huge_put_config()))
+        assert main(["oracle", "--model", str(path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "a claim value must be at most 1e+150 in magnitude, got 2e+150"
+        ]
 
 
 class TestSimulateCommand:

@@ -151,6 +151,53 @@ class TestNumeraireChange:
                 )
                 assert abs(report.terminal_second_moment - m2) <= 1e-12 * m2
 
+    def test_stacking_changes_no_tree(self, monkeypatch):
+        # The undiscounted tree and each discounted tree are members of one
+        # stacked DP pass; every member must be bit for bit the separate
+        # solve of its own tree, and every report the one-asset report.
+        members = []
+        dp_pass = oracle._dp_pass
+
+        def recording(*args):
+            members.append(dp_pass(*args))
+            return members[-1]
+
+        monkeypatch.setattr(oracle, "_dp_pass", recording)
+        rng = np.random.default_rng(9)
+        duplicated = make_tree(rng, n_assets=2, periods=3)
+        trees = [
+            make_tree(rng, n_assets=3, periods=3),
+            make_tree(rng, n_assets=3, periods=3, constant_asset=True),
+            models.FiniteTreeModel(
+                [(n.id, n.time, np.append(n.prices, n.prices[-1]), n.branches)
+                 for n in duplicated.nodes.values()],
+                duplicated.root,
+            ),
+        ]
+        fields = ("ell", "v", "e", "policy", "holdings", "wealth")
+        for tree in trees:
+            claim, v = random_claim(rng, tree), float(rng.normal())
+            assets = tree.positive_assets()
+            members.clear()
+            base, reports = oracle._numeraire_reports(tree, claim, assets, v)
+            (stacked,) = members
+            assert len(stacked) == 1 + len(assets) and stacked[0] is base
+            h = np.array([claim.value_at(t) for t in tree.terminal_ids])
+            separate = [dp_solve(tree, claim, v)]
+            for j in assets:
+                values = h / tree.prices[tree.n_internal :, j]
+                disc_claim = Claim(payoff=dict(zip(tree.terminal_ids, values.tolist())))
+                separate.append(dp_solve(
+                    models.discount_tree(tree, j)[0], disc_claim, v / tree.prices[0, j]
+                ))
+            for member, alone in zip(stacked, separate):
+                for name in fields:
+                    assert np.array_equal(getattr(member, name), getattr(alone, name))
+                assert member.objective == alone.objective
+            for j, report, member in zip(assets, reports, stacked[1:]):
+                assert report.objective_discounted == member.objective
+                assert report == numeraire_change_check(tree, claim, j, v)
+
     def test_moment_tree_numeraire(self, discrete_benchmark):
         tree = moment_matched_tree(discrete_benchmark.mu, discrete_benchmark.sigma, 2)
         report = numeraire_change_check(tree, Claim(constant=1.0), 0, 0.0)
