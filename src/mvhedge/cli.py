@@ -16,6 +16,7 @@ byte-identical outputs.
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -55,8 +56,11 @@ def _require_tree(model, claim):
 
 def cmd_frontier(args):
     model = models.load_config(args.model)[0]
-    result = engine.closed_form_values(model)
-    triple = frontier.FrontierTriple.from_values(result.values)
+    if isinstance(model, models.FiniteTreeModel):
+        values = engine.tree_backward(model, models.Claim.constant_one())
+    else:
+        values = engine.closed_form_values(model).values
+    triple = frontier.FrontierTriple.from_values(values)
     sm, var = frontier.frontier_coeffs(triple)
     print(f"L0 = {_fmt(triple.L0)}")
     print(f"V0(1) = {_fmt(triple.V0_1)}")
@@ -250,7 +254,9 @@ _INPUT_ERRORS = (
 )
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and shared by later ones."""
     parser = argparse.ArgumentParser(
         prog="mvhedge",
         description=(

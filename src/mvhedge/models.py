@@ -10,6 +10,7 @@ import json
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import repeat
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -237,11 +238,12 @@ class FiniteTreeModel:
     over these.  ``nodes``, the :class:`TreeNode` records by id, is a
     read-only view built from the arrays on request; no computation reads it.
 
-    The records given to the constructor are checked in two steps.  The
-    structure step parses them into the layout: ids are unique, every child
-    exists and is reached once, every node is reachable from the root, child
-    times increase by one, all terminal nodes share the same time and every
-    node has the root's asset count.  The value step checks the arrays:
+    The records given to the constructor, like the node mappings of a config
+    (:func:`model_from_dict`), are checked in two steps.  The structure step
+    lays their columns out with array operations: ids are unique, every child
+    exists and is reached once, every node is reachable from the root, every
+    node has the root's asset count, child times increase by one and all
+    terminal nodes share the same time.  The value step checks the arrays:
     prices are finite and non-zero, branch probabilities at a node are
     positive and sum to one (sums within 1e-12 are renormalized with a
     warning), no edge return exceeds ``MAX_AMOUNT`` in magnitude, at least
@@ -251,70 +253,110 @@ class FiniteTreeModel:
     """
 
     def __init__(self, nodes, root, payoff=None):
-        prob, prices = self._lay_out(nodes, str(root))
-        self._set_values(prob, prices, payoff)
+        nodes = list(nodes)
+        ids, time, prices, branches = ([r[k] for r in nodes] for k in range(4))
+        flat = [br for b in branches for br in b]
+        counts = [len(b) for b in branches]
+        children, prob = [ch for _, ch in flat], [p for p, _ in flat]
+        self._set_values(
+            *self._lay_out(ids, time, prices, counts, children, prob, root), payoff
+        )
 
-    def _lay_out(self, nodes, root):
-        """The structure step: parse the records breadth first into the layout.
+    def _lay_out(self, ids, time, prices, counts, children, prob, root):
+        """The structure step: check the node columns and lay them out.
 
+        ``ids``, ``time``, the price rows (each is raveled) and ``counts``,
+        each node's branch count, run over the nodes in input order;
+        ``children`` and ``prob`` run over all branches, grouped by node in
+        input order and by branch within a node.  Every rule is one array
+        check, and the layout is built breadth first, one level at a time.
         Returns the branch probabilities and prices in node order for the
         value step.
         """
-        records = {}
-        for nid, time, prices, branches in nodes:
-            nid = str(nid)
-            if nid in records:
-                raise InvalidModelError(f"duplicate node id {nid!r}")
-            records[nid] = (
-                int(time),
-                np.asarray(prices, dtype=float).ravel(),
-                tuple((float(p), str(ch)) for p, ch in branches),
-            )
-        if root not in records:
+        ids = [str(nid) for nid in ids]
+        root, n = str(root), len(ids)
+        try:
+            time = np.array([int(t) for t in time], dtype=np.int64)
+            prob = np.array([float(p) for p in prob])
+        except (TypeError, ValueError, OverflowError):  # name the first bad value
+            for nid, t in zip(ids, time):
+                _number(int, t, f"time of node {nid!r}")
+            for p in prob:
+                _number(float, p, "branch prob")
+            raise InvalidModelError("node times must fit in 64-bit integers") from None
+        index = dict(zip(ids, range(n)))
+        if len(index) < n:  # name the first id met a second time
+            first = dict(zip(reversed(ids), range(n - 1, -1, -1)))
+            nid = next(nid for i, nid in enumerate(ids) if first[nid] < i)
+            raise InvalidModelError(f"duplicate node id {nid!r}")
+        if root not in index:
             raise InvalidModelError(f"root node {root!r} not present")
-        d = records[root][1].shape[0]
-        order, parent, prob = [root], [-1], [1.0]
-        index = {root: 0}
-        for pos, nid in enumerate(order):  # grows as children are queued
-            time, prices, branches = records[nid]
-            if prices.shape[0] != d:
-                raise InvalidModelError(
-                    f"inconsistent asset count across nodes: node {nid!r} has "
-                    f"{prices.shape[0]}, the root {d}"
-                )
-            for p, child in branches:
-                if child not in records:
-                    raise InvalidModelError(f"unknown child node {child!r}")
-                if child in index:
-                    raise InvalidModelError(f"node {child!r} reached twice; not a tree")
-                if records[child][0] != time + 1:
-                    raise InvalidModelError(f"child {child!r} time must be {time + 1}")
-                index[child] = len(order)
-                order.append(child)
-                parent.append(pos)
-                prob.append(p)
-        unreachable = set(records) - set(index)
-        if unreachable:
-            raise InvalidModelError(f"unreachable nodes: {sorted(unreachable)[:5]}")
-        terminals = [nid for nid in order if not records[nid][2]]
-        times = {records[t][0] for t in terminals}
-        if len(times) != 1:
+        try:
+            rows = np.array(prices, dtype=float).reshape(n, -1)
+        except (TypeError, ValueError):  # ragged or nested rows: ravel one by one
+            rows = [
+                _array(p, f"prices of node {nid!r}").ravel()
+                for nid, p in zip(ids, prices)
+            ]
+            d = len(rows[index[root]])
+            for nid, row in zip(ids, rows):
+                if len(row) != d:
+                    raise InvalidModelError(
+                        f"inconsistent asset count across nodes: node {nid!r} has "
+                        f"{len(row)}, the root {d}"
+                    )
+            rows = np.array(rows)
+        children = [str(ch) for ch in children]
+        try:
+            kid = np.fromiter(map(index.__getitem__, children), int, len(children))
+        except KeyError as err:
+            raise InvalidModelError(f"unknown child node {err.args[0]!r}") from None
+        incoming = np.bincount(kid, minlength=n)
+        incoming[index[root]] += 1  # nothing may lead back to the root
+        bad = incoming[kid] > 1
+        if bad.any():
+            child = children[int(np.argmax(bad))]
+            raise InvalidModelError(f"node {child!r} reached twice; not a tree")
+        # A level is the branches of the level above, in layout and branch
+        # order; no node is reached twice, so each is laid out at most once.
+        counts = np.array(counts, dtype=np.int64)
+        offset = np.cumsum(counts) - counts  # of each node's first branch
+        level = np.array([index[root]])
+        order, edges = [level], [np.zeros(0, dtype=np.int64)]
+        while (c := counts[level]).any():
+            ends = np.cumsum(c)
+            edges.append(np.repeat(offset[level] - ends + c, c) + np.arange(ends[-1]))
+            level = kid[edges[-1]]
+            order.append(level)
+        order = np.concatenate(order)
+        counts, time = counts[order], time[order]
+        parent = np.concatenate(([-1], np.repeat(np.arange(len(order)), counts)))
+        laid_out = tuple(map(ids.__getitem__, order.tolist()))
+        bad = time[1:] != time[parent[1:]] + 1
+        if bad.any():
+            i = int(np.argmax(bad)) + 1
+            raise InvalidModelError(
+                f"child {laid_out[i]!r} time must be {time[parent[i]] + 1}"
+            )
+        if len(order) < n:
+            unreachable = sorted(set(ids) - set(laid_out))
+            raise InvalidModelError(f"unreachable nodes: {unreachable[:5]}")
+        if np.ptp(time[counts == 0]):
             raise InvalidModelError("terminal nodes must share a common time")
-        self.root = root
-        self.horizon = times.pop()
-        self.terminal_ids = tuple(terminals)
-        self.n_internal = len(order) - len(terminals)
-        self.ids, self.index = tuple(order), index
-        self.parent = np.array(parent)
-        self.time = np.array([records[nid][0] for nid in order])
-        lb = np.searchsorted(self.time, np.arange(self.time[0], self.horizon + 2))
-        first = np.searchsorted(self.parent, np.arange(len(order)))
+        self.root, self.ids = root, laid_out
+        self.index = dict(zip(self.ids, range(n)))
+        self.n_internal = int(np.count_nonzero(counts))
+        self.terminal_ids = self.ids[self.n_internal :]
+        self.horizon = int(time[-1])
+        self.parent, self.time = parent, time
+        lb = np.searchsorted(time, np.arange(time[0], self.horizon + 2))
+        first = np.searchsorted(parent, np.arange(n))
         self.levels = tuple(
             (slice(a, b), slice(b, c), partial(np.add.reduceat, indices=first[a:b] - b),
-             self.parent[b:c] - a)
+             parent[b:c] - a)
             for a, b, c in zip(lb, lb[1:], lb[2:])
         )
-        return np.array(prob), np.array([records[nid][1] for nid in order])
+        return np.concatenate(([1.0], prob[np.concatenate(edges)])), rows[order]
 
     def _set_values(self, prob, prices, payoff):
         """The value step: check and store ``prob``, ``prices`` and ``payoff``.
@@ -542,6 +584,14 @@ def _typed(value, kind, what):
     return value
 
 
+def _all_typed(values, kind, what):
+    """``values`` when each has the JSON type ``kind``; else :func:`_typed`'s error."""
+    if not all(map(isinstance, values, repeat(kind))):
+        for value in values:
+            _typed(value, kind, what)
+    return values
+
+
 def _number(convert, value, what):
     """``convert(value)`` for ``convert`` int or float; failure is InvalidModelError."""
     try:
@@ -558,20 +608,6 @@ def _array(value, what):
         raise InvalidModelError(
             f"{what} must be a rectangular array of numbers, got {value!r}"
         ) from None
-
-
-def _tree_node(n):
-    n = _typed(n, dict, "each tree node")
-    branches = _typed(n.get("branches", []), list, f"branches of node {n['id']!r}")
-    return (
-        n["id"],
-        _number(int, n["time"], f"time of node {n['id']!r}"),
-        _array(n["prices"], f"prices of node {n['id']!r}"),
-        [
-            (_number(float, br["prob"], "branch prob"), br["child"])
-            for br in (_typed(br, dict, "each branch") for br in branches)
-        ],
-    )
 
 
 def model_from_dict(data):
@@ -603,16 +639,34 @@ def model_from_dict(data):
             ]
             return PiiItoModel(segments)
         if kind == "tree":
-            nodes = [
-                _tree_node(n) for n in _typed(data["nodes"], list, "'nodes'")
-            ]
+            # Columns straight from the node mappings: no per-node records.
+            nodes = _all_typed(
+                _typed(data["nodes"], list, "'nodes'"), dict, "each tree node"
+            )
+            ids = [n["id"] for n in nodes]
+            branches = [n.get("branches", []) for n in nodes]
+            if not all(map(isinstance, branches, repeat(list))):
+                for nid, b in zip(ids, branches):
+                    _typed(b, list, f"branches of node {nid!r}")
+            flat = _all_typed([br for b in branches for br in b], dict, "each branch")
+            columns = (
+                ids,
+                [n["time"] for n in nodes],
+                [n["prices"] for n in nodes],
+                [len(b) for b in branches],
+                [br["child"] for br in flat],
+                [br["prob"] for br in flat],
+                data["root"],
+            )
             payoff = data.get("payoff")
             if payoff is not None:
                 payoff = {
                     k: _number(float, v, f"payoff at {k!r}")
                     for k, v in _typed(payoff, dict, "'payoff'").items()
                 }
-            return FiniteTreeModel(nodes, data["root"], payoff=payoff)
+            tree = object.__new__(FiniteTreeModel)
+            tree._set_values(*tree._lay_out(*columns), payoff)
+            return tree
     except KeyError as err:
         raise InvalidModelError(f"{kind} model config lacks the key {err}") from None
     raise InvalidModelError(f"unknown model kind {kind!r}")

@@ -19,11 +19,12 @@ from . import qp
 from .engine import LocalArbitrageError, TreeSolution, _solve_portfolio
 from .linalg import InvalidInputError
 from .models import (
+    MAX_AMOUNT,
     MAX_STEPS,
-    Claim,
     FiniteTreeModel,
     IidDiscreteModel,
     PiiItoModel,
+    _amount,
     _quad,
     _rowdot,
     _terminal_values,
@@ -190,9 +191,10 @@ def _numeraire_reports(tree, claim, assets, v):
     per numeraire in ``assets``, from one DP pass.
 
     Each asset's tree is discounted by :func:`discount_tree`, which runs every
-    value check on it, and its discounted claim is bounded by ``Claim``; then
-    the undiscounted tree and every discounted one, which share one layout,
-    are stacked as the members of one :func:`_dp_pass`.
+    value check on it, and its discounted claim values are bounded by
+    ``MAX_AMOUNT`` like those of a ``Claim``; then the undiscounted tree and
+    every discounted one, which share one layout, are stacked as the members
+    of one :func:`_dp_pass`.
     """
     n_int = tree.n_internal
     h = _terminal_values(tree, claim.value_at)
@@ -201,8 +203,9 @@ def _numeraire_reports(tree, claim, assets, v):
     for j in assets:
         disc_tree, weights = discount_tree(tree, j)
         values = h / tree.prices[n_int:, j]
-        # Claim rejects a discounted value beyond MAX_AMOUNT
-        Claim(payoff=dict(zip(tree.terminal_ids, values.tolist())))
+        bad = ~(np.abs(values) <= MAX_AMOUNT)
+        if bad.any():  # the bound a claim's values obey, first offender named
+            _amount(float(values[np.argmax(bad)]), "a claim value")
         trees.append(disc_tree)
         moments.append(weights[0])
         terminal.append(values)

@@ -69,6 +69,20 @@ def make_tree(rng, n_assets=2, periods=3, max_branch=4, constant_asset=False):
     return models.FiniteTreeModel(nodes, root)
 
 
+def tree_dict(records, root, payoff=None):
+    """The config ``model`` mapping of tree records, as ``load_config`` reads it."""
+    nodes = [
+        {
+            "id": nid,
+            "time": time,
+            "prices": np.asarray(prices).tolist(),
+            "branches": [{"prob": p, "child": ch} for p, ch in branches],
+        }
+        for nid, time, prices, branches in records
+    ]
+    return {"kind": "tree", "root": root, "nodes": nodes, "payoff": payoff}
+
+
 def random_claim(rng, tree):
     return models.Claim(
         payoff={t: float(rng.normal(0.5, 1.0)) for t in tree.terminal_ids}

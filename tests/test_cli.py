@@ -5,8 +5,10 @@ import re
 import numpy as np
 import pytest
 
-from mvhedge import engine, models, oracle
+from conftest import tree_dict
+from mvhedge import cli, engine, models, oracle
 from mvhedge.cli import main
+from test_models import MALFORMED_TREES, TERMINAL_PAYOFF, VALID_TREE
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -69,6 +71,23 @@ class TestFrontierCommand:
         assert out1.read_bytes() == out2.read_bytes()
         header = out1.read_text().splitlines()[0]
         assert header == "mean,variance,second_moment"
+
+    def test_tree_frontier(self, capsys):
+        # The triple criterion 8 checks on trees: the tree solution of the
+        # constant claim 1.
+        tree = models.load_config(cfg("tree_call_binomial.json"))[0]
+        with pytest.raises(TypeError):
+            engine.closed_form_values(tree)
+        sol = engine.tree_backward(tree, models.Claim(constant=1.0))
+        assert main(["frontier", "--model", cfg("tree_call_binomial.json")]) == 0
+        out = capsys.readouterr().out
+        printed = dict(line.split(" = ", 1) for line in out.splitlines()[:3])
+        assert printed == {
+            "L0": f"{sol.L0:.12g}",
+            "V0(1)": f"{sol.V0:.12g}",
+            "eps2_0(1)": f"{sol.eps2_0:.12g}",
+        }
+        assert "variance: Var(R) = " in out and "efficient for means >= " in out
 
     def test_missing_file_exits_2(self, capsys):
         assert main(["frontier", "--model", "no_such_file.json"]) == 2
@@ -227,6 +246,62 @@ def test_unread_flag_exits_2(command, flag, capsys):
         main([command, "--model", cfg("tree_call_binomial.json"), flag, "3"])
     assert err.value.code == 2
     assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "case", ["duplicate id", "node reached twice", "inconsistent asset count"]
+)
+def test_malformed_tree_config_exits_2(case, tmp_path, capsys):
+    edit, payoff, error, _ = {c[0]: c[1:] for c in MALFORMED_TREES}[case]
+    records = list(VALID_TREE)
+    edit(records)
+    payoff = payoff or TERMINAL_PAYOFF
+    with pytest.raises(error) as expected:
+        models.FiniteTreeModel(records, "r", payoff=payoff)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps({"model": tree_dict(records, "r", payoff)}))
+    assert main(["hedge", "--model", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [str(expected.value)]
+
+
+class TestParserReuse:
+    def test_parser_built_once(self, capsys):
+        cli.build_parser.cache_clear()
+        for command in ("hedge", "oracle", "frontier", "hedge"):
+            assert main([command, "--model", cfg("tree_call_binomial.json")]) == 0
+        capsys.readouterr()
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+
+    def test_no_flag_leaks_into_the_next_call(self, tmp_path, capsys):
+        data = json.loads(open(cfg("tree_call_binomial.json"), encoding="utf-8").read())
+        data.pop("wealth")
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(data))
+
+        def fields():
+            out = capsys.readouterr().out
+            return dict(line.split(" = ", 1) for line in out.splitlines())
+
+        assert main(["hedge", "--model", str(path), "--wealth", "0.3"]) == 0
+        assert fields()["wealth"] == "0.3"
+        assert main(["hedge", "--model", str(path)]) == 0
+        printed = fields()
+        assert printed["wealth"] == printed["V0"]
+        assert main(["oracle", "--model", str(path), "--tol", "0"]) == 3
+        capsys.readouterr()
+        assert main(["oracle", "--model", str(path)]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
+    def test_parser_works_after_an_argparse_exit(self, capsys):
+        argv, expected = PINNED["hedge"]
+        for bad in ([], ["hedge"], ["hedge", "--model", cfg("qp_example.json"), "--seed", "3"]):
+            with pytest.raises(SystemExit) as err:
+                main(bad)
+            assert err.value.code == 2
+            capsys.readouterr()
+            assert main(argv) == 0
+            assert capsys.readouterr().out == expected
 
 
 class TestHedgeCommand:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import complete_binomial_tree, make_tree
+from conftest import complete_binomial_tree, make_tree, moment_matched_tree, tree_dict
 from mvhedge.linalg import InvalidInputError
 from mvhedge.models import (
     Claim,
@@ -100,6 +100,7 @@ class TestTreeModel:
                     expected = tree.nodes[ch].prices / node.prices - 1.0
                     assert np.array_equal(tree.rets[j], expected)
             assert np.all(np.diff(tree.time) >= 0)
+            assert np.all(np.diff(tree.parent) >= 0)  # breadth first
             assert len(tree.levels) == tree.horizon
             for t, (here, kids, sums, owner) in enumerate(tree.levels):
                 assert set(tree.time[here]) == {t} and set(tree.time[kids]) == {t + 1}
@@ -261,6 +262,33 @@ class TestTreeValidation:
         edit(records)
         with pytest.raises(error, match=message):
             FiniteTreeModel(records, "r", payoff=payoff or TERMINAL_PAYOFF)
+
+    @pytest.mark.parametrize(
+        "edit, payoff, error, message",
+        [case[1:] for case in MALFORMED_TREES],
+        ids=[case[0] for case in MALFORMED_TREES],
+    )
+    def test_config_loader_reports_the_same_fault(self, edit, payoff, error, message):
+        records = list(VALID_TREE)
+        edit(records)
+        payoff = payoff or TERMINAL_PAYOFF
+        with pytest.raises(error, match=message) as from_records:
+            FiniteTreeModel(records, "r", payoff=payoff)
+        with pytest.raises(error, match=message) as from_config:
+            model_from_dict(tree_dict(records, "r", payoff))
+        assert type(from_config.value) is type(from_records.value)
+        assert str(from_config.value) == str(from_records.value)
+
+    def test_nested_prices_are_raveled(self):
+        # One nested row makes the price rows ragged; nesting every row keeps
+        # them rectangular.  Both lay out like the flat rows.
+        flat = _layout(FiniteTreeModel(VALID_TREE, "r"))
+        one = list(VALID_TREE)
+        _edit("a", prices=[[1.2, 2.2]])(one)
+        every = [(nid, t, [prices], br) for nid, t, prices, br in VALID_TREE]
+        for records in (one, every):
+            assert _layout(FiniteTreeModel(records, "r")) == flat
+            assert _layout(model_from_dict(tree_dict(records, "r"))) == flat
 
 
 class TestLocalNoArbitrage:
@@ -439,6 +467,26 @@ class TestTreeLayout:
                 assert _layout(again) == _layout(t)
                 count += 1
         assert count >= 40
+
+    def test_config_loader_lays_out_the_records_layout(self):
+        from perfbench.workloads import random_tree
+
+        trees = list(_layout_trees())
+        trees.append(moment_matched_tree([0.05, 0.08], [[0.04, 0.01], [0.01, 0.09]], 2))
+        trees.append(complete_binomial_tree(periods=3))
+        rng = np.random.default_rng(23)
+        for k in range(12):
+            nodes, root, terminals = random_tree(
+                rng, 1 + k % 4, int(rng.integers(2, 5)),
+                ("generic", "riskless", "duplicated")[k % 3],
+            )
+            payoff = {t: float(rng.normal()) for t in terminals}
+            trees.append(FiniteTreeModel(nodes, root, payoff=payoff))
+        for tree in trees:
+            data = json.loads(json.dumps(model_to_dict(tree)))
+            assert _layout(model_from_dict(data)) == _layout(tree)
+            data["nodes"].reverse()  # the input order of the nodes does not matter
+            assert _layout(model_from_dict(data)) == _layout(tree)
 
     def test_nodes_is_a_read_only_view(self):
         tree = make_tree(np.random.default_rng(22), n_assets=2, periods=2)
