@@ -17,7 +17,7 @@ import numpy as np
 from . import qp
 from .linalg import InvalidInputError, in_span, pinv
 from .models import Claim, FiniteTreeModel, IidDiscreteModel, PiiItoModel
-from .models import _quad, _rowdot, _terminal_values
+from .models import _by_node, _quad, _rowdot, _terminal_values
 
 __all__ = [
     "LocalArbitrageError",
@@ -56,18 +56,15 @@ class LocalArbitrageError(Exception):
         super().__init__(message)
 
 
-def _solve_portfolio(c, target, cost, where=None, ones=None):
+def _solve_portfolio(c, target, cost, where=None):
     """Min-norm minimizers of pi c_i pi' - 2 pi target_i subject to pi . ones = cost.
 
     ``c`` and ``target`` are a :class:`qp.QpProblem`'s C and F, with a scalar
-    cost or one per target column; ``ones`` may be ones' as a factored
-    :class:`qp.Constraint`.  ``where(i)`` names an unbounded matrix i.
+    cost or one per target column.  ``where(i)`` names an unbounded matrix i.
     """
     target = np.asarray(target, dtype=float)
     cost = np.reshape(cost, (1,) + target.shape[np.ndim(c) - 1 :])
-    if ones is None:
-        ones = np.ones((1, np.shape(c)[-1]))
-    problem = qp.QpProblem(c, target, ones, cost)
+    problem = qp.QpProblem(c, target, np.ones((1, np.shape(c)[-1])), cost)
     try:
         return qp.solve(problem)
     except qp.UnboundedBelowError as err:
@@ -155,8 +152,19 @@ def myopic_minvar(b, c):
     return _solve_portfolio(c, np.zeros(np.shape(c)[0]), 1.0).x_hat
 
 
+class _RootValues:
+    """L0, V0 and eps2_0: the root entries of the arrays L, V and eps2."""
+
+    L0 = property(lambda self: float(self.L[0]))
+    V0 = property(lambda self: float(self.V[0]))
+    eps2_0 = property(lambda self: float(self.eps2[0]))
+
+    def triple(self):
+        return self.L0, self.V0, self.eps2_0
+
+
 @dataclass(frozen=True)
-class ValueProcesses:
+class ValueProcesses(_RootValues):
     """Deterministic paths of the opportunity, tracking and error processes.
 
     ``times[j]`` labels the j-th grid point (integer periods for discrete
@@ -168,21 +176,6 @@ class ValueProcesses:
     L: np.ndarray
     V: np.ndarray
     eps2: np.ndarray
-
-    @property
-    def L0(self):
-        return float(self.L[0])
-
-    @property
-    def V0(self):
-        return float(self.V[0])
-
-    @property
-    def eps2_0(self):
-        return float(self.eps2[0])
-
-    def triple(self):
-        return self.L0, self.V0, self.eps2_0
 
 
 @dataclass(frozen=True)
@@ -294,15 +287,16 @@ def closed_form_values(model):
 
 
 @dataclass
-class TreeSolution:
+class TreeSolution(_RootValues):
     """Per-node hedging solution on a finite event tree, in the tree's node order.
 
-    L, V, eps2 are (n,) arrays over all nodes (each node's one-step error,
-    a minimized conditional second moment, is clamped at 0 before it enters
-    eps2, so rounding never makes eps2 negative); a, xi are (internal, d) dollar
-    portfolios of the non-terminal nodes, which come first in node order;
-    ``levels`` holds the stacked QP solution of each non-terminal level, root
-    first.  ``tree.index[nid]`` is the position of node ``nid``.
+    L, V, eps2 are (n,) arrays over all nodes (each node's one-step error is
+    a squared residual norm, so eps2 is never negative); a, xi are
+    (internal, d) dollar portfolios of the non-terminal nodes, which come
+    first in node order; ``levels`` holds, per non-terminal level root first,
+    the stacked least-squares kernel's N V and ``keep``, from which
+    :attr:`null_basis` reads each node's flat directions.
+    ``tree.index[nid]`` is the position of node ``nid``.
     """
 
     tree: FiniteTreeModel
@@ -317,22 +311,7 @@ class TreeSolution:
     @property
     def null_basis(self):
         """Per non-terminal node, a basis of both minimizers' flat directions."""
-        return [basis for sol in self.levels for basis in sol.null_basis]
-
-    @property
-    def L0(self):
-        return float(self.L[0])
-
-    @property
-    def V0(self):
-        return float(self.V[0])
-
-    @property
-    def eps2_0(self):
-        return float(self.eps2[0])
-
-    def triple(self):
-        return self.L0, self.V0, self.eps2_0
+        return [b[:, ~k] for bases, keep in self.levels for b, k in zip(bases, keep)]
 
     def feedback(self, nodes, wealth):
         """Feedback rule pi = xi + (V - wealth) a at non-terminal positions."""
@@ -342,22 +321,22 @@ class TreeSolution:
 def tree_backward(tree, claim, adjustment_override=None):
     """Backward induction of (L, V, eps2, a, xi) over a finite event tree.
 
-    At each non-terminal node the next-step characteristics are weighted by
-    the children's opportunity values: with weights q_i ~ p_i L_i,
+    At each non-terminal node the children are weighted by their opportunity
+    values, q_i ~ p_i L_i, and every one-step problem is a residual norm over
+    the rows sqrt(q_i) R_i (R_i = simple returns), solved in square-root form:
 
-    - b* = sum q_i R_i,  c* = sum q_i R_i R_i'  (R_i = simple returns),
-    - a minimizes pi c* pi' - 2 pi b* at cost -1, and
-      L = E[L+] (1 - 2 a b* + a c* a'),
+    - a minimizes E_q[(1 - pi R)^2] at cost -1, and L = E[L+] E_q[(1 - a R)^2],
     - L V = E[(1 - a R) L+ V+],
-    - xi minimizes pi c* pi' - 2 pi cSV at cost V, where cSV = g - V b* is
-      the weighted return/value-increment cross moment (g = sum q_i V+_i R_i),
-      and eps2 = E[eps2+] + E[L+] (cV - 2 xi cSV + xi c* xi').
+    - xi minimizes E_q[(V+ - V - pi R)^2] at cost V, and
+      eps2 = E[eps2+] + E[L+] E_q[(V+ - V - xi R)^2].
 
-    The minimizer is linear in (target, cost), so one problem on c* solves
-    (b*, -1) and (g, 0) and xi is the second column minus V times the first.
-    Each level is one array step (sums over each node's children by
-    ``np.add.reduceat``) around one QP on the level's stack of c*, and the
-    constraint ones' is factored once for the whole tree.
+    The minimizer is linear in (target, cost), so one problem on the rows
+    solves targets sqrt(q) at cost -1 and sqrt(q) V+ at cost 0, and xi is the
+    second column minus V times the first.  Each level is one array step
+    (sums over each node's children by ``np.add.reduceat``) around one call of
+    the least-squares kernel ``qp._lsq`` on the level's stack of rows, padded
+    with zero rows to its largest branch count; the constraint ones' is
+    factored once for the whole tree.
 
     ``adjustment_override`` is a hook ``f(node_id, a, null_basis) -> a``
     applied to each node after its level's solve; results must stay within
@@ -367,28 +346,23 @@ def tree_backward(tree, claim, adjustment_override=None):
     L, V, eps2 = np.ones(n), np.empty(n), np.zeros(n)
     V[n_int:] = _terminal_values(tree, claim.value_at)
     a, xi = np.empty((n_int, d)), np.empty((n_int, d))
-    ones, solutions = qp.Constraint(np.ones((1, d))), []
+    ones, flats = qp.Constraint(np.ones((1, d))), []
     for here, kids, sums, owner in reversed(tree.levels):
         p, R, L_next, V_next = tree.prob[kids], tree.rets[kids], L[kids], V[kids]
         pL = p * L_next
         mean_L = sums(pL)
         q = pL / mean_L[owner]
-        b_star = sums(q[:, None] * R)
-        c_star = sums(R[:, :, None] * (R * q[:, None])[:, None, :])
-        c_star = 0.5 * (c_star + c_star.transpose(0, 2, 1))
-        g = sums(q[:, None] * (R * V_next[:, None]))
-        targets, ids = np.stack([b_star, g], axis=-1), tree.ids[here]
-        sol = _solve_portfolio(
-            c_star, targets, [-1.0, 0.0], lambda k: f"node {ids[k]!r}", ones
-        )
-        x = sol.x_hat
+        sq = np.sqrt(q)[:, None]
+        rows = _by_node(owner, np.hstack([sq * R, sq, sq * V_next[:, None]]))
+        x, _, bases, keep = qp._lsq(rows[..., :d], rows[..., d:], ones, [[-1.0, 0.0]])
         a[here] = x[:, :, 0]
         if adjustment_override is not None:
             for k, i in enumerate(range(here.start, here.stop)):
-                a[i] = adjustment_override(ids[k], a[i], sol.problem.flat(k))
+                a[i] = adjustment_override(tree.ids[i], a[i], bases[k][:, ~keep[k]])
+        flats.append((bases, keep))
         a_here = a[here]
-        solutions.append(sol)
-        growth = 1.0 - 2.0 * _rowdot(a_here, b_star) + _quad(a_here, c_star, a_here)
+        gain = 1.0 - _rowdot(R, a_here[owner])
+        growth = sums(q * gain**2)
         if np.any(growth <= _POSITIVITY_TOL):
             bad = here.start + np.argmax(growth <= _POSITIVITY_TOL)
             raise LocalArbitrageError(
@@ -397,16 +371,11 @@ def tree_backward(tree, claim, adjustment_override=None):
                 where=f"node {tree.ids[bad]!r}",
             )
         L[here] = mean_L * growth
-        LV = sums(p * ((1.0 - _rowdot(R, a_here[owner])) * L_next * V_next))
-        V_here = V[here] = LV / L[here]
-        cross = g - V_here[:, None] * b_star
+        V_here = V[here] = sums(p * (gain * L_next * V_next)) / L[here]
         xi_here = xi[here] = x[:, :, 1] - V_here[:, None] * x[:, :, 0]
-        c_v = sums(q * V_next**2) - 2.0 * V_here * sums(q * V_next) + V_here**2
-        residual = c_v - 2.0 * _rowdot(xi_here, cross) + _quad(xi_here, c_star, xi_here)
-        # a minimized conditional second moment: below 0 only by rounding
-        residual = np.maximum(residual, 0.0)
-        eps2[here] = sums(p * eps2[kids]) + mean_L * residual
-    return TreeSolution(tree, claim, L, V, eps2, a, xi, solutions[::-1])
+        miss = V_next - V_here[owner] - _rowdot(R, xi_here[owner])
+        eps2[here] = sums(p * eps2[kids]) + mean_L * sums(q * miss**2)
+    return TreeSolution(tree, claim, L, V, eps2, a, xi, flats[::-1])
 
 
 @dataclass(frozen=True)

@@ -207,6 +207,15 @@ def _branch_sums(prob, first):
     return sums
 
 
+def _by_node(owner, rows):
+    """Per-child ``rows`` (c, ...) of a level as (m, width, ...): node k's
+    children in branch order, then zero rows up to the widest node."""
+    pos = np.arange(len(owner)) - np.searchsorted(owner, owner)
+    out = np.zeros((owner[-1] + 1, pos.max() + 1) + rows.shape[1:])
+    out[owner, pos] = rows
+    return out
+
+
 def _terminal_values(tree, value_at):
     """``value_at(id)`` at every terminal node of ``tree``, in node order."""
     return np.array([value_at(t) for t in tree.terminal_ids], dtype=float)
@@ -258,9 +267,10 @@ class FiniteTreeModel:
         flat = [br for b in branches for br in b]
         counts = [len(b) for b in branches]
         children, prob = [ch for _, ch in flat], [p for p, _ in flat]
-        self._set_values(
-            *self._lay_out(ids, time, prices, counts, children, prob, root), payoff
-        )
+        columns = self._lay_out(ids, time, prices, counts, children, prob, root)
+        if payoff is not None:
+            payoff = {str(k): float(v) for k, v in payoff.items()}
+        self._set_values(*columns, payoff)
 
     def _lay_out(self, ids, time, prices, counts, children, prob, root):
         """The structure step: check the node columns and lay them out.
@@ -362,7 +372,7 @@ class FiniteTreeModel:
         """The value step: check and store ``prob``, ``prices`` and ``payoff``.
 
         The checks run over whole arrays in node order; a failure names the
-        first offending node.
+        first offending node.  ``payoff`` maps ids to floats.
         """
         ids = self.ids
         bad = ~np.all(np.isfinite(prices) & (prices != 0.0), axis=1)
@@ -414,8 +424,7 @@ class FiniteTreeModel:
             )
         self.payoff = payoff
         if payoff is not None:
-            self.payoff = {str(k): float(v) for k, v in payoff.items()}
-            missing = [t for t in self.terminal_ids if t not in self.payoff]
+            missing = [t for t in self.terminal_ids if t not in payoff]
             if missing:
                 raise InvalidModelError(
                     f"payoff missing for terminal nodes {missing[:5]}"
@@ -501,8 +510,8 @@ class Claim:
             raise InvalidModelError(
                 "claim must specify exactly one of a constant or a payoff map"
             )
-        for x in [self.constant] if self.payoff is None else self.payoff.values():
-            _amount(float(x), "a claim value")
+        values = [self.constant] if self.payoff is None else self.payoff.values()
+        _amount(np.fromiter(values, float, len(values)), "a claim value")
 
     def value_at(self, terminal_id):
         if self.constant is not None:
@@ -660,10 +669,12 @@ def model_from_dict(data):
             )
             payoff = data.get("payoff")
             if payoff is not None:
-                payoff = {
-                    k: _number(float, v, f"payoff at {k!r}")
-                    for k, v in _typed(payoff, dict, "'payoff'").items()
-                }
+                payoff = _typed(payoff, dict, "'payoff'")
+                try:
+                    payoff = dict(zip(payoff, map(float, payoff.values())))
+                except (TypeError, ValueError, OverflowError):
+                    for k, v in payoff.items():  # name the first offender
+                        _number(float, v, f"payoff at {k!r}")
             tree = object.__new__(FiniteTreeModel)
             tree._set_values(*tree._lay_out(*columns), payoff)
             return tree
@@ -712,10 +723,13 @@ def model_to_dict(model):
 
 
 def _amount(x, what):
-    """``x`` when its magnitude is at most ``MAX_AMOUNT``; else InvalidInputError."""
-    if not abs(x) <= MAX_AMOUNT:
+    """``x``, a number or an array, when every magnitude is at most
+    ``MAX_AMOUNT``; else InvalidInputError naming the first that is not."""
+    bad = ~(np.abs(x) <= MAX_AMOUNT)
+    if np.any(bad):
         raise InvalidInputError(
-            f"{what} must be at most {MAX_AMOUNT:g} in magnitude, got {x!r}"
+            f"{what} must be at most {MAX_AMOUNT:g} in magnitude, "
+            f"got {float(np.ravel(x)[np.argmax(bad)])!r}"
         )
     return x
 

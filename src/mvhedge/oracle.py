@@ -16,17 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qp
-from .engine import LocalArbitrageError, TreeSolution, _solve_portfolio
+from .engine import LocalArbitrageError, TreeSolution
 from .linalg import InvalidInputError
 from .models import (
-    MAX_AMOUNT,
     MAX_STEPS,
     FiniteTreeModel,
     IidDiscreteModel,
     PiiItoModel,
     _amount,
-    _quad,
-    _rowdot,
+    _by_node,
     _terminal_values,
     discount_tree,
 )
@@ -69,16 +67,17 @@ class DpResult:
 def dp_solve(tree, claim, v):
     """Exact backward induction for min E[(wealth_T - H)^2] on a finite tree.
 
-    At each node the continuation value is a quadratic in wealth whose
-    coefficients follow from one closed-form constrained QP per unit of the
-    wealth decomposition; the objective for initial wealth v is
-    ell_root (v - v_root)^2 + e_root.  The one-step error e, a minimized
-    conditional second moment, is clamped at 0 against rounding.  Each level
-    is one array step over the children's value-function coefficients around
-    one stacked QP (ones' is factored once per tree).  Holdings and wealth
-    come from one wealth roll of the policy pi0 + wealth * pi1.  This is the
-    batch of one of the pass that :func:`numeraire_change_check` runs on a
-    tree and its discounted trees together.
+    The value at a node is ell (w - v)^2 + e in its wealth w: with
+    D = diag(sqrt(p ell)) and G the gross returns of its children, it is
+    min ||D (G x - v)||^2 + E[e] over holdings with x . ones = w, solved in
+    square-root form for target D v at cost 0 and 0 at cost 1.  With r0, r1
+    their residuals: ell = ||r1||^2, v = -r0 . r1 / ell and
+    e = ||r0 + v r1||^2 + E[e].  The objective for initial wealth v is
+    ell_root (v - v_root)^2 + e_root.  Each level is one array step around
+    one call of ``qp._lsq`` (ones' is factored once per tree).  Holdings and
+    wealth come from one wealth roll of the policy pi0 + wealth * pi1.  This
+    is the batch of one of the pass that :func:`numeraire_change_check` runs
+    on a tree and its discounted trees together.
     """
     terminal = _terminal_values(tree, claim.value_at)[:, None]
     return _dp_pass(tree, tree.prob[:, None], tree.rets[:, None], terminal, [v])[0]
@@ -90,9 +89,9 @@ def _dp_pass(tree, prob, rets, terminal, v):
     Member k of the batch has the branch probabilities ``prob[:, k]``, edge
     returns ``rets[:, k]``, terminal claim values ``terminal[:, k]`` and
     initial wealth ``v[k]``; the value arrays are node-major with the batch
-    as a trailing axis, so each level solves one QP stack for every member.
-    The stack is member-major, so when several members fail on one level the
-    error names the first failing member's node, the base tree's first.
+    as a trailing axis, so each level solves one least-squares stack for
+    every member.  When several members degenerate on one level, the error
+    names the first failing member's node, the base tree's first.
     Returns one :class:`DpResult` per member.
     """
     n, K = prob.shape
@@ -102,36 +101,27 @@ def _dp_pass(tree, prob, rets, terminal, v):
     vals[n_int:] = terminal
     policy = np.empty((n_int, K, 2, d))
     ones = qp.Constraint(np.ones((1, d)))
-    for here, kids, sums, _ in reversed(tree.levels):
-        p, R = prob[kids], rets[kids]
-        pl, vv = p * ell[kids], vals[kids]
-        C = sums(R[..., :, None] * (R * pl[..., None])[..., None, :])
-        C = 0.5 * (C + C.swapaxes(-1, -2))
-        F0 = sums((pl * vv)[..., None] * R)
-        F1 = -sums(pl[..., None] * R)
-        ids, m = tree.ids[here], len(C)
-        x = _solve_portfolio(
-            C.swapaxes(0, 1).reshape(-1, d, d),
-            np.stack([F0, F1], axis=-1).swapaxes(0, 1).reshape(-1, d, 2),
-            [0.0, 1.0], lambda k: f"node {ids[k % m]!r}", ones,
-        ).x_hat
-        policy[here] = x.reshape(K, m, d, 2).transpose(1, 0, 3, 2)
-        pi0, pi1 = policy[here, :, 0], policy[here, :, 1]
-        a2 = _quad(pi1, C, pi1) - 2.0 * _rowdot(pi1, F1) + sums(pl)
-        a1 = 2.0 * _quad(pi0, C, pi1) - 2.0 * _rowdot(pi0, F1)
-        a1 = a1 - 2.0 * _rowdot(pi1, F0) - 2.0 * sums(pl * vv)
-        a0 = _quad(pi0, C, pi0) - 2.0 * _rowdot(pi0, F0)
-        a0 = a0 + (sums(pl * vv**2) + sums(p * errs[kids]))
-        if np.any(a2 <= 1e-12):
-            _, i = np.argwhere(a2.T <= 1e-12)[0]
+    for here, kids, sums, owner in reversed(tree.levels):
+        root_pl = np.sqrt(prob[kids] * ell[kids])[..., None]
+        cols = [root_pl * (1.0 + rets[kids]), root_pl * vals[kids][..., None]]
+        cols = np.concatenate(cols + [np.zeros_like(root_pl)], axis=-1)
+        # each node's rows and targets, member after member: (K m, width, d + 2)
+        stack = np.moveaxis(_by_node(owner, cols), 2, 0)
+        stack = stack.reshape(-1, *stack.shape[2:])
+        x, res, _, _ = qp._lsq(stack[..., :d], stack[..., d:], ones, [[0.0, 1.0]])
+        policy[here] = x.reshape(K, -1, d, 2).transpose(1, 0, 3, 2)
+        r0, r1 = res.reshape(K, -1, *res.shape[1:]).transpose(3, 2, 1, 0)
+        slope = np.sum(r1**2, axis=0)
+        if np.any(slope <= 1e-12):
+            _, i = np.argwhere(slope.T <= 1e-12)[0]
             raise LocalArbitrageError(
                 "value function degenerates: wealth has no quadratic cost, so a "
                 "fully invested portfolio attains zero conditional second moment",
                 where=f"node {tree.ids[here.start + i]!r}",
             )
-        ell[here] = a2
-        vals[here] = -a1 / (2.0 * a2)
-        errs[here] = np.maximum(a0 - a1**2 / (4.0 * a2), 0.0)
+        ell[here], vals[here] = slope, -np.sum(r0 * r1, axis=0) / slope
+        miss = np.sum((r0 + vals[here] * r1) ** 2, axis=0)
+        errs[here] = miss + sums(prob[kids] * errs[kids])
     holdings, wealth = tree._roll(
         rets,
         lambda nodes, w: policy[nodes, :, 0] + w[..., None] * policy[nodes, :, 1],
@@ -202,13 +192,9 @@ def _numeraire_reports(tree, claim, assets, v):
     trees, moments, terminal, wealth = [tree], [], [h], [float(v)]
     for j in assets:
         disc_tree, weights = discount_tree(tree, j)
-        values = h / tree.prices[n_int:, j]
-        bad = ~(np.abs(values) <= MAX_AMOUNT)
-        if bad.any():  # the bound a claim's values obey, first offender named
-            _amount(float(values[np.argmax(bad)]), "a claim value")
         trees.append(disc_tree)
         moments.append(weights[0])
-        terminal.append(values)
+        terminal.append(_amount(h / tree.prices[n_int:, j], "a claim value"))
         wealth.append(float(v) / tree.prices[0, j])
     base, *solved = _dp_pass(
         tree,

@@ -7,6 +7,8 @@ solution set is an affine subspace and the reported minimizer is its
 minimum-norm element.  One SVD of A, which a :class:`Constraint` shares between
 problems, and one stacked eigendecomposition of the quadratics restricted to
 Null(A) decide boundedness, minimizer and solution set for the whole stack.
+The tree passes, which hold row factors B_i of C_i = B_i'B_i, solve the same
+problems in square-root form with ``_lsq``, split by the same rank rule.
 """
 
 from dataclasses import dataclass, field
@@ -98,6 +100,15 @@ class Constraint:
             object.__setattr__(self, name, value)
 
 
+def _split(lam, scale, n):
+    """Which eigenvalues ``lam`` (m, j) of the N'C_iN of n x n C_i to keep:
+    those above ``max(j eps |lam|_max, n eps scale_i)``, with ``scale`` (m,)
+    ||C_i||_2 or a bound on it, so directions C_i cannot see are not inverted."""
+    mags = np.abs(lam)
+    noise = n * np.finfo(float).eps * scale[:, None]
+    return mags > np.maximum(DEFAULT_CTX.cutoff(mags, lam.shape[-1:])[:, None], noise)
+
+
 @dataclass(frozen=True)
 class QpProblem:
     """Problem data (C, F, A, b) for min x'C_i x - 2x'F_i subject to Ax = b.
@@ -109,9 +120,8 @@ class QpProblem:
     it and factors once: one stacked eigvalsh validates every C_i and gives
     ||C_i||_2, the SVD of A gives ``A_pinv`` and an orthonormal basis ``N`` of
     Null(A), and one stacked eigh of N'C_iN gives eigenvectors ``V[i]``, of
-    which ``keep[i]`` marks those with eigenvalues above
-    ``max(max(shape) * eps * |lambda|_max, n * eps * ||C_i||_2)`` (directions
-    C_i cannot see are never inverted); ``J[i] = (N'C_iN)^+`` on them.
+    which ``keep[i]`` marks those ``_split`` keeps; ``J[i] = (N'C_iN)^+`` on
+    them.  F outside Ran(C_i) has no row target, so C keeps this form.
     """
 
     C: np.ndarray
@@ -140,10 +150,7 @@ class QpProblem:
             )
         restricted = con.N.T @ C.reshape(-1, n, n) @ con.N
         w, V = np.linalg.eigh(0.5 * (restricted + restricted.transpose(0, 2, 1)))
-        mags = np.abs(w)
-        noise = n * np.finfo(float).eps * np.reshape(norm_C, (-1, 1))
-        cut = DEFAULT_CTX.cutoff(mags, restricted.shape[1:])
-        keep = mags > np.maximum(cut[:, None], noise)
+        keep = _split(w, np.reshape(norm_C, -1), n)
         scaled = np.divide(V, w[:, None], out=np.zeros_like(V), where=keep[:, None])
         for name, value in zip(
             ("C", "A", "F", "b", "A_pinv", "N", "J", "V", "keep"),
@@ -236,6 +243,30 @@ def solve(problem: QpProblem) -> QpSolution:
     x_part = problem.A_pinv @ b
     x = x_part + N @ (problem.J @ (N.T @ (F - C @ x_part)))
     return QpSolution(x.reshape(problem.F.shape), problem.objective(x), problem)
+
+
+def _lsq(B, Y, con, b):
+    """Min-norm minimizers of ||B_i x - Y_i||^2 subject to Ax = b, for a stack.
+
+    :class:`QpProblem` with C_i = B_i'B_i and F_i = B_i'Y_i in square-root
+    form, for B (m, r, n), Y (m, r, k), a :class:`Constraint` and b (rows, k):
+    with x = A^+ b + N z, one stacked SVD B_i N = U S V' gives
+    z = V S^+ U'(Y_i - B_i A^+ b), split by :func:`_split` on s^2 with scale
+    ||B_i||_F^2 >= ||C_i||_2.  F_i lies in Ran(C_i), so nothing is unbounded.
+    Returns x, the residuals Y - B x, N V and ``keep``: matrix i's flat basis
+    is ``(N V)[i][:, ~keep[i]]``.
+    """
+    x0 = con.A_pinv @ b
+    U, s, Vt = np.linalg.svd(B @ con.N)
+    k = s.shape[-1]
+    lam = np.zeros(Vt.shape[:-1])
+    lam[:, :k] = s**2
+    keep = _split(lam, np.einsum("mij,mij->m", B, B), con.A.shape[1])
+    s_pinv = np.divide(1.0, s, out=np.zeros_like(s), where=keep[:, :k])
+    V = Vt.transpose(0, 2, 1)
+    proj = U[..., :k].transpose(0, 2, 1) @ (Y - B @ x0)
+    x = x0 + con.N @ (V[..., :k] @ (s_pinv[..., None] * proj))
+    return x, Y - B @ x, con.N @ V, keep
 
 
 def _oblique_constraint_projector(problem, C_pinv):

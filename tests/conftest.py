@@ -142,3 +142,33 @@ def complete_binomial_tree(up=1.25, down=0.8, prob_up=0.6, periods=2, spot=1.0):
 
     root = build(spot, 0)
     return models.FiniteTreeModel(nodes, root)
+
+
+def mixed_tree(rng, n_assets=3, periods=3, counts=(2, 3, 4)):
+    """Random arbitrage-free tree whose levels mix 2, 3 and 4 branches.
+
+    The i-th node of level t has ``counts[(i + t) % len(counts)]`` branches,
+    so the stacked tree passes pad short nodes.  Gross returns are divided by
+    their mean under a second Dirichlet(2) measure, which makes it a
+    martingale measure, so each node is free of arbitrage; a node with b
+    branches then has returns of rank b - 1.
+    """
+    nodes = []
+    seen = [0] * (periods + 1)
+
+    def build(prices, t):
+        nid = f"x{t}_{seen[t]}"
+        k = counts[(seen[t] + t) % len(counts)]
+        seen[t] += 1
+        if t == periods:
+            nodes.append((nid, t, prices, []))
+            return nid
+        probs = rng.dirichlet(np.full(k, 2.0))
+        gross = rng.uniform(0.7, 1.4, size=(k, n_assets))
+        gross /= rng.dirichlet(np.full(k, 2.0)) @ gross
+        branches = [(float(p), build(prices * g, t + 1)) for p, g in zip(probs, gross)]
+        nodes.append((nid, t, prices, branches))
+        return nid
+
+    root = build(rng.uniform(0.5, 2.0, size=n_assets), 0)
+    return models.FiniteTreeModel(nodes, root)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import tree_dict
-from mvhedge import cli, engine, models, oracle
+from mvhedge import cli, engine, models, oracle, qp
 from mvhedge.cli import main
 from test_models import MALFORMED_TREES, TERMINAL_PAYOFF, VALID_TREE
 
@@ -419,16 +419,17 @@ class TestOracleCommand:
 
     def test_base_dp_solved_once(self, capsys, monkeypatch):
         # the base tree is solved once, together with one discounted tree per
-        # positive asset: one stacked QP per level holds all three
+        # positive asset: one stacked least-squares solve per level holds all
+        # three
         tree = models.load_config(cfg("tree_call_binomial.json"))[0]
         stacks = []
-        solve_portfolio = oracle._solve_portfolio
+        lsq = qp._lsq
 
-        def counting(c, *args, **kwargs):
-            stacks.append(len(c))
-            return solve_portfolio(c, *args, **kwargs)
+        def counting(rows, *args, **kwargs):
+            stacks.append(len(rows))
+            return lsq(rows, *args, **kwargs)
 
-        monkeypatch.setattr(oracle, "_solve_portfolio", counting)
+        monkeypatch.setattr(qp, "_lsq", counting)
         assert main(["oracle", "--model", cfg("tree_call_binomial.json")]) == 0
         assert capsys.readouterr().out.count("PASS") == 2
         assert len(tree.positive_assets()) == 2
@@ -586,7 +587,7 @@ PINNED = {
         ["hedge", "--model", cfg("tree_call_binomial.json"), "--wealth", "0.25"],
         "L0 = 0.825210935453\n"
         "V0 = 0.111111111111\n"
-        "eps2_0 = 2.81317025749e-17\n"
+        "eps2_0 = 1.615534835e-32\n"
         "wealth = 0.25\n"
         "hedging error = 0.0159184208228\n",
     ),

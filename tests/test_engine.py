@@ -4,6 +4,7 @@ import pytest
 from conftest import (
     complete_binomial_tree,
     make_tree,
+    mixed_tree,
     moment_matched_tree,
     random_claim,
 )
@@ -20,6 +21,7 @@ from mvhedge.engine import (
 )
 from mvhedge.linalg import pinv
 from mvhedge.models import Claim
+from perfbench.workloads import random_tree
 
 
 def restricted_pinv(c, d):
@@ -408,8 +410,9 @@ class TestTreeBackward:
 
     @pytest.mark.parametrize("solver", ["tree_backward", "dp_solve"])
     def test_three_decompositions_per_node(self, solver, monkeypatch):
-        # One QpProblem per node: eigvalsh of c* (validation and ||c*||_2),
-        # one SVD of the constraint and one eigh of the restricted quadratic.
+        # Square-root form: one stacked SVD of the rows per level and one SVD
+        # of ones' per pass, at most three per node; no Gram matrix is
+        # validated or split, so no eigvalsh or eigh runs.
         from mvhedge.oracle import dp_solve
 
         rng = np.random.default_rng(12)
@@ -438,11 +441,12 @@ class TestTreeBackward:
             dp_solve(tree, claim, 0.3)
         internal = len(tree.nodes) - len(tree.terminal_ids)
         assert len(calls) <= 3 * internal, (len(calls), internal)
+        assert calls == ["svd"] * (len(tree.levels) + 1), calls
 
     @pytest.mark.parametrize("solver", ["tree_backward", "dp_solve"])
     def test_decompositions_per_level(self, solver, monkeypatch):
-        # One stacked QP per level: one eigvalsh validates every c* of the
-        # level and one eigh splits them all; ones' gets one SVD per pass.
+        # One stacked least-squares solve per level: one SVD of every node's
+        # rows B N; ones' gets one SVD per pass; no eigvalsh or eigh.
         from mvhedge.oracle import dp_solve
 
         rng = np.random.default_rng(12)
@@ -461,8 +465,58 @@ class TestTreeBackward:
             tree_backward(tree, claim)
         else:
             dp_solve(tree, claim, 0.3)
-        assert calls.count("svd") <= 1, calls
-        assert len(calls) - calls.count("svd") <= 2 * len(tree.levels), calls
+        assert calls == ["svd"] * (len(tree.levels) + 1), calls
+
+    @pytest.mark.parametrize("solver", ["tree_backward", "dp_solve"])
+    @pytest.mark.parametrize(
+        "shape, flat", [("generic", 0), ("riskless", 0), ("duplicated", 1)]
+    )
+    def test_flat_directions_per_node(self, solver, shape, flat, monkeypatch):
+        # A duplicated asset leaves one exact flat direction per node, which
+        # B N shows as a singular value at rounding level (about eps ||B||,
+        # above eps s_max for the DP's gross-return rows); the rank split on
+        # s^2 drops it and keeps every direction of the other shapes.
+        from mvhedge import qp
+        from mvhedge.oracle import dp_solve
+
+        lsq, flats = qp._lsq, []
+
+        def spying(*args):
+            out = lsq(*args)
+            flats.extend((~out[3]).sum(axis=1).tolist())
+            return out
+
+        monkeypatch.setattr(qp, "_lsq", spying)
+        rng = np.random.default_rng(31)
+        for _ in range(4):
+            nodes, root, _ = random_tree(rng, 3, int(rng.integers(3, 5)), shape)
+            tree = models.FiniteTreeModel(nodes, root)
+            claim = random_claim(rng, tree)
+            flats.clear()
+            if solver == "tree_backward":
+                sol = tree_backward(tree, claim)
+                assert [nb.shape[1] for nb in sol.null_basis] == [flat] * tree.n_internal
+            else:
+                dp_solve(tree, claim, 0.3)
+            assert flats == [flat] * tree.n_internal
+
+    def test_mixed_branch_counts(self):
+        # Levels mix 2, 3 and 4 branches, so short nodes are padded with zero
+        # rows; with three assets a two-branch node has returns of rank 1
+        # and so one flat direction.
+        from mvhedge.oracle import dp_solve
+
+        rng = np.random.default_rng(32)
+        tree = mixed_tree(rng)
+        claim = random_claim(rng, tree)
+        counts = np.diff(np.searchsorted(tree.parent, np.arange(tree.n_internal + 1)))
+        sol = tree_backward(tree, claim)
+        assert [nb.shape[1] for nb in sol.null_basis] == (counts == 2).tolist()
+        dp = dp_solve(tree, claim, 0.4)
+        for got, want in ((sol.L, dp.ell), (sol.V, dp.v), (sol.eps2, dp.e)):
+            assert np.abs(got - want).max() <= 1e-10
+        _, wealth = tree.roll_wealth(sol.feedback, 0.4)
+        assert np.abs(wealth - dp.wealth).max() <= 1e-10
 
     def test_deterministic_arbitrage_names_node(self):
         tree = models.FiniteTreeModel(

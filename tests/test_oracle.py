@@ -1,6 +1,7 @@
 import json
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from mvhedge.oracle import (
     mc_simulate,
     numeraire_change_check,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestDpSolve:
@@ -197,6 +200,19 @@ class TestNumeraireChange:
             for j, report, member in zip(assets, reports, stacked[1:]):
                 assert report.objective_discounted == member.objective
                 assert report == numeraire_change_check(tree, claim, j, v)
+
+    @pytest.mark.parametrize(
+        "path", sorted(DATA.glob("seed12345_tree*.json")), ids=lambda p: p.stem
+    )
+    def test_seed12345_regression_trees(self, path):
+        # Six trees of the seed-12345 corpus on which the Gram-matrix DP
+        # missed its own 1e-9 check (11 reports, holdings gaps up to 4.2e-7)
+        tree, claim, wealth, _ = models.load_config(path)
+        _, reports = oracle._numeraire_reports(
+            tree, claim, tree.positive_assets(), wealth
+        )
+        assert len(reports) == len(tree.positive_assets()) >= 1
+        assert all(report.passed(1e-9) for report in reports), reports
 
     def test_moment_tree_numeraire(self, discrete_benchmark):
         tree = moment_matched_tree(discrete_benchmark.mu, discrete_benchmark.sigma, 2)
