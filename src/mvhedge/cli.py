@@ -5,7 +5,7 @@ Commands
 frontier   opportunity/tracking/error triple and both frontier equations
 hedge      per-node hedging table and total hedging error on a tree
 oracle     dynamic-programming and numeraire-change consistency checks
-simulate   seeded Monte Carlo of the optimal feedback strategy
+simulate   seeded Monte Carlo of the optimal feedback strategy (exact on a tree)
 solve-qp   raw access to the constrained quadratic solver
 
 Exit codes: 0 success, 2 invalid input or model (including a factorization

@@ -391,19 +391,13 @@ class StrategyPath:
     wealth: np.ndarray
 
 
-def _step_feedback(coeffs, values, v, returns):
-    rets = np.atleast_2d(np.asarray(returns, dtype=float))
-    steps = coeffs.a.shape[0]
-    if rets.shape != (steps, coeffs.a.shape[1]):
-        raise InvalidInputError(
-            f"returns must have shape {(steps, coeffs.a.shape[1])}, got {rets.shape}"
-        )
-    wealth = np.empty(steps + 1)
+def _roll_steps(xi, a, V, v, rets):
+    """Roll pi = xi[t] + (V[t] - wealth[t]) a[t] over the step returns rets[t]."""
+    wealth = np.empty(len(a) + 1)
     wealth[0] = float(v)
-    holdings = np.empty_like(coeffs.a)
-    for t in range(steps):
-        pi = coeffs.xi[t] + (values.V[t] - wealth[t]) * coeffs.a[t]
-        holdings[t] = pi
+    holdings = np.empty_like(a)
+    for t in range(len(a)):
+        pi = holdings[t] = xi[t] + (V[t] - wealth[t]) * a[t]
         wealth[t + 1] = wealth[t] + pi @ rets[t]
     return StrategyPath(holdings=holdings, wealth=wealth)
 
@@ -411,28 +405,39 @@ def _step_feedback(coeffs, values, v, returns):
 def _tree_feedback(solution, v, node_path):
     tree = solution.tree
     path = [str(n) for n in node_path]
-    wealth = [float(v)]
-    holdings = []
-    for here, there in zip(path[:-1], path[1:]):
-        i, j = tree.index.get(here), tree.index.get(there)
-        if j is None or tree.parent[j] != i:
-            raise InvalidInputError(f"{there!r} is not a child of {here!r}")
-        pi = solution.feedback(i, wealth[-1])
-        holdings.append(pi)
-        wealth.append(wealth[-1] + float(pi @ tree.rets[j]))
-    return StrategyPath(holdings=np.array(holdings), wealth=np.array(wealth))
+    if not path:
+        raise InvalidInputError("a tree path needs at least one node id")
+    unknown = [n for n in path if n not in tree.index]
+    if unknown:
+        raise InvalidInputError(f"unknown node id {unknown[0]!r}")
+    pos = np.array([tree.index[n] for n in path])
+    bad = np.flatnonzero(tree.parent[pos[1:]] != pos[:-1])
+    if len(bad):
+        k = bad[0]
+        raise InvalidInputError(f"{path[k + 1]!r} is not a child of {path[k]!r}")
+    here = pos[:-1]
+    return _roll_steps(
+        solution.xi[here], solution.a[here], solution.V[here], v, tree.rets[pos[1:]]
+    )
 
 
 def feedback_strategy(coeffs, values, v, path):
     """Roll the feedback rule pi = xi + (V_prev - wealth_prev) a along a path.
 
     For tree solutions ``coeffs`` is the :class:`TreeSolution` and ``path`` a
-    root-to-terminal node id sequence; for closed-form models ``coeffs`` and
-    ``values`` are the step arrays and ``path`` the per-step simple returns.
+    non-empty root-to-terminal node id sequence; for closed-form models
+    ``coeffs`` and ``values`` are the step arrays and ``path`` the per-step
+    simple returns.  Both roll one step loop, so a tree path rounds exactly
+    like the solution's :meth:`FiniteTreeModel.roll_wealth` along it.
     """
     if isinstance(coeffs, TreeSolution):
         return _tree_feedback(coeffs, v, path)
-    return _step_feedback(coeffs, values, v, path)
+    rets = np.atleast_2d(np.asarray(path, dtype=float))
+    if rets.shape != coeffs.a.shape:
+        raise InvalidInputError(
+            f"returns must have shape {coeffs.a.shape}, got {rets.shape}"
+        )
+    return _roll_steps(coeffs.xi, coeffs.a, values.V, v, rets)
 
 
 def hedging_error(values, v):

@@ -3,14 +3,14 @@
 Contains an exact dynamic-programming solver for quadratic hedging on finite
 event trees (value functions are quadratics in wealth, solved level by level
 with the closed-form constrained QP), a checker for the numeraire-change
-equivalence, and a seeded Monte Carlo simulator of feedback strategies.
+equivalence, and a simulator of feedback strategies: seeded Monte Carlo for
+the closed-form models, exact enumeration of the terminal wealth on trees.
 
 The DP makes no use of the engine's weighted-moment recursions: it works
 directly on the children's value-function coefficients, so agreement between
 the two is a genuine cross-check.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,10 +37,8 @@ __all__ = [
     "numeraire_change_check",
     "mc_simulate",
     "enumerate_terminal_wealth",
-    "ENUMERATION_THRESHOLD",
 ]
 
-ENUMERATION_THRESHOLD = 10**6
 _RNG_BLOCK = 1 << 14
 
 
@@ -224,12 +222,13 @@ def enumerate_terminal_wealth(tree, solution: TreeSolution, v):
 
     Returns (probs, wealth, payoff) arrays over terminal nodes: one wealth
     roll over the tree with the solution's feedback rule, weighted by the
-    tree's branch probabilities.
+    tree's branch probabilities.  The payoff is a copy of the solution's
+    terminal values ``V``, which are the claim's.
     """
     _, wealth = tree.roll_wealth(solution.feedback, v)
-    h = _terminal_values(tree, solution.claim.value_at)
     n_int = tree.n_internal
-    return tree.node_probabilities()[n_int:], wealth[n_int:], h
+    payoff = solution.V[n_int:].copy()
+    return tree.node_probabilities()[n_int:], wealth[n_int:], payoff
 
 
 @dataclass(frozen=True)
@@ -279,23 +278,6 @@ def _pair_law(P, m, S):
     return P @ m, _psd_factor(P @ S @ P.transpose(0, 2, 1))
 
 
-def _report_from_samples(errors, seed, exact=False):
-    sq = errors**2
-    n = sq.shape[0]
-    if exact or n < 2:
-        se = 0.0
-    else:
-        se = float(np.std(sq, ddof=1) / np.sqrt(n))
-    return SimReport(
-        n_paths=int(n),
-        seed=seed,
-        error_mean=float(np.mean(errors)),
-        error_second_moment=float(np.mean(sq)),
-        std_error=se,
-        exact=exact,
-    )
-
-
 def _simulate_steps(track, mean, factor, v, n_paths, seed):
     """Roll the feedback rule's wealth over K steps of a Gaussian pair law.
 
@@ -317,7 +299,16 @@ def _simulate_steps(track, mean, factor, v, n_paths, seed):
             y1 = mean[k, 1] + f10 * z0 + f11 * z1
             wealth += y0 + (track[k] - wealth) * y1
         errors[lo : lo + size] = wealth - 1.0
-    return _report_from_samples(errors, seed)
+    sq = errors**2
+    se = 0.0 if n_paths < 2 else float(np.std(sq, ddof=1) / np.sqrt(n_paths))
+    return SimReport(
+        n_paths=n_paths,
+        seed=seed,
+        error_mean=float(np.mean(errors)),
+        error_second_moment=float(np.mean(sq)),
+        std_error=se,
+        exact=False,
+    )
 
 
 def _iid_law(model, coeffs, values):
@@ -371,58 +362,21 @@ def _pii_law(model, coeffs, values, step):
     return tuple(np.concatenate(parts) for parts in zip(*laws))
 
 
-def _simulate_tree(tree, solution, claim, v, n_paths, seed):
+def _simulate_tree(tree, solution, claim, v, seed):
     if claim is not None and claim != solution.claim:
         raise InvalidInputError(
             "the claim must be the one the tree solution hedges, or None"
         )
-    n_terminal = len(tree.terminal_ids)
-    if n_terminal <= ENUMERATION_THRESHOLD:
-        probs, wealth, payoff = enumerate_terminal_wealth(tree, solution, v)
-        err = wealth - payoff
-        second = float(probs @ err**2)
-        return SimReport(
-            n_paths=n_terminal,
-            seed=seed,
-            error_mean=float(probs @ err),
-            error_second_moment=second,
-            std_error=0.0,
-            exact=True,
-        )
-    warnings.warn(
-        f"tree has {n_terminal} terminal paths; falling back to sampling"
+    probs, wealth, payoff = enumerate_terminal_wealth(tree, solution, v)
+    err = wealth - payoff
+    return SimReport(
+        n_paths=len(err),
+        seed=seed,
+        error_mean=float(probs @ err),
+        error_second_moment=float(probs @ err**2),
+        std_error=0.0,
+        exact=True,
     )
-    # Wealth at a node does not depend on the path sampled to reach it, so
-    # one roll over the tree serves every path.
-    _, wealth = tree.roll_wealth(solution.feedback, v)
-    n_int = tree.n_internal
-    errors_at = wealth[n_int:] - _terminal_values(tree, solution.claim.value_at)
-    # Each child's key is its parent's position plus the cumulative branch
-    # probability up to and including it (exactly 1 for the last sibling), so
-    # a path at node k with a uniform draw u moves to the first child whose
-    # key exceeds k + u: one searchsorted per level for every path of a block.
-    # The cap at the last child guards k + u rounding up to k + 1.
-    first = np.searchsorted(tree.parent, np.arange(n_int + 1))
-    last, owner = first[1:] - 1, tree.parent[1:]
-    cum = np.cumsum(tree.prob)
-    start = cum[first[:-1] - 1]
-    keys = np.zeros(len(tree.ids))
-    keys[1:] = owner + (cum[1:] - start[owner]) / (cum[last] - start)[owner]
-    errors = np.empty(n_paths)
-    done = 0
-    block = 0
-    while done < n_paths:
-        size = min(_RNG_BLOCK, n_paths - done)
-        rng = _block_rng(seed, block)
-        pos = np.zeros(size, dtype=np.intp)
-        for _, kids, _, _ in tree.levels:
-            u = rng.random(size)
-            child = kids.start + np.searchsorted(keys[kids], pos + u, "right")
-            pos = np.minimum(child, last[pos])
-        errors[done : done + size] = errors_at[pos - n_int]
-        done += size
-        block += 1
-    return _report_from_samples(errors, seed)
 
 
 def mc_simulate(model, coeffs, values, claim, v, n_paths, seed, step=None):
@@ -431,11 +385,11 @@ def mc_simulate(model, coeffs, values, claim, v, n_paths, seed, step=None):
     Deterministic given (seed, n_paths): normal draws come from counter-based
     Philox substreams keyed by (seed, block index) with a fixed block size.
     For trees ``claim`` is None or the :class:`TreeSolution`'s own claim, and
-    the distribution is enumerated exactly whenever the number of terminal
-    paths is at most ``ENUMERATION_THRESHOLD`` and sampled otherwise.  IID
-    models step once per period with simple returns r ~ N(mu, sigma);
-    piecewise-constant models use an Euler scheme on log returns with the
-    user-supplied ``step``.  Under the feedback rule
+    the terminal distribution is enumerated exactly: the report has one path
+    per terminal node, ``exact`` true and no standard error, whatever
+    ``n_paths`` and ``seed`` are.  IID models step once per period with
+    simple returns r ~ N(mu, sigma); piecewise-constant models use an Euler
+    scheme on log returns with the user-supplied ``step``.  Under the feedback rule
     pi = p + (V - wealth) q a step reads r only through the pair (p.r, q.r),
     so each step draws that pair from its exact bivariate normal law: two
     normals per path and step, streamed one step at a time.
@@ -445,7 +399,7 @@ def mc_simulate(model, coeffs, values, claim, v, n_paths, seed, step=None):
     if isinstance(model, FiniteTreeModel):
         if not isinstance(coeffs, TreeSolution):
             raise TypeError("tree simulation needs the TreeSolution as coeffs")
-        return _simulate_tree(model, coeffs, claim, v, n_paths, seed)
+        return _simulate_tree(model, coeffs, claim, v, seed)
     if claim is not None and claim.constant != 1.0:
         raise InvalidInputError(
             "closed-form models support only the constant payoff 1"

@@ -19,7 +19,7 @@ from mvhedge.engine import (
     myopic_minvar,
     tree_backward,
 )
-from mvhedge.linalg import pinv
+from mvhedge.linalg import InvalidInputError, pinv
 from mvhedge.models import Claim
 from perfbench.workloads import random_tree
 
@@ -595,6 +595,40 @@ class TestFeedbackStrategy:
         terminals = list(tree.terminal_ids)
         with pytest.raises(ValueError):
             feedback_strategy(sol, None, 0.0, [tree.root, terminals[0]])
+        child = tree.nodes[tree.root].branches[0][1]
+        with pytest.raises(InvalidInputError, match="at least one node id"):
+            feedback_strategy(sol, None, 0.0, [])
+        with pytest.raises(InvalidInputError, match="unknown node id 'nope'"):
+            feedback_strategy(sol, None, 0.0, ["nope", child])
+        with pytest.raises(InvalidInputError, match="unknown node id 'nope'"):
+            feedback_strategy(sol, None, 0.0, [tree.root, "nope"])
+
+    def test_one_node_tree_path(self):
+        tree = complete_binomial_tree(periods=2)
+        sol = tree_backward(tree, Claim(constant=1.0))
+        strat = feedback_strategy(sol, None, 0.3, [tree.root])
+        assert strat.holdings.shape == (0, tree.d)
+        assert strat.wealth.tolist() == [0.3]
+
+    @pytest.mark.parametrize("shape", ["generic", "riskless", "duplicated", "mixed"])
+    def test_path_roll_matches_tree_roll(self, shape):
+        # Every root-to-terminal path rolls bit for bit like the whole tree.
+        rng = np.random.default_rng(41)
+        if shape == "mixed":
+            tree = mixed_tree(rng)
+        else:
+            tree = models.FiniteTreeModel(*random_tree(rng, 3, 3, shape)[:2])
+        sol = tree_backward(tree, random_claim(rng, tree))
+        v = float(rng.uniform(-1, 1))
+        holdings, wealth = tree.roll_wealth(sol.feedback, v)
+        for terminal in range(tree.n_internal, len(tree.ids)):
+            pos = [terminal]
+            while pos[-1] != 0:
+                pos.append(int(tree.parent[pos[-1]]))
+            pos = pos[::-1]
+            strat = feedback_strategy(sol, None, v, [tree.ids[i] for i in pos])
+            assert np.array_equal(strat.wealth, wealth[pos])
+            assert np.array_equal(strat.holdings, holdings[pos[:-1]])
 
 
 class TestHedgingError:

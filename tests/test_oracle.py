@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 import warnings
@@ -230,61 +231,28 @@ class TestMonteCarlo:
         report = mc_simulate(tree, sol, None, claim, v, 10, seed=1)
         assert report.exact
         assert report.std_error == 0.0
+        assert report.n_paths == len(tree.terminal_ids)
         assert abs(report.error_second_moment - dp_solve(tree, claim, v).objective) < 1e-10
+        # the path count and the seed leave an exact report unchanged
+        for n_paths, seed in ((1, 1), (2, 0), (10**7, 7), (4000, 12345)):
+            other = mc_simulate(tree, sol, None, claim, v, n_paths, seed=seed)
+            assert other == dataclasses.replace(report, seed=seed)
 
-    def test_tree_sampling_approaches_enumeration(self, monkeypatch):
-        rng = np.random.default_rng(6)
-        tree = make_tree(rng, n_assets=2, periods=2)
-        claim = random_claim(rng, tree)
-        sol = tree_backward(tree, claim)
-        exact = mc_simulate(tree, sol, None, claim, 0.1, 10, seed=3)
-        monkeypatch.setattr(oracle, "ENUMERATION_THRESHOLD", 0)
-        with pytest.warns(UserWarning, match="sampling"):
-            sampled = mc_simulate(tree, sol, None, claim, 0.1, 4000, seed=3)
-        assert not sampled.exact
-        gap = abs(sampled.error_second_moment - exact.error_second_moment)
-        assert gap < 6 * sampled.std_error + 1e-12
-
-    def test_tree_sampling_matches_per_path_rollout(self, monkeypatch):
-        # Reference: roll the feedback rule along each sampled path, one node
-        # at a time, with the sampler's Philox uniforms (one row per level,
-        # one column per path): a path moves to the first child whose share
-        # of the cumulative branch probability exceeds its draw.  The sampler
-        # must reproduce it bit for bit.
-        rng = np.random.default_rng(11)
-        tree = make_tree(rng, n_assets=3, periods=3)
-        claim = random_claim(rng, tree)
-        sol = tree_backward(tree, claim)
-        v, n_paths, seed = 0.2, 300, 4
-        errors = []
-        draws = _block_rng(seed, 0).random((len(tree.levels), n_paths))
-        for path in range(n_paths):
-            pos, wealth = 0, v
-            for u in draws[:, path]:
-                pi = sol.xi[pos] + (sol.V[pos] - wealth) * sol.a[pos]
-                kids = np.flatnonzero(tree.parent == pos)
-                share = np.cumsum(tree.prob[kids]) / tree.prob[kids].sum()
-                pos = int(kids[min(np.sum(share <= u), len(kids) - 1)])
-                wealth += float(pi @ tree.rets[pos])
-            errors.append(wealth - claim.value_at(tree.ids[pos]))
-        errors = np.array(errors)
-        monkeypatch.setattr(oracle, "ENUMERATION_THRESHOLD", 0)
-        with pytest.warns(UserWarning, match="sampling"):
-            sampled = mc_simulate(tree, sol, None, claim, v, n_paths, seed=seed)
-        assert sampled.error_mean == float(np.mean(errors))
-        assert sampled.error_second_moment == float(np.mean(errors**2))
-
-    def test_tree_sampler_hedges_the_solution_claim(self, monkeypatch):
-        # Both tree branches read the solution's claim: None samples the same
-        # bits as that claim, and any other claim is rejected, not hedged.
+    def test_tree_sampler_hedges_the_solution_claim(self):
+        # The tree simulation enumerates the solution's claim: None gives the
+        # same report as that claim, and any other claim is rejected, not
+        # hedged.
         rng = np.random.default_rng(6)
         tree = make_tree(rng, n_assets=2, periods=2)
         sol = tree_backward(tree, random_claim(rng, tree))
-        monkeypatch.setattr(oracle, "ENUMERATION_THRESHOLD", 0)
-        with pytest.warns(UserWarning, match="sampling"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             given = mc_simulate(tree, sol, None, sol.claim, 0.1, 500, seed=3)
             default = mc_simulate(tree, sol, None, None, 0.1, 500, seed=3)
         assert default == given
+        assert given.exact
+        probs, wealth, payoff = enumerate_terminal_wealth(tree, sol, 0.1)
+        assert given.error_second_moment == float(probs @ (wealth - payoff) ** 2)
         with pytest.raises(InvalidInputError, match="claim"):
             mc_simulate(tree, sol, None, Claim(constant=0.0), 0.1, 500, seed=3)
 
