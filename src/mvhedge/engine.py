@@ -411,10 +411,18 @@ def _tree_feedback(solution, v, node_path):
     if unknown:
         raise InvalidInputError(f"unknown node id {unknown[0]!r}")
     pos = np.array([tree.index[n] for n in path])
+    if pos[0] != 0:
+        raise InvalidInputError(
+            f"a tree path starts at the root {tree.root!r}, not at {path[0]!r}"
+        )
     bad = np.flatnonzero(tree.parent[pos[1:]] != pos[:-1])
     if len(bad):
         k = bad[0]
         raise InvalidInputError(f"{path[k + 1]!r} is not a child of {path[k]!r}")
+    if pos[-1] < tree.n_internal:
+        raise InvalidInputError(
+            f"a tree path ends at a terminal node, not at {path[-1]!r}"
+        )
     here = pos[:-1]
     return _roll_steps(
         solution.xi[here], solution.a[here], solution.V[here], v, tree.rets[pos[1:]]

@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 _RNG_BLOCK = 1 << 14
+_LAW_STEPS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -249,13 +250,14 @@ class SimReport:
 
 
 def _block_rng(seed, block):
-    """Counter-based Philox stream keyed by (seed, block index).
+    """SFC64 stream of path block ``block``, seeded by SeedSequence([seed, block]).
 
-    Streams with distinct keys are statistically independent, so results
-    depend only on (seed, path index) and not on any scheduling of blocks.
+    ``SeedSequence`` hashes the pair into the generator's state, so streams
+    of distinct pairs are statistically independent and results depend only
+    on (seed, path index), not on any scheduling of blocks.
     """
-    key = np.array([np.uint64(seed % (1 << 64)), np.uint64(block)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    entropy = np.random.SeedSequence([seed % (1 << 64), block])
+    return np.random.Generator(np.random.SFC64(entropy))
 
 
 def _psd_factor(c):
@@ -278,27 +280,14 @@ def _pair_law(P, m, S):
     return P @ m, _psd_factor(P @ S @ P.transpose(0, 2, 1))
 
 
-def _simulate_steps(track, mean, factor, v, n_paths, seed):
-    """Roll the feedback rule's wealth over K steps of a Gaussian pair law.
+def _simulate_steps(n_steps, law, v, n_paths, seed):
+    """Report of the hedging errors wealth_T - 1 of :func:`_roll_pair_law`.
 
-    Step k moves wealth by y0 + (track[k] - wealth) y1, where (y0, y1) =
-    mean[k] + factor[k] z is the pair (p.r, q.r) of the rule
-    pi = p + (track - wealth) q and z holds two standard normals per path,
-    drawn as one (2, paths) array per step from the Philox stream of the
-    path's block.  Memory is two path vectors per step, whatever K is.
+    The roll returns before the statistics run, so its chunk buffers are
+    freed by then.
     """
-    errors = np.empty(n_paths)
-    for block, lo in enumerate(range(0, n_paths, _RNG_BLOCK)):
-        size = min(_RNG_BLOCK, n_paths - lo)
-        rng = _block_rng(seed, block)
-        wealth = np.full(size, float(v))
-        for k in range(len(track)):
-            z0, z1 = rng.standard_normal((2, size))
-            (f00, f01), (f10, f11) = factor[k]
-            y0 = mean[k, 0] + f00 * z0 + f01 * z1
-            y1 = mean[k, 1] + f10 * z0 + f11 * z1
-            wealth += y0 + (track[k] - wealth) * y1
-        errors[lo : lo + size] = wealth - 1.0
+    errors = _roll_pair_law(n_steps, law, v, n_paths, seed)
+    errors -= 1.0
     sq = errors**2
     se = 0.0 if n_paths < 2 else float(np.std(sq, ddof=1) / np.sqrt(n_paths))
     return SimReport(
@@ -311,10 +300,60 @@ def _simulate_steps(track, mean, factor, v, n_paths, seed):
     )
 
 
+def _roll_pair_law(n_steps, law, v, n_paths, seed):
+    """Terminal wealth of n_paths paths over n_steps steps of a Gaussian pair law.
+
+    Step k moves wealth by y0 + (track[k] - wealth) y1, where (y0, y1) =
+    mean[k] + factor[k] z is the pair (p.r, q.r) of the rule
+    pi = p + (track - wealth) q and z holds two standard normals per path.
+    ``law(k0, k1)`` gives track, mean and factor for steps k0..k1 - 1 and is
+    called once per chunk of ``_LAW_STEPS`` steps.  Paths are cut into blocks
+    of ``_RNG_BLOCK``, each with its own :func:`_block_rng` stream; a block of
+    ``size`` paths draws one (chunk, 2, size) array of normals per chunk of
+    ``max(1, _RNG_BLOCK // size)`` steps into reused buffers.  A generator
+    fills consecutive draws in order, so chunking moves no draw, and memory
+    is bounded by the chunk sizes whatever the horizon.
+    """
+    wealth = np.full(n_paths, float(v))
+    blocks = [
+        (wealth[lo : lo + _RNG_BLOCK], _block_rng(seed, block))
+        for block, lo in enumerate(range(0, n_paths, _RNG_BLOCK))
+    ]
+    # one chunk of normals, of pairs and of a product term, for any block
+    bufs, gaps = np.empty((3, 2 * _RNG_BLOCK)), np.empty(_RNG_BLOCK)
+    for k0 in range(0, n_steps, _LAW_STEPS):
+        track, mean, factor = law(k0, min(n_steps, k0 + _LAW_STEPS))
+        for paths, rng in blocks:
+            size = len(paths)
+            chunk, gap = max(1, _RNG_BLOCK // size), gaps[:size]
+            for j in range(0, len(track), chunk):
+                m, f = mean[j : j + chunk, :, None], factor[j : j + chunk, ..., None]
+                z, y, fz = (b[: len(m) * 2 * size].reshape(-1, 2, size) for b in bufs)
+                rng.standard_normal(out=z)
+                # y = (mean + f[:, :, 0] z0) + f[:, :, 1] z1, as pairs
+                np.multiply(f[:, :, 0], z[:, None, 0], out=y)
+                y += m
+                y += np.multiply(f[:, :, 1], z[:, None, 1], out=fz)
+                steps = zip(track[j : j + chunk].tolist(), y[:, 0], y[:, 1])
+                for tracking, y0, y1 in steps:
+                    np.subtract(tracking, paths, out=gap)
+                    gap *= y1
+                    gap += y0
+                    paths += gap
+    return wealth
+
+
 def _iid_law(model, coeffs, values):
-    """Per-period law of the pair (xi[t].r, a[t].r), r ~ N(mu, sigma)."""
-    P = np.stack([coeffs.xi, coeffs.a], axis=1)
-    return (values.V[:-1], *_pair_law(P, model.mu, model.sigma))
+    """Step count and per-chunk law of the pairs (xi[t].r, a[t].r), r ~ N(mu, sigma).
+
+    ``law(k0, k1)`` gives periods k0..k1 - 1: the tracking values V[t] and
+    the :func:`_pair_law` of the rows [xi[t]; a[t]].
+    """
+    def law(k0, k1):
+        P = np.stack([coeffs.xi[k0:k1], coeffs.a[k0:k1]], axis=1)
+        return (values.V[k0:k1], *_pair_law(P, model.mu, model.sigma))
+
+    return len(values.V) - 1, law
 
 
 def _segment_tracking(v0, v1, slope, t0, t1, t):
@@ -331,13 +370,24 @@ def _segment_tracking(v0, v1, slope, t0, t1, t):
     return np.zeros_like(t)
 
 
+def _grid(t0, t1, n, j0, j1):
+    """Points j0..j1 of ``np.linspace(t0, t1, n + 1)``, computed only there."""
+    t = np.arange(j0, j1 + 1) * ((t1 - t0) / n) + t0
+    if j1 == n:
+        t[-1] = t1
+    return t
+
+
 def _pii_law(model, coeffs, values, step):
-    """Per-substep law of (V zeta_i . dlog, a_i . dlog) on the Euler grid.
+    """Step count and per-chunk law of (V zeta_i . dlog, a_i . dlog) on the Euler grid.
 
     Each segment is cut into ceil(duration / step) substeps, so segment
     boundaries are grid points; dlog ~ N(b_i dt, c_i dt).  V at each substep
     start comes from the segment's boundary values, since log V is linear on
-    a segment with slope d log V / dt = a_i c_i a_i' - a_i b_i.
+    a segment with slope d log V / dt = a_i c_i a_i' - a_i b_i.  The step
+    count is checked against ``MAX_STEPS`` before any law is built;
+    ``law(k0, k1)`` then builds substeps k0..k1 - 1 from the segments they
+    fall in.
     """
     if step is None or not step > 0:
         raise InvalidInputError(f"a positive Euler step is required, got {step}")
@@ -348,18 +398,28 @@ def _pii_law(model, coeffs, values, step):
             f"an Euler step of {step:g} needs {n_subs.sum():.3g} steps; "
             f"at most {MAX_STEPS} are allowed"
         )
-    laws = []
-    for i, seg in enumerate(model.segments):
-        edges = np.linspace(bounds[i], bounds[i + 1], max(1, int(n_subs[i])) + 1)
-        t0, dt = edges[:-1], np.diff(edges)
-        a = coeffs.a[i]
-        slope = a @ seg.c @ a - a @ seg.b
-        track = _segment_tracking(*values.V[i : i + 2], slope, *bounds[i : i + 2], t0)
-        p, q = np.broadcast_arrays(track[:, None] * coeffs.zeta[i], a)
-        P = np.stack([p, q], axis=1)
-        mean, factor = _pair_law(P, seg.b, seg.c)
-        laws.append((track, mean * dt[:, None], factor * np.sqrt(dt)[:, None, None]))
-    return tuple(np.concatenate(parts) for parts in zip(*laws))
+    counts = np.maximum(1, n_subs).astype(int)
+    starts = np.concatenate([[0], np.cumsum(counts)])
+
+    def law(k0, k1):
+        laws = []
+        first = int(np.searchsorted(starts, k0, side="right")) - 1
+        for i in range(first, int(np.searchsorted(starts, k1))):
+            seg, n, ends = model.segments[i], counts[i], bounds[i : i + 2]
+            j0, j1 = max(0, k0 - starts[i]), min(n, k1 - starts[i])
+            edges = _grid(*ends, n, j0, j1)
+            t0, dt = edges[:-1], np.diff(edges)
+            a = coeffs.a[i]
+            slope = a @ seg.c @ a - a @ seg.b
+            track = _segment_tracking(*values.V[i : i + 2], slope, *ends, t0)
+            p, q = np.broadcast_arrays(track[:, None] * coeffs.zeta[i], a)
+            P = np.stack([p, q], axis=1)
+            mean, factor = _pair_law(P, seg.b, seg.c)
+            root_dt = np.sqrt(dt)[:, None, None]
+            laws.append((track, mean * dt[:, None], factor * root_dt))
+        return tuple(np.concatenate(parts) for parts in zip(*laws))
+
+    return int(starts[-1]), law
 
 
 def _simulate_tree(tree, solution, claim, v, seed):
@@ -382,8 +442,9 @@ def _simulate_tree(tree, solution, claim, v, seed):
 def mc_simulate(model, coeffs, values, claim, v, n_paths, seed, step=None):
     """Simulate the feedback strategy and report the empirical hedging error.
 
-    Deterministic given (seed, n_paths): normal draws come from counter-based
-    Philox substreams keyed by (seed, block index) with a fixed block size.
+    Deterministic given (seed, n_paths): each block of ``_RNG_BLOCK`` paths
+    draws its normals from the SFC64 stream :func:`_block_rng` of (seed,
+    block index).
     For trees ``claim`` is None or the :class:`TreeSolution`'s own claim, and
     the terminal distribution is enumerated exactly: the report has one path
     per terminal node, ``exact`` true and no standard error, whatever
@@ -392,7 +453,8 @@ def mc_simulate(model, coeffs, values, claim, v, n_paths, seed, step=None):
     scheme on log returns with the user-supplied ``step``.  Under the feedback rule
     pi = p + (V - wealth) q a step reads r only through the pair (p.r, q.r),
     so each step draws that pair from its exact bivariate normal law: two
-    normals per path and step, streamed one step at a time.
+    normals per path and step, drawn and rolled by :func:`_simulate_steps`
+    in chunks of steps, with the law built per chunk.
     """
     if int(n_paths) < 1:
         raise InvalidInputError(f"the path count must be at least 1, got {n_paths}")

@@ -604,11 +604,24 @@ class TestFeedbackStrategy:
             feedback_strategy(sol, None, 0.0, [tree.root, "nope"])
 
     def test_one_node_tree_path(self):
-        tree = complete_binomial_tree(periods=2)
+        # On a one-node tree the root is terminal: the path rolls no step.
+        tree = models.FiniteTreeModel([("r", 0, np.array([1.0, 2.0]), [])], "r")
         sol = tree_backward(tree, Claim(constant=1.0))
         strat = feedback_strategy(sol, None, 0.3, [tree.root])
         assert strat.holdings.shape == (0, tree.d)
         assert strat.wealth.tolist() == [0.3]
+
+    def test_partial_tree_path_rejected(self):
+        tree = complete_binomial_tree(periods=2)
+        sol = tree_backward(tree, Claim(constant=1.0))
+        child = tree.nodes[tree.root].branches[0][1]
+        grandchild = tree.nodes[child].branches[0][1]
+        with pytest.raises(InvalidInputError, match=f"starts at the root.*{child!r}"):
+            feedback_strategy(sol, None, 0.0, [child, grandchild])
+        with pytest.raises(InvalidInputError, match=f"ends at a terminal.*{child!r}"):
+            feedback_strategy(sol, None, 0.0, [tree.root, child])
+        with pytest.raises(InvalidInputError, match="ends at a terminal"):
+            feedback_strategy(sol, None, 0.0, [tree.root])
 
     @pytest.mark.parametrize("shape", ["generic", "riskless", "duplicated", "mixed"])
     def test_path_roll_matches_tree_roll(self, shape):

@@ -331,12 +331,22 @@ class TestMonteCarlo:
         assert main(argv) == 0
         assert capsys.readouterr().out == first
 
-    def test_horizon_of_1e5_periods_in_bounded_memory(self, tmp_path, capsys):
-        # The law of all 10^5 steps is a few MB; the paths need two vectors.
+    def test_horizon_of_1e5_periods_in_bounded_memory(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The law is built per chunk of steps and the paths need a few
+        # vectors; only the engine's own step arrays grow with the horizon.
         model = {"mu": [0.001, 0.002], "sigma": [[1e-4, 2e-5], [2e-5, 4e-4]]}
         path = tmp_path / "longer.json"
         path.write_text(json.dumps({"model": dict(model, kind="iid", T=10**5)}))
         argv = ["simulate", "--model", str(path), "--paths", "200", "--seed", "5"]
+        steps, pair_law = [], oracle._pair_law
+
+        def spy(P, m, S):
+            steps.append(len(P))
+            return pair_law(P, m, S)
+
+        monkeypatch.setattr(oracle, "_pair_law", spy)
         tracemalloc.start()
         try:
             assert main(argv) == 0
@@ -345,6 +355,9 @@ class TestMonteCarlo:
             tracemalloc.stop()
         assert peak < 30e6, peak
         assert "paths = 200" in capsys.readouterr().out
+        # one block of paths: every step's law is built once, a chunk at a time
+        assert max(steps) <= oracle._LAW_STEPS
+        assert sum(steps) == 10**5
 
     def test_ito_euler_converges(self, ito_benchmark):
         values, coeffs = closed_form_values(ito_benchmark)
@@ -397,10 +410,13 @@ class TestMonteCarlo:
 def _rollout(law, v, n_paths, seed, block):
     """Per-path Python rollout of the pair-law kernel on its own normals.
 
-    Block b holds paths [b * block, (b + 1) * block); its Philox stream gives
-    one (2, size) array of standard normals per step.
+    ``law`` is the (step count, per-chunk law) pair of ``_iid_law`` or
+    ``_pii_law``, built here in one piece.  Block b holds paths
+    [b * block, (b + 1) * block); its ``_block_rng`` stream gives one
+    (2, size) array of standard normals per step.
     """
-    track, mean, factor = (np.asarray(x).tolist() for x in law)
+    n_steps, law = law
+    track, mean, factor = (np.asarray(x).tolist() for x in law(0, n_steps))
     errors = []
     for b, lo in enumerate(range(0, n_paths, block)):
         size = min(block, n_paths - lo)
@@ -479,8 +495,13 @@ class TestPairLawSampler:
             assert not factor.any()
 
     def test_kernel_matches_per_path_rollout(self, discrete_benchmark, monkeypatch):
-        # Three Philox blocks of 64 paths (the last one partial), on the IID
-        # law and on a two-segment Euler grid; errors must agree bit for bit.
+        # Blocks of 64 paths, on the IID law (4 steps) and on a two-segment
+        # Euler grid (6 + 14 steps); errors must agree bit for bit.  A block
+        # of size paths draws max(1, 64 // size) steps per chunk:
+        # - 150 paths: blocks 64, 64, 22, so the last block draws 2 steps;
+        # - 21 paths: one block drawing 3 steps, the last chunk partial;
+        # - 149 paths: blocks 64, 64, 21, the last with partial chunks.
+        # Laws of 7 steps cut the draw chunks and the segment boundary too.
         monkeypatch.setattr(oracle, "_RNG_BLOCK", 64)
         rng = np.random.default_rng(13)
         segments = []
@@ -488,19 +509,35 @@ class TestPairLawSampler:
             G = rng.normal(size=(2, 2)) * 0.3
             segments.append((duration, rng.normal(size=2) * 0.05, G @ G.T))
         ito = models.PiiItoModel(segments)
-        v, n_paths, seed = 0.3, 150, 8
-        for model, step in ((discrete_benchmark, None), (ito, 0.1)):
-            values, coeffs = closed_form_values(model)
-            if step is None:
-                law = oracle._iid_law(model, coeffs, values)
-            else:
-                law = oracle._pii_law(model, coeffs, values, step)
-            errors = _rollout(law, v, n_paths, seed, 64)
-            report = mc_simulate(
-                model, coeffs, values, None, v, n_paths, seed, step=step
-            )
-            assert report.error_mean == float(np.mean(errors))
-            assert report.error_second_moment == float(np.mean(errors**2))
+        v, seed = 0.3, 8
+        for law_steps in (oracle._LAW_STEPS, 7):
+            monkeypatch.setattr(oracle, "_LAW_STEPS", law_steps)
+            for model, step in ((discrete_benchmark, None), (ito, 0.1)):
+                values, coeffs = closed_form_values(model)
+                if step is None:
+                    law = oracle._iid_law(model, coeffs, values)
+                else:
+                    law = oracle._pii_law(model, coeffs, values, step)
+                for n_paths in (150, 21, 149):
+                    errors = _rollout(law, v, n_paths, seed, 64)
+                    report = mc_simulate(
+                        model, coeffs, values, None, v, n_paths, seed, step=step
+                    )
+                    assert report.error_mean == float(np.mean(errors))
+                    assert report.error_second_moment == float(np.mean(errors**2))
+
+    def test_euler_grid_slices_match_linspace(self):
+        # The per-chunk Euler law reads slices of each segment's grid.
+        rng = np.random.default_rng(23)
+        for _ in range(50):
+            t0 = float(rng.uniform(-3.0, 3.0))
+            t1 = t0 + float(rng.exponential(2.0))
+            n = int(rng.integers(1, 500))
+            j0 = int(rng.integers(0, n))
+            j1 = int(rng.integers(j0 + 1, n + 1))
+            full = np.linspace(t0, t1, n + 1)
+            assert np.array_equal(oracle._grid(t0, t1, n, j0, j1), full[j0 : j1 + 1])
+            assert np.array_equal(oracle._grid(t0, t1, n, 0, n), full)
 
     def test_pooled_estimates_match_full_dimensional_reference(
         self, discrete_benchmark, ito_benchmark
