@@ -336,7 +336,7 @@ def tree_backward(tree, claim, adjustment_override=None):
     (sums over each node's children by ``np.add.reduceat``) around one call of
     the least-squares kernel ``qp._lsq`` on the level's stack of rows, padded
     with zero rows to its largest branch count; the constraint ones' is
-    factored once for the whole tree.
+    factored once per asset count and shared with the DP oracle.
 
     ``adjustment_override`` is a hook ``f(node_id, a, null_basis) -> a``
     applied to each node after its level's solve; results must stay within
@@ -344,9 +344,9 @@ def tree_backward(tree, claim, adjustment_override=None):
     """
     n, n_int, d = len(tree.ids), tree.n_internal, tree.d
     L, V, eps2 = np.ones(n), np.empty(n), np.zeros(n)
-    V[n_int:] = _terminal_values(tree, claim.value_at)
+    V[n_int:] = _terminal_values(tree, claim)
     a, xi = np.empty((n_int, d)), np.empty((n_int, d))
-    ones, flats = qp.Constraint(np.ones((1, d))), []
+    ones, flats = qp._ones(d), []
     for here, kids, sums, owner in reversed(tree.levels):
         p, R, L_next, V_next = tree.prob[kids], tree.rets[kids], L[kids], V[kids]
         pL = p * L_next
@@ -354,7 +354,8 @@ def tree_backward(tree, claim, adjustment_override=None):
         q = pL / mean_L[owner]
         sq = np.sqrt(q)[:, None]
         rows = _by_node(owner, np.hstack([sq * R, sq, sq * V_next[:, None]]))
-        x, _, bases, keep = qp._lsq(rows[..., :d], rows[..., d:], ones, [[-1.0, 0.0]])
+        x, _, vecs, keep = qp._lsq(rows[..., :d], rows[..., d:], ones, [[-1.0, 0.0]])
+        bases = ones.N @ vecs
         a[here] = x[:, :, 0]
         if adjustment_override is not None:
             for k, i in enumerate(range(here.start, here.stop)):
@@ -363,7 +364,7 @@ def tree_backward(tree, claim, adjustment_override=None):
         a_here = a[here]
         gain = 1.0 - _rowdot(R, a_here[owner])
         growth = sums(q * gain**2)
-        if np.any(growth <= _POSITIVITY_TOL):
+        if (growth <= _POSITIVITY_TOL).any():
             bad = here.start + np.argmax(growth <= _POSITIVITY_TOL)
             raise LocalArbitrageError(
                 "opportunity process is not positive: a fully invested "

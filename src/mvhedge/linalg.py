@@ -29,6 +29,8 @@ __all__ = [
     "symmetric_psd",
 ]
 
+_EPS = np.finfo(float).eps
+
 
 class InvalidInputError(ValueError):
     """Raised for malformed numeric arguments (non-finite entries, bad shapes,
@@ -59,8 +61,8 @@ class NumericContext:
         none); a stack of value rows gets one cutoff per row."""
         rtol = self.rank_rtol
         if rtol is None:
-            rtol = max(shape) * np.finfo(float).eps
-        return rtol * np.max(singular_values, axis=-1, initial=0.0)
+            rtol = max(shape) * _EPS
+        return rtol * np.asarray(singular_values).max(axis=-1, initial=0.0)
 
 
 DEFAULT_CTX = NumericContext()

@@ -192,18 +192,18 @@ def _quad(x, M, y):
 
 
 def _branch_sums(prob, first):
-    """Sum of ``prob[first[i]:first[i + 1]]`` for each i, rounded like ``.sum()``.
+    """Sum of ``prob[..., first[i]:first[i + 1]]`` for each i, rounded like ``.sum()``.
 
-    Grouped by branch count, each sum is one row of a 2-d ``sum``, which adds
-    in the order of a node's own ``probs.sum()`` (``np.add.reduceat`` does
-    not), so the sum checks and renormalization round as a node-by-node
-    check would.
+    ``prob`` is (n,) or a stack (K, n).  Grouped by branch count, each sum is
+    one row of a ``sum`` along the last axis, which adds in the order of a
+    node's own ``probs.sum()`` (``np.add.reduceat`` does not), so the sum
+    checks and renormalization round as a node-by-node check would.
     """
-    counts = np.diff(first)
-    sums = np.empty(len(counts))
+    counts = first[1:] - first[:-1]
+    sums = np.empty(prob.shape[:-1] + counts.shape)
     for k in set(counts.tolist()):
         rows = np.flatnonzero(counts == k)
-        sums[rows] = prob[first[rows, None] + np.arange(k)].sum(axis=1)
+        sums[..., rows] = prob[..., first[rows, None] + np.arange(k)].sum(axis=-1)
     return sums
 
 
@@ -216,16 +216,98 @@ def _by_node(owner, rows):
     return out
 
 
-def _terminal_values(tree, value_at):
-    """``value_at(id)`` at every terminal node of ``tree``, in node order."""
-    return np.array([value_at(t) for t in tree.terminal_ids], dtype=float)
+def _terminal_values(tree, claim):
+    """The :class:`Claim`'s value at every terminal node of ``tree``, in node
+    order, resolved in one pass; a payoff map must cover every terminal node."""
+    n = len(tree.terminal_ids)
+    if claim.payoff is None:
+        return np.full(n, float(claim.constant))
+    try:
+        return np.fromiter(map(claim.payoff.__getitem__, tree.terminal_ids), float, n)
+    except KeyError as err:
+        raise InvalidModelError(
+            f"claim payoff undefined at terminal node {err.args[0]!r}"
+        ) from None
+
+
+def _first_member(count, *masks):
+    """The first k < ``count`` for which some mask of ``masks``, each with
+    ``count`` rows, has a true entry in row k; else ``count``."""
+    hits = [mask.reshape(count, -1).any(axis=1) for mask in masks if mask.any()]
+    return int(np.argmax(np.logical_or.reduce(hits))) if hits else count
+
+
+def _check_values(tree, prob, prices, rets):
+    """The value step on K members of ``tree``'s layout at once.
+
+    Checks (K, n) branch probabilities ``prob`` and (K, n, d) ``prices``,
+    renormalizes ``prob`` in place and writes the edge returns into ``rets``
+    (K, n, d); each may be a strided view.  Member k passes exactly when it
+    would pass alone.  Otherwise the first failing member raises the error it
+    would raise alone, naming its first offending node, after the
+    renormalization warnings of the members before it and, when its failure
+    comes after them, its own.
+    """
+    ids, parent = tree.ids, tree.parent
+    prob[:, 0] = 1.0  # the root has no incoming branch
+    bad_prices = ~(np.isfinite(prices) & (prices != 0.0))
+    bad_prob = ~(prob > 0.0)
+    sums = _branch_sums(prob, tree.first)
+    gap = np.abs(sums - 1.0)
+    bad_sums = ~(gap <= _PROB_SUM_TOL)
+    ok = _first_member(len(prob), bad_prices, bad_prob, bad_sums)
+    # returns only of members with checked prices, so no division warns
+    np.divide(prices[:ok, 1:], prices[:ok, parent[1:]], out=rets[:ok, 1:])
+    rets[:ok, 1:] -= 1.0
+    rets[:ok, 0] = 0.0
+    bad_rets = ~(np.abs(rets[:ok]) <= MAX_AMOUNT)
+    no_positive = ~(prices[:ok] > 0.0).all(axis=1).any(axis=1)
+    fail = _first_member(ok, bad_rets, no_positive)
+    off = gap > _PROB_SUM_EXACT
+    warned = off[: fail + (fail < ok)]  # the members that reach renormalization
+    if warned.any():
+        for k, i in np.argwhere(warned):
+            warnings.warn(
+                f"renormalizing branch probabilities at node {ids[i]!r} "
+                f"(sum off by {gap[k, i]:.2e})"
+            )
+        prob[:, 1:] = prob[:, 1:] / np.where(off, sums, 1.0)[:, parent[1:]]
+    if fail < ok:
+        if bad_rets[fail].any():
+            i = int(np.argmax(bad_rets[fail].any(axis=1)))
+            raise InvalidInputError(
+                f"every edge return must be at most {MAX_AMOUNT:g} in magnitude, "
+                f"got {float(np.abs(rets[fail, i]).max())!r} on the edge into "
+                f"node {ids[i]!r}"
+            )
+        raise InvalidModelError(
+            "no strictly positive asset exists; the tree admits no "
+            "self-financing numeraire candidate"
+        )
+    if fail < len(prob):
+        if bad_prices[fail].any():
+            i = int(np.argmax(bad_prices[fail].any(axis=1)))
+            if not np.isfinite(prices[fail, i]).all():
+                raise InvalidModelError(f"node {ids[i]!r} has non-finite prices")
+            raise InvalidModelError(
+                f"node {ids[i]!r} has a zero price; returns are undefined"
+            )
+        if bad_prob[fail].any():
+            nid = ids[parent[int(np.argmax(bad_prob[fail]))]]
+            raise InvalidModelError(
+                f"node {nid!r} has a non-positive branch probability"
+            )
+        i = int(np.argmax(bad_sums[fail]))
+        raise InvalidModelError(
+            f"branch probabilities at node {ids[i]!r} sum to {sums[fail, i]}"
+        )
 
 
 # What the structure step of FiniteTreeModel lays out; trees that differ only
 # in their values share it.
 _STRUCTURE = (
     "root", "horizon", "terminal_ids", "n_internal", "ids", "index", "parent",
-    "time", "levels",
+    "time", "first", "levels",
 )
 
 
@@ -239,7 +321,8 @@ class FiniteTreeModel:
     positions are the non-terminal nodes; ``parent``, ``prob`` (the branch
     probability into the node; 1 at the root), ``time``, ``prices`` and
     ``rets`` (the simple returns over the edge from the parent; zero at the
-    root) are arrays in node order.  ``levels`` holds one ``(nodes, children,
+    root) are arrays in node order; the children of non-terminal node i sit at
+    ``first[i]:first[i + 1]``.  ``levels`` holds one ``(nodes, children,
     sums, owner)`` tuple per non-terminal time, root first: the position
     slices of the level and of its children, ``sums(x)`` adding per-child rows
     ``x`` over each node's children (``np.add.reduceat``), and each child's
@@ -360,7 +443,7 @@ class FiniteTreeModel:
         self.horizon = int(time[-1])
         self.parent, self.time = parent, time
         lb = np.searchsorted(time, np.arange(time[0], self.horizon + 2))
-        first = np.searchsorted(parent, np.arange(n))
+        first = self.first = np.searchsorted(parent, np.arange(self.n_internal + 1))
         self.levels = tuple(
             (slice(a, b), slice(b, c), partial(np.add.reduceat, indices=first[a:b] - b),
              parent[b:c] - a)
@@ -371,57 +454,13 @@ class FiniteTreeModel:
     def _set_values(self, prob, prices, payoff):
         """The value step: check and store ``prob``, ``prices`` and ``payoff``.
 
-        The checks run over whole arrays in node order; a failure names the
-        first offending node.  ``payoff`` maps ids to floats.
+        The checks (:func:`_check_values` on a stack of one) run over whole
+        arrays in node order; a failure names the first offending node.
+        ``payoff`` maps ids to floats.
         """
-        ids = self.ids
-        bad = ~np.all(np.isfinite(prices) & (prices != 0.0), axis=1)
-        if bad.any():
-            i = int(np.argmax(bad))
-            if not np.all(np.isfinite(prices[i])):
-                raise InvalidModelError(f"node {ids[i]!r} has non-finite prices")
-            raise InvalidModelError(
-                f"node {ids[i]!r} has a zero price; returns are undefined"
-            )
-        prob[0] = 1.0  # the root has no incoming branch
-        bad = ~(prob > 0.0)
-        if bad.any():
-            nid = ids[self.parent[int(np.argmax(bad))]]
-            raise InvalidModelError(
-                f"node {nid!r} has a non-positive branch probability"
-            )
-        first = np.searchsorted(self.parent, np.arange(self.n_internal + 1))
-        sums = _branch_sums(prob, first)
-        gap = np.abs(sums - 1.0)
-        bad = ~(gap <= _PROB_SUM_TOL)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise InvalidModelError(
-                f"branch probabilities at node {ids[i]!r} sum to {sums[i]}"
-            )
-        off = gap > _PROB_SUM_EXACT
-        if off.any():
-            for i in np.flatnonzero(off):
-                warnings.warn(
-                    f"renormalizing branch probabilities at node {ids[i]!r} "
-                    f"(sum off by {gap[i]:.2e})"
-                )
-            prob[1:] = prob[1:] / np.where(off, sums, 1.0)[self.parent[1:]]
-        rets = np.zeros_like(prices)
-        rets[1:] = prices[1:] / prices[self.parent[1:]] - 1.0
-        if not np.max(np.abs(rets), initial=0.0) <= MAX_AMOUNT:
-            i = int(np.argmax(~np.all(np.abs(rets) <= MAX_AMOUNT, axis=1)))
-            raise InvalidInputError(
-                f"every edge return must be at most {MAX_AMOUNT:g} in magnitude, "
-                f"got {float(np.max(np.abs(rets[i])))!r} on the edge into node "
-                f"{ids[i]!r}"
-            )
+        rets = np.empty_like(prices)
+        _check_values(self, prob[None], prices[None], rets[None])
         self.prob, self.prices, self.rets = prob, prices, rets
-        if not self.positive_assets():
-            raise InvalidModelError(
-                "no strictly positive asset exists; the tree admits no "
-                "self-financing numeraire candidate"
-            )
         self.payoff = payoff
         if payoff is not None:
             missing = [t for t in self.terminal_ids if t not in payoff]
@@ -485,7 +524,7 @@ class FiniteTreeModel:
 
     def positive_assets(self):
         """Indices of assets with strictly positive prices on every node."""
-        return [int(i) for i in np.flatnonzero(np.all(self.prices > 0, axis=0))]
+        return np.flatnonzero((self.prices > 0).all(axis=0)).tolist()
 
     def log_characteristics(self, nid):
         """Conditional (b, c) of simple returns at a non-terminal node."""
@@ -553,36 +592,64 @@ def discount_tree(tree, numeraire_index):
     change of measure with density X_T^2 / E[X_T^2], and the payoff (if any)
     is divided by X_T.
 
-    The discounted tree shares ``tree``'s structure (ids, parents, times and
-    levels): no records are built and only the value step of
-    :class:`FiniteTreeModel` runs on the new arrays, so every value check
-    still applies (a discounted edge return can exceed ``MAX_AMOUNT`` where
-    no undiscounted one does).
+    This is the one-asset case of :func:`_discount`, which the numeraire
+    check runs on every asset at once.  The discounted tree shares ``tree``'s
+    structure (ids, parents, times and levels): no records are built and only
+    the value step of :class:`FiniteTreeModel` runs on the new arrays, so
+    every value check still applies (a discounted edge return can exceed
+    ``MAX_AMOUNT`` where no undiscounted one does).
 
     Returns the discounted tree and E[X_T^2 | node] for every node, in node
     order.
     """
-    j = int(numeraire_index)
-    if not 0 <= j < tree.d:
-        raise InvalidNumeraireError(f"numeraire index {j} out of range")
-    if j not in tree.positive_assets():
-        raise InvalidNumeraireError(
-            f"numeraire asset {j} is not strictly positive on every node"
-        )
-    weights = tree.prices[:, j] ** 2
-    for here, kids, sums, _ in reversed(tree.levels):
-        weights[here] = sums(tree.prob[kids] * weights[kids])
-    prob = tree.prob * weights / weights[tree.parent]
-    prices = tree.prices / tree.prices[:, j : j + 1]
-    payoff = None
-    if tree.payoff is not None:
-        values = _terminal_values(tree, tree.payoff.__getitem__)
-        values = values / tree.prices[tree.n_internal :, j]
-        payoff = dict(zip(tree.terminal_ids, values.tolist()))
+    (j,) = _numeraires(tree, [numeraire_index])
+    prob, rets = np.empty((1, len(tree.ids))), np.empty((1,) + tree.prices.shape)
+    (prices,), (weights,) = _discount(tree, [j], prob, rets)
     disc = object.__new__(FiniteTreeModel)
     disc.__dict__.update((name, vars(tree)[name]) for name in _STRUCTURE)
-    disc._set_values(prob, prices, payoff)
+    disc.prob, disc.prices, disc.rets, disc.payoff = prob[0], prices, rets[0], None
+    if tree.payoff is not None:
+        values = np.array([tree.payoff[t] for t in tree.terminal_ids], dtype=float)
+        values = values / tree.prices[tree.n_internal :, j]
+        disc.payoff = dict(zip(tree.terminal_ids, values.tolist()))
     return disc, weights
+
+
+def _numeraires(tree, assets):
+    """``assets`` as ints, each an asset index of ``tree`` with strictly
+    positive prices on every node; else InvalidNumeraireError for the first
+    that is not."""
+    assets, positive = [int(j) for j in assets], tree.positive_assets()
+    for j in assets:
+        if not 0 <= j < tree.d:
+            raise InvalidNumeraireError(f"numeraire index {j} out of range")
+        if j not in positive:
+            raise InvalidNumeraireError(
+                f"numeraire asset {j} is not strictly positive on every node"
+            )
+    return assets
+
+
+def _discount(tree, assets, prob, rets):
+    """Discount ``tree`` by every numeraire of ``assets`` at once.
+
+    Member k divides prices by asset ``assets[k]`` and reweights the branch
+    probabilities as :func:`discount_tree` does; E[X_T^2 | node] comes from
+    one backward recursion over a (K, n) array.  Member k's probabilities
+    and edge returns are written into ``prob[k]`` (K, n) and ``rets[k]``
+    (K, n, d), which may be views of the caller's arrays, after one
+    :func:`_check_values` over the stack.  Returns the discounted prices
+    (K, n, d), a view of a node-major array, and the moments (K, n).
+    """
+    numeraire = tree.prices[:, assets].T
+    weights = numeraire**2
+    for here, kids, sums, _ in reversed(tree.levels):
+        weights[:, here] = sums(tree.prob[kids] * weights[:, kids], axis=-1)
+    np.divide(tree.prob * weights, weights[:, tree.parent], out=prob)
+    # node-major, like the DP's inputs, so the returns are formed row by row
+    prices = (tree.prices[:, None] / numeraire.T[..., None]).transpose(1, 0, 2)
+    _check_values(tree, prob, prices, rets)
+    return prices, weights
 
 
 def _typed(value, kind, what):

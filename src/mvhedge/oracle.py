@@ -25,8 +25,9 @@ from .models import (
     PiiItoModel,
     _amount,
     _by_node,
+    _discount,
+    _numeraires,
     _terminal_values,
-    discount_tree,
 )
 
 __all__ = [
@@ -73,12 +74,13 @@ def dp_solve(tree, claim, v):
     their residuals: ell = ||r1||^2, v = -r0 . r1 / ell and
     e = ||r0 + v r1||^2 + E[e].  The objective for initial wealth v is
     ell_root (v - v_root)^2 + e_root.  Each level is one array step around
-    one call of ``qp._lsq`` (ones' is factored once per tree).  Holdings and
-    wealth come from one wealth roll of the policy pi0 + wealth * pi1.  This
-    is the batch of one of the pass that :func:`numeraire_change_check` runs
-    on a tree and its discounted trees together.
+    one call of ``qp._lsq`` (ones' is factored once per asset count and
+    shared with the engine).  Holdings and wealth come from one wealth roll
+    of the policy pi0 + wealth * pi1.  This is the batch of one of the pass
+    that :func:`numeraire_change_check` runs on a tree and its discounted
+    trees together.
     """
-    terminal = _terminal_values(tree, claim.value_at)[:, None]
+    terminal = _terminal_values(tree, claim)[:, None]
     return _dp_pass(tree, tree.prob[:, None], tree.rets[:, None], terminal, [v])[0]
 
 
@@ -99,27 +101,27 @@ def _dp_pass(tree, prob, rets, terminal, v):
     ell, vals, errs = np.ones((n, K)), np.empty((n, K)), np.zeros((n, K))
     vals[n_int:] = terminal
     policy = np.empty((n_int, K, 2, d))
-    ones = qp.Constraint(np.ones((1, d)))
+    ones = qp._ones(d)
     for here, kids, sums, owner in reversed(tree.levels):
         root_pl = np.sqrt(prob[kids] * ell[kids])[..., None]
         cols = [root_pl * (1.0 + rets[kids]), root_pl * vals[kids][..., None]]
         cols = np.concatenate(cols + [np.zeros_like(root_pl)], axis=-1)
         # each node's rows and targets, member after member: (K m, width, d + 2)
-        stack = np.moveaxis(_by_node(owner, cols), 2, 0)
+        stack = _by_node(owner, cols).transpose(2, 0, 1, 3)
         stack = stack.reshape(-1, *stack.shape[2:])
         x, res, _, _ = qp._lsq(stack[..., :d], stack[..., d:], ones, [[0.0, 1.0]])
         policy[here] = x.reshape(K, -1, d, 2).transpose(1, 0, 3, 2)
         r0, r1 = res.reshape(K, -1, *res.shape[1:]).transpose(3, 2, 1, 0)
-        slope = np.sum(r1**2, axis=0)
-        if np.any(slope <= 1e-12):
+        slope = (r1**2).sum(axis=0)
+        if (slope <= 1e-12).any():
             _, i = np.argwhere(slope.T <= 1e-12)[0]
             raise LocalArbitrageError(
                 "value function degenerates: wealth has no quadratic cost, so a "
                 "fully invested portfolio attains zero conditional second moment",
                 where=f"node {tree.ids[here.start + i]!r}",
             )
-        ell[here], vals[here] = slope, -np.sum(r0 * r1, axis=0) / slope
-        miss = np.sum((r0 + vals[here] * r1) ** 2, axis=0)
+        ell[here], vals[here] = slope, -(r0 * r1).sum(axis=0) / slope
+        miss = ((r0 + vals[here] * r1) ** 2).sum(axis=0)
         errs[here] = miss + sums(prob[kids] * errs[kids])
     holdings, wealth = tree._roll(
         rets,
@@ -169,8 +171,8 @@ def numeraire_change_check(tree, claim, numeraire_index, v):
     reweights probabilities by its conditional terminal second moment, divides
     the claim by X_T and the initial wealth by X_0.  The optimal share
     holdings are invariant and the objectives differ by the factor E[X_T^2].
-    The undiscounted and the discounted tree are solved together, in one
-    stacked DP pass.
+    This is :func:`_numeraire_reports` for one asset: the undiscounted and
+    the discounted tree are solved together, in one stacked DP pass.
     """
     return _numeraire_reports(tree, claim, [numeraire_index], v)[1][0]
 
@@ -179,41 +181,41 @@ def _numeraire_reports(tree, claim, assets, v):
     """The undiscounted :class:`DpResult` and one :class:`NumeraireCheckReport`
     per numeraire in ``assets``, from one DP pass.
 
-    Each asset's tree is discounted by :func:`discount_tree`, which runs every
-    value check on it, and its discounted claim values are bounded by
-    ``MAX_AMOUNT`` like those of a ``Claim``; then the undiscounted tree and
-    every discounted one, which share one layout, are stacked as the members
-    of one :func:`_dp_pass`.
+    The DP's node-major inputs hold the undiscounted tree as member 0 and
+    asset ``assets[k]``'s discounted tree as member k + 1, which
+    :func:`models._discount` writes in place for every asset at once, with
+    one value check over the stack: the first failing asset raises what
+    :func:`discount_tree` raises for it.  No discounted tree is built.  The
+    assets are checked as numeraires first, and the discounted claim values
+    last, bounded by ``MAX_AMOUNT`` like those of a ``Claim``; a failure
+    names the first failing asset.
     """
-    n_int = tree.n_internal
-    h = _terminal_values(tree, claim.value_at)
-    assets = [int(j) for j in assets]
-    trees, moments, terminal, wealth = [tree], [], [h], [float(v)]
-    for j in assets:
-        disc_tree, weights = discount_tree(tree, j)
-        trees.append(disc_tree)
-        moments.append(weights[0])
-        terminal.append(_amount(h / tree.prices[n_int:, j], "a claim value"))
-        wealth.append(float(v) / tree.prices[0, j])
-    base, *solved = _dp_pass(
-        tree,
-        np.stack([t.prob for t in trees], axis=1),
-        np.stack([t.rets for t in trees], axis=1),
-        np.stack(terminal, axis=1),
-        wealth,
+    n, n_int, d = len(tree.ids), tree.n_internal, tree.d
+    assets = _numeraires(tree, assets)
+    K = 1 + len(assets)
+    prob, rets = np.empty((n, K)), np.empty((n, K, d))
+    terminal = np.empty((n - n_int, K))
+    prob[:, 0], rets[:, 0] = tree.prob, tree.rets
+    prices, moments = _discount(
+        tree, assets, prob[:, 1:].T, rets[:, 1:].transpose(1, 0, 2)
     )
+    terminal[:, 0] = _terminal_values(tree, claim)
+    np.divide(terminal[:, :1], tree.prices[n_int:, assets], out=terminal[:, 1:])
+    _amount(terminal[:, 1:].T, "a claim value")
+    wealth = np.append(float(v), float(v) / tree.prices[0, assets])
+    base, *solved = _dp_pass(tree, prob, rets, terminal, wealth)
     shares = base.holdings / tree.prices[:n_int]
-    reports = []
-    for j, disc_tree, m2, disc in zip(assets, trees[1:], moments, solved):
-        shares_hat = disc.holdings / disc_tree.prices[:n_int]
-        gaps = np.abs(shares - shares_hat) / (1.0 + np.abs(shares))
+    scale, reports = 1.0 + np.abs(shares), []
+    for j, disc_prices, m2, disc in zip(assets, prices, moments[:, 0], solved):
+        shares_hat = disc.holdings / disc_prices[:n_int]
+        gaps = np.abs(shares - shares_hat) / scale
         reports.append(NumeraireCheckReport(
             numeraire_index=j,
             objective=base.objective,
             objective_discounted=disc.objective,
             terminal_second_moment=float(m2),
             objective_gap=float(abs(base.objective - m2 * disc.objective)),
-            max_holdings_gap=float(np.max(gaps, initial=0.0)),
+            max_holdings_gap=float(gaps.max(initial=0.0)),
         ))
     return base, reports
 
@@ -445,6 +447,8 @@ def mc_simulate(model, coeffs, values, claim, v, n_paths, seed, step=None):
     Deterministic given (seed, n_paths): each block of ``_RNG_BLOCK`` paths
     draws its normals from the SFC64 stream :func:`_block_rng` of (seed,
     block index).
+    A ``seed`` of None draws fresh entropy from ``np.random.SeedSequence``,
+    which the report gives as its seed, so a rerun with that seed repeats it.
     For trees ``claim`` is None or the :class:`TreeSolution`'s own claim, and
     the terminal distribution is enumerated exactly: the report has one path
     per terminal node, ``exact`` true and no standard error, whatever
@@ -456,12 +460,12 @@ def mc_simulate(model, coeffs, values, claim, v, n_paths, seed, step=None):
     normals per path and step, drawn and rolled by :func:`_simulate_steps`
     in chunks of steps, with the law built per chunk.
     """
-    if int(n_paths) < 1:
-        raise InvalidInputError(f"the path count must be at least 1, got {n_paths}")
     if isinstance(model, FiniteTreeModel):
         if not isinstance(coeffs, TreeSolution):
             raise TypeError("tree simulation needs the TreeSolution as coeffs")
         return _simulate_tree(model, coeffs, claim, v, seed)
+    if int(n_paths) < 1:
+        raise InvalidInputError(f"the path count must be at least 1, got {n_paths}")
     if claim is not None and claim.constant != 1.0:
         raise InvalidInputError(
             "closed-form models support only the constant payoff 1"
@@ -472,4 +476,6 @@ def mc_simulate(model, coeffs, values, claim, v, n_paths, seed, step=None):
         law = _pii_law(model, coeffs, values, step)
     else:
         raise TypeError(f"unsupported model type {type(model).__name__}")
+    if seed is None:
+        seed = np.random.SeedSequence().entropy
     return _simulate_steps(*law, v, int(n_paths), seed)

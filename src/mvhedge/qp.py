@@ -12,10 +12,12 @@ problems in square-root form with ``_lsq``, split by the same rank rule.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .linalg import (
+    _EPS,
     DEFAULT_CTX,
     InvalidInputError,
     null_basis,
@@ -100,12 +102,22 @@ class Constraint:
             object.__setattr__(self, name, value)
 
 
+@lru_cache(maxsize=16)
+def _ones(d):
+    """The :class:`Constraint` ones' of d assets, factored once per asset count
+    and shared by every tree pass; its arrays are read-only."""
+    con = Constraint(np.ones((1, d)))
+    for x in (con.A, con.A_pinv, con.N):
+        x.flags.writeable = False
+    return con
+
+
 def _split(lam, scale, n):
     """Which eigenvalues ``lam`` (m, j) of the N'C_iN of n x n C_i to keep:
     those above ``max(j eps |lam|_max, n eps scale_i)``, with ``scale`` (m,)
     ||C_i||_2 or a bound on it, so directions C_i cannot see are not inverted."""
     mags = np.abs(lam)
-    noise = n * np.finfo(float).eps * scale[:, None]
+    noise = n * _EPS * scale[:, None]
     return mags > np.maximum(DEFAULT_CTX.cutoff(mags, lam.shape[-1:])[:, None], noise)
 
 
@@ -253,7 +265,7 @@ def _lsq(B, Y, con, b):
     with x = A^+ b + N z, one stacked SVD B_i N = U S V' gives
     z = V S^+ U'(Y_i - B_i A^+ b), split by :func:`_split` on s^2 with scale
     ||B_i||_F^2 >= ||C_i||_2.  F_i lies in Ran(C_i), so nothing is unbounded.
-    Returns x, the residuals Y - B x, N V and ``keep``: matrix i's flat basis
+    Returns x, the residuals Y - B x, V and ``keep``: matrix i's flat basis
     is ``(N V)[i][:, ~keep[i]]``.
     """
     x0 = con.A_pinv @ b
@@ -266,7 +278,7 @@ def _lsq(B, Y, con, b):
     V = Vt.transpose(0, 2, 1)
     proj = U[..., :k].transpose(0, 2, 1) @ (Y - B @ x0)
     x = x0 + con.N @ (V[..., :k] @ (s_pinv[..., None] * proj))
-    return x, Y - B @ x, con.N @ V, keep
+    return x, Y - B @ x, V, keep
 
 
 def _oblique_constraint_projector(problem, C_pinv):
@@ -288,7 +300,7 @@ def _oblique_constraint_projector(problem, C_pinv):
         # so the rank cutoff needs an absolute floor, not just a relative one.
         coeff = Z.T @ Q_A
         Uc, sc, Vch = np.linalg.svd(coeff)
-        floor = 8.0 * problem.n * np.finfo(float).eps
+        floor = 8.0 * problem.n * _EPS
         cut = max(DEFAULT_CTX.cutoff(sc, coeff.shape), floor)
         rank_out = int(np.sum(sc > cut))
     else:

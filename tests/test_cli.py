@@ -498,12 +498,23 @@ class TestSimulateCommand:
         assert err.splitlines() == ["step must be a number, got 'x'"]
 
     def test_path_count_below_one_exits_2(self, capsys):
+        for config in ("iid_3assets_t4.json", "pii_4assets_t5.json"):
+            for paths in ("0", "-3"):
+                argv = ["simulate", "--model", cfg(config), "--paths", paths]
+                assert main(argv) == 2
+                assert capsys.readouterr().err.splitlines() == [
+                    f"the path count must be at least 1, got {paths}"
+                ]
+
+    def test_tree_simulation_ignores_path_count(self, capsys):
+        # A tree is enumerated exactly, so no path count is checked
+        argv = ["simulate", "--model", cfg("tree_call_binomial.json")]
+        assert main(argv) == 0
+        exact = capsys.readouterr().out
+        assert "exact = True" in exact.splitlines()
         for paths in ("0", "-3"):
-            argv = ["simulate", "--model", cfg("iid_3assets_t4.json"), "--paths", paths]
-            assert main(argv) == 2
-            assert capsys.readouterr().err.splitlines() == [
-                f"the path count must be at least 1, got {paths}"
-            ]
+            assert main(argv + ["--paths", paths]) == 0
+            assert capsys.readouterr().out == exact
 
     def test_gaussian_simulation_runs(self, capsys):
         code = main(

@@ -8,7 +8,7 @@ from conftest import (
     moment_matched_tree,
     random_claim,
 )
-from mvhedge import models
+from mvhedge import models, qp
 from mvhedge.engine import (
     LocalArbitrageError,
     adjustment,
@@ -411,7 +411,7 @@ class TestTreeBackward:
     @pytest.mark.parametrize("solver", ["tree_backward", "dp_solve"])
     def test_three_decompositions_per_node(self, solver, monkeypatch):
         # Square-root form: one stacked SVD of the rows per level and one SVD
-        # of ones' per pass, at most three per node; no Gram matrix is
+        # of ones' per asset count, at most three per node; no Gram matrix is
         # validated or split, so no eigvalsh or eigh runs.
         from mvhedge.oracle import dp_solve
 
@@ -435,18 +435,23 @@ class TestTreeBackward:
             return norm(x, ord, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "norm", no_spectral_norm)
-        if solver == "tree_backward":
-            tree_backward(tree, claim)
-        else:
-            dp_solve(tree, claim, 0.3)
         internal = len(tree.nodes) - len(tree.terminal_ids)
-        assert len(calls) <= 3 * internal, (len(calls), internal)
-        assert calls == ["svd"] * (len(tree.levels) + 1), calls
+        qp._ones.cache_clear()
+        # the first solve factors ones', the second finds it cached
+        for expected in (len(tree.levels) + 1, len(tree.levels)):
+            calls.clear()
+            if solver == "tree_backward":
+                tree_backward(tree, claim)
+            else:
+                dp_solve(tree, claim, 0.3)
+            assert len(calls) <= 3 * internal, (len(calls), internal)
+            assert calls == ["svd"] * expected, calls
 
     @pytest.mark.parametrize("solver", ["tree_backward", "dp_solve"])
     def test_decompositions_per_level(self, solver, monkeypatch):
         # One stacked least-squares solve per level: one SVD of every node's
-        # rows B N; ones' gets one SVD per pass; no eigvalsh or eigh.
+        # rows B N; ones' gets one SVD per asset count, shared by every pass
+        # (cleared first, then cached); no eigvalsh or eigh.
         from mvhedge.oracle import dp_solve
 
         rng = np.random.default_rng(12)
@@ -461,11 +466,14 @@ class TestTreeBackward:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counting)
-        if solver == "tree_backward":
-            tree_backward(tree, claim)
-        else:
-            dp_solve(tree, claim, 0.3)
-        assert calls == ["svd"] * (len(tree.levels) + 1), calls
+        qp._ones.cache_clear()
+        for expected in (len(tree.levels) + 1, len(tree.levels)):
+            calls.clear()
+            if solver == "tree_backward":
+                tree_backward(tree, claim)
+            else:
+                dp_solve(tree, claim, 0.3)
+            assert calls == ["svd"] * expected, calls
 
     @pytest.mark.parametrize("solver", ["tree_backward", "dp_solve"])
     @pytest.mark.parametrize(

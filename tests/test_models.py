@@ -1,9 +1,11 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import complete_binomial_tree, make_tree, moment_matched_tree, tree_dict
+from mvhedge import models, oracle
 from mvhedge.linalg import InvalidInputError
 from mvhedge.models import (
     Claim,
@@ -526,8 +528,60 @@ class TestTreeLayout:
             "r",
         )
         assert np.max(np.abs(tree.rets)) <= 1.0
-        with pytest.raises(InvalidInputError, match="every edge return"):
+        with pytest.raises(InvalidInputError, match="every edge return") as alone:
             discount_tree(tree, 0)
+        # the stacked discount of the numeraire check names the same edge,
+        # also after a member that passes
+        for assets in ([0], [1, 0]):
+            with pytest.raises(InvalidInputError) as stacked:
+                oracle._numeraire_reports(tree, Claim(constant=1.0), assets, 0.0)
+            assert str(stacked.value) == str(alone.value)
+
+    def test_stacked_value_check_is_member_by_member(self):
+        # One value check over K members warns and fails as K one-member
+        # checks in turn do: the members before the first failing one warn,
+        # then it raises its own error, after its own warnings when it fails
+        # on its returns or its assets.
+        rng = np.random.default_rng(22)
+        tree = make_tree(rng, n_assets=3, periods=2)
+        n, d = len(tree.ids), tree.d
+        off = tree.prob * (1.0 + rng.uniform(4e-13, 6e-13, n))  # sums off by ~5e-13
+        zero = off.copy()
+        zero[5] = 0.0
+        far = tree.prices.copy()
+        far[-1, 1] *= 1e160  # an edge return above MAX_AMOUNT
+        cases = [
+            ([off, tree.prob, off], [tree.prices] * 3, None),
+            ([off, zero, off], [tree.prices] * 3, "non-positive branch probability"),
+            ([off, off, off], [tree.prices, far, tree.prices], "every edge return"),
+            ([off, off], [tree.prices, -tree.prices], "no strictly positive asset"),
+        ]
+
+        def check(probs, prices, groups):
+            prob, prices = np.array(probs), np.array(prices)
+            rets = np.zeros_like(prices)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    for members in groups:
+                        models._check_values(
+                            tree, prob[members], prices[members], rets[members]
+                        )
+                except (InvalidModelError, InvalidInputError) as err:
+                    return [str(w.message) for w in caught], str(err), None
+            return [str(w.message) for w in caught], None, (prob, rets)
+
+        for probs, prices, failure in cases:
+            together = check(probs, prices, [slice(0, len(probs))])
+            alone = check(probs, prices, [slice(k, k + 1) for k in range(len(probs))])
+            warned, error, arrays = together
+            assert warned and (warned, error) == alone[:2]
+            if failure is None:
+                assert error is None
+                for got, want in zip(arrays, alone[2]):
+                    assert np.array_equal(got, want)
+            else:
+                assert failure in error
 
 
 class TestConfigIO:

@@ -202,6 +202,69 @@ class TestNumeraireChange:
                 assert report.objective_discounted == member.objective
                 assert report == numeraire_change_check(tree, claim, j, v)
 
+    def test_stacked_discount_is_discount_tree(self, monkeypatch):
+        # _numeraire_reports discounts every asset in one stacked step and
+        # writes the members straight into the DP's inputs.  Each member must
+        # be discount_tree's tree and the one-asset formulas below, bit for
+        # bit, with the same warnings: on nodes with 4 to 12 branches (a
+        # ``sum`` over more than 8 terms adds pairwise), with a constant
+        # asset, and with branch sums off by about 5e-13.
+        stacked = []
+        dp_pass, discount = oracle._dp_pass, oracle._discount
+
+        def recording(tree, prob, rets, *args):
+            stacked.append((prob, rets))
+            return dp_pass(tree, prob, rets, *args)
+
+        def spying(*args):
+            stacked.append(discount(*args))
+            return stacked[-1]
+
+        monkeypatch.setattr(oracle, "_dp_pass", recording)
+        monkeypatch.setattr(oracle, "_discount", spying)
+        rng = np.random.default_rng(10)
+        wide = make_tree(rng, n_assets=3, periods=3, max_branch=12)
+        assert np.diff(wide.first).max() > 8
+        base = make_tree(rng, n_assets=3, periods=3)
+        with pytest.warns(UserWarning, match="renormalizing"):
+            off = models.FiniteTreeModel(  # every first branch 5e-13 too likely
+                [(n.id, n.time, n.prices,
+                  [(p + 5e-13 * (k == 0), ch) for k, (p, ch) in enumerate(n.branches)])
+                 for n in base.nodes.values()],
+                base.root,
+            )
+        constant = make_tree(rng, n_assets=3, periods=3, constant_asset=True)
+        for tree in (wide, constant, off):
+            claim, v = random_claim(rng, tree), float(rng.normal())
+            assets = tree.positive_assets()
+            stacked.clear()
+            with warnings.catch_warnings(record=True) as together:
+                warnings.simplefilter("always")
+                oracle._numeraire_reports(tree, claim, assets, v)
+            (prices, moments), (prob, rets) = stacked
+            assert prob.shape == (len(tree.ids), 1 + len(assets))
+            with warnings.catch_warnings(record=True) as alone:
+                warnings.simplefilter("always")
+                discounted = [models.discount_tree(tree, j) for j in assets]
+            assert [str(w.message) for w in together] == [
+                str(w.message) for w in alone
+            ]
+            for k, (j, (disc, weights)) in enumerate(zip(assets, discounted)):
+                expected = tree.prices[:, j] ** 2
+                for here, kids, sums, _ in reversed(tree.levels):
+                    expected[here] = sums(tree.prob[kids] * expected[kids])
+                p_hat = tree.prob * expected / expected[tree.parent]
+                p_hat[0] = 1.0
+                x_hat = tree.prices / tree.prices[:, j : j + 1]
+                r_hat = np.zeros_like(x_hat)
+                r_hat[1:] = x_hat[1:] / x_hat[tree.parent[1:]] - 1.0
+                member = (prob[:, k + 1], prices[k], rets[:, k + 1], moments[k])
+                one_asset = (disc.prob, disc.prices, disc.rets, weights)
+                formulas = (p_hat, x_hat, r_hat, expected)
+                for got, want, formula in zip(member, one_asset, formulas):
+                    assert np.array_equal(got, want)
+                    assert np.array_equal(got, formula)
+
     @pytest.mark.parametrize(
         "path", sorted(DATA.glob("seed12345_tree*.json")), ids=lambda p: p.stem
     )
@@ -233,8 +296,10 @@ class TestMonteCarlo:
         assert report.std_error == 0.0
         assert report.n_paths == len(tree.terminal_ids)
         assert abs(report.error_second_moment - dp_solve(tree, claim, v).objective) < 1e-10
-        # the path count and the seed leave an exact report unchanged
-        for n_paths, seed in ((1, 1), (2, 0), (10**7, 7), (4000, 12345)):
+        # the path count and the seed leave an exact report unchanged; no
+        # path is drawn, so a count below one is no error
+        runs = ((1, 1), (2, 0), (10**7, 7), (4000, 12345), (0, 1), (-3, 2))
+        for n_paths, seed in runs:
             other = mc_simulate(tree, sol, None, claim, v, n_paths, seed=seed)
             assert other == dataclasses.replace(report, seed=seed)
 
@@ -255,6 +320,18 @@ class TestMonteCarlo:
         assert given.error_second_moment == float(probs @ (wealth - payoff) ** 2)
         with pytest.raises(InvalidInputError, match="claim"):
             mc_simulate(tree, sol, None, Claim(constant=0.0), 0.1, 500, seed=3)
+
+    def test_seed_none_draws_a_reported_seed(self, discrete_benchmark):
+        # Without a seed the closed-form simulation draws one and reports it;
+        # rerunning with the reported seed repeats the report bit for bit.
+        values, coeffs = closed_form_values(discrete_benchmark)
+        claim = Claim.constant_one()
+        report = mc_simulate(discrete_benchmark, coeffs, values, claim, 0.3, 300, None)
+        assert isinstance(report.seed, int)
+        again = mc_simulate(
+            discrete_benchmark, coeffs, values, claim, 0.3, 300, report.seed
+        )
+        assert again == report
 
     def test_zero_variance_model_exact(self):
         r = 0.02
