@@ -347,13 +347,13 @@ def tree_backward(tree, claim, adjustment_override=None):
     V[n_int:] = _terminal_values(tree, claim)
     a, xi = np.empty((n_int, d)), np.empty((n_int, d))
     ones, flats = qp._ones(d), []
-    for here, kids, sums, owner in reversed(tree.levels):
+    for (here, kids, sums, owner), slots in zip(tree.levels[::-1], tree.slots[::-1]):
         p, R, L_next, V_next = tree.prob[kids], tree.rets[kids], L[kids], V[kids]
         pL = p * L_next
         mean_L = sums(pL)
         q = pL / mean_L[owner]
         sq = np.sqrt(q)[:, None]
-        rows = _by_node(owner, np.hstack([sq * R, sq, sq * V_next[:, None]]))
+        rows = _by_node(owner, slots, np.hstack([sq * R, sq, sq * V_next[:, None]]))
         x, _, vecs, keep = qp._lsq(rows[..., :d], rows[..., d:], ones, [[-1.0, 0.0]])
         bases = ones.N @ vecs
         a[here] = x[:, :, 0]

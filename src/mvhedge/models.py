@@ -207,11 +207,12 @@ def _branch_sums(prob, first):
     return sums
 
 
-def _by_node(owner, rows):
+def _by_node(owner, slots, rows):
     """Per-child ``rows`` (c, ...) of a level as (m, width, ...): node k's
-    children in branch order, then zero rows up to the widest node."""
-    pos = np.arange(len(owner)) - np.searchsorted(owner, owner)
-    out = np.zeros((owner[-1] + 1, pos.max() + 1) + rows.shape[1:])
+    children in branch order, then zero rows up to the widest node.
+    ``slots`` is the level's (branch positions, width) from the layout."""
+    pos, width = slots
+    out = np.zeros((owner[-1] + 1, width) + rows.shape[1:])
     out[owner, pos] = rows
     return out
 
@@ -307,7 +308,7 @@ def _check_values(tree, prob, prices, rets):
 # in their values share it.
 _STRUCTURE = (
     "root", "horizon", "terminal_ids", "n_internal", "ids", "index", "parent",
-    "time", "first", "levels",
+    "time", "first", "levels", "slots",
 )
 
 
@@ -326,8 +327,9 @@ class FiniteTreeModel:
     sums, owner)`` tuple per non-terminal time, root first: the position
     slices of the level and of its children, ``sums(x)`` adding per-child rows
     ``x`` over each node's children (``np.add.reduceat``), and each child's
-    parent relative to ``nodes.start``.  Every tree pass runs level by level
-    over these.  ``nodes``, the :class:`TreeNode` records by id, is a
+    parent relative to ``nodes.start``; ``slots`` holds per level each child's
+    branch position and the largest branch count.  Every tree pass runs level
+    by level over these.  ``nodes``, the :class:`TreeNode` records by id, is a
     read-only view built from the arrays on request; no computation reads it.
 
     The records given to the constructor, like the node mappings of a config
@@ -449,6 +451,8 @@ class FiniteTreeModel:
              parent[b:c] - a)
             for a, b, c in zip(lb, lb[1:], lb[2:])
         )
+        pos = np.arange(len(parent)) - first[parent]  # the root's is unused
+        self.slots = tuple((pos[k], pos[k].max() + 1) for _, k, _, _ in self.levels)
         return np.concatenate(([1.0], prob[np.concatenate(edges)])), rows[order]
 
     def _set_values(self, prob, prices, payoff):

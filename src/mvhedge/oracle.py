@@ -27,6 +27,8 @@ from .models import (
     _by_node,
     _discount,
     _numeraires,
+    _quad,
+    _rowdot,
     _terminal_values,
 )
 
@@ -102,12 +104,12 @@ def _dp_pass(tree, prob, rets, terminal, v):
     vals[n_int:] = terminal
     policy = np.empty((n_int, K, 2, d))
     ones = qp._ones(d)
-    for here, kids, sums, owner in reversed(tree.levels):
+    for (here, kids, sums, owner), slots in zip(tree.levels[::-1], tree.slots[::-1]):
         root_pl = np.sqrt(prob[kids] * ell[kids])[..., None]
         cols = [root_pl * (1.0 + rets[kids]), root_pl * vals[kids][..., None]]
         cols = np.concatenate(cols + [np.zeros_like(root_pl)], axis=-1)
         # each node's rows and targets, member after member: (K m, width, d + 2)
-        stack = _by_node(owner, cols).transpose(2, 0, 1, 3)
+        stack = _by_node(owner, slots, cols).transpose(2, 0, 1, 3)
         stack = stack.reshape(-1, *stack.shape[2:])
         x, res, _, _ = qp._lsq(stack[..., :d], stack[..., d:], ones, [[0.0, 1.0]])
         policy[here] = x.reshape(K, -1, d, 2).transpose(1, 0, 3, 2)
@@ -254,11 +256,11 @@ class SimReport:
 def _block_rng(seed, block):
     """SFC64 stream of path block ``block``, seeded by SeedSequence([seed, block]).
 
-    ``SeedSequence`` hashes the pair into the generator's state, so streams
-    of distinct pairs are statistically independent and results depend only
-    on (seed, path index), not on any scheduling of blocks.
+    The non-negative ``seed`` enters unreduced, so results depend only on
+    (seed, path index).  ``SeedSequence`` hashes the pair's 32-bit words, so
+    for s < 2**32 the pairs (s, b) and (s + 2**32 b, 0) share a stream.
     """
-    entropy = np.random.SeedSequence([seed % (1 << 64), block])
+    entropy = np.random.SeedSequence([seed, block])
     return np.random.Generator(np.random.SFC64(entropy))
 
 
@@ -275,20 +277,20 @@ def _psd_factor(c):
 def _pair_law(P, m, S):
     """Law of the pairs P r for r ~ N(m, S): means (K, 2) and factors (K, 2, 2).
 
-    ``P`` stacks K pairs of rows [p; q] as (K, 2, d); the pair (p.r, q.r) is
-    exactly normal with mean P m and covariance P S P' = factor factor'
-    (``eigh`` reads the lower triangle of each computed P S P').
+    ``P`` stacks K pairs of rows [p; q] as (K, 2, d), with one (m, S) or K; the
+    pair (p.r, q.r) is exactly normal with mean P m and covariance P S P' =
+    factor factor' (``eigh`` reads the lower triangle of each computed P S P').
     """
-    return P @ m, _psd_factor(P @ S @ P.transpose(0, 2, 1))
+    return (P @ m[..., None])[..., 0], _psd_factor(P @ S @ P.transpose(0, 2, 1))
 
 
 def _simulate_steps(n_steps, law, v, n_paths, seed):
-    """Report of the hedging errors wealth_T - 1 of :func:`_roll_pair_law`.
+    """Report of the hedging errors wealth_T - 1 of :func:`_roll_affine`.
 
     The roll returns before the statistics run, so its chunk buffers are
     freed by then.
     """
-    errors = _roll_pair_law(n_steps, law, v, n_paths, seed)
+    errors = _roll_affine(n_steps, law, v, n_paths, seed)
     errors -= 1.0
     sq = errors**2
     se = 0.0 if n_paths < 2 else float(np.std(sq, ddof=1) / np.sqrt(n_paths))
@@ -302,16 +304,15 @@ def _simulate_steps(n_steps, law, v, n_paths, seed):
     )
 
 
-def _roll_pair_law(n_steps, law, v, n_paths, seed):
-    """Terminal wealth of n_paths paths over n_steps steps of a Gaussian pair law.
+def _roll_affine(n_steps, law, v, n_paths, seed):
+    """Terminal wealth of n_paths paths over n_steps random affine maps.
 
-    Step k moves wealth by y0 + (track[k] - wealth) y1, where (y0, y1) =
-    mean[k] + factor[k] z is the pair (p.r, q.r) of the rule
-    pi = p + (track - wealth) q and z holds two standard normals per path.
-    ``law(k0, k1)`` gives track, mean and factor for steps k0..k1 - 1 and is
-    called once per chunk of ``_LAW_STEPS`` steps.  Paths are cut into blocks
-    of ``_RNG_BLOCK``, each with its own :func:`_block_rng` stream; a block of
-    ``size`` paths draws one (chunk, 2, size) array of normals per chunk of
+    Step k maps wealth to alpha wealth + beta, with (alpha, beta) = mean[k] +
+    factor[k] z for two standard normals z per path; for the rule pi = p +
+    (V - wealth) q, alpha = 1 - q.r and beta = (p + V q).r.  ``law(k0, k1)``
+    gives mean and factor of steps k0..k1 - 1, per ``_LAW_STEPS`` steps.
+    Each block of ``_RNG_BLOCK`` paths has its own :func:`_block_rng` stream;
+    a block of ``size`` paths draws (chunk, 2, size) normals per chunk of
     ``max(1, _RNG_BLOCK // size)`` steps into reused buffers.  A generator
     fills consecutive draws in order, so chunking moves no draw, and memory
     is bounded by the chunk sizes whatever the horizon.
@@ -321,39 +322,37 @@ def _roll_pair_law(n_steps, law, v, n_paths, seed):
         (wealth[lo : lo + _RNG_BLOCK], _block_rng(seed, block))
         for block, lo in enumerate(range(0, n_paths, _RNG_BLOCK))
     ]
-    # one chunk of normals, of pairs and of a product term, for any block
-    bufs, gaps = np.empty((3, 2 * _RNG_BLOCK)), np.empty(_RNG_BLOCK)
+    bufs = np.empty((3, 2 * _RNG_BLOCK))  # one chunk of normals, maps and a product
     for k0 in range(0, n_steps, _LAW_STEPS):
-        track, mean, factor = law(k0, min(n_steps, k0 + _LAW_STEPS))
+        mean, factor = law(k0, min(n_steps, k0 + _LAW_STEPS))
         for paths, rng in blocks:
-            size = len(paths)
-            chunk, gap = max(1, _RNG_BLOCK // size), gaps[:size]
-            for j in range(0, len(track), chunk):
+            size, chunk = len(paths), max(1, _RNG_BLOCK // len(paths))
+            for j in range(0, len(mean), chunk):
                 m, f = mean[j : j + chunk, :, None], factor[j : j + chunk, ..., None]
                 z, y, fz = (b[: len(m) * 2 * size].reshape(-1, 2, size) for b in bufs)
                 rng.standard_normal(out=z)
-                # y = (mean + f[:, :, 0] z0) + f[:, :, 1] z1, as pairs
+                # y = (mean + f[:, :, 0] z0) + f[:, :, 1] z1, as (alpha, beta)
                 np.multiply(f[:, :, 0], z[:, None, 0], out=y)
                 y += m
                 y += np.multiply(f[:, :, 1], z[:, None, 1], out=fz)
-                steps = zip(track[j : j + chunk].tolist(), y[:, 0], y[:, 1])
-                for tracking, y0, y1 in steps:
-                    np.subtract(tracking, paths, out=gap)
-                    gap *= y1
-                    gap += y0
-                    paths += gap
+                for alpha, beta in zip(y[:, 0], y[:, 1]):
+                    paths *= alpha
+                    paths += beta
     return wealth
 
 
 def _iid_law(model, coeffs, values):
-    """Step count and per-chunk law of the pairs (xi[t].r, a[t].r), r ~ N(mu, sigma).
+    """Step count and per-chunk law of (alpha, beta) per period, r ~ N(mu, sigma).
 
-    ``law(k0, k1)`` gives periods k0..k1 - 1: the tracking values V[t] and
-    the :func:`_pair_law` of the rows [xi[t]; a[t]].
+    ``law(k0, k1)`` gives periods k0..k1 - 1: the :func:`_pair_law` of the
+    rows [-a[t]; xi[t] + V[t] a[t]], with 1 added to alpha's mean.
     """
     def law(k0, k1):
-        P = np.stack([coeffs.xi[k0:k1], coeffs.a[k0:k1]], axis=1)
-        return (values.V[k0:k1], *_pair_law(P, model.mu, model.sigma))
+        a = coeffs.a[k0:k1]
+        P = np.stack([-a, coeffs.xi[k0:k1] + values.V[k0:k1, None] * a], axis=1)
+        mean, factor = _pair_law(P, model.mu, model.sigma)
+        mean[:, 0] += 1.0
+        return mean, factor
 
     return len(values.V) - 1, law
 
@@ -381,15 +380,16 @@ def _grid(t0, t1, n, j0, j1):
 
 
 def _pii_law(model, coeffs, values, step):
-    """Step count and per-chunk law of (V zeta_i . dlog, a_i . dlog) on the Euler grid.
+    """Step count and per-chunk law of (alpha, beta) on the Euler grid.
 
     Each segment is cut into ceil(duration / step) substeps, so segment
-    boundaries are grid points; dlog ~ N(b_i dt, c_i dt).  V at each substep
-    start comes from the segment's boundary values, since log V is linear on
-    a segment with slope d log V / dt = a_i c_i a_i' - a_i b_i.  The step
-    count is checked against ``MAX_STEPS`` before any law is built;
-    ``law(k0, k1)`` then builds substeps k0..k1 - 1 from the segments they
-    fall in.
+    boundaries are grid points; dlog ~ N(b_i dt, c_i dt).  The pair law
+    (m_i, F_i) of the rows [-a_i; zeta_i + a_i] under N(b_i, c_i) is built
+    once for all segments; a substep of length dt from V has mean
+    (1, 0) + dt D m_i and factor sqrt(dt) D F_i, D = diag(1, V), exactly, as
+    (D F)(D F)' = D S D.  V comes from the boundary values: log V is linear
+    on a segment, with slope a_i c_i a_i' - a_i b_i.  The step count is
+    checked against ``MAX_STEPS`` before any law is built.
     """
     if step is None or not step > 0:
         raise InvalidInputError(f"a positive Euler step is required, got {step}")
@@ -402,23 +402,25 @@ def _pii_law(model, coeffs, values, step):
         )
     counts = np.maximum(1, n_subs).astype(int)
     starts = np.concatenate([[0], np.cumsum(counts)])
+    b, c = (np.array([getattr(seg, k) for seg in model.segments]) for k in "bc")
+    a = coeffs.a
+    slopes = (_quad(a, c, a) - _rowdot(a, b)).tolist()
+    means, factors = _pair_law(np.stack([-a, coeffs.zeta + a], axis=1), b, c)
 
     def law(k0, k1):
         laws = []
         first = int(np.searchsorted(starts, k0, side="right")) - 1
         for i in range(first, int(np.searchsorted(starts, k1))):
-            seg, n, ends = model.segments[i], counts[i], bounds[i : i + 2]
+            n, ends = counts[i], bounds[i : i + 2]
             j0, j1 = max(0, k0 - starts[i]), min(n, k1 - starts[i])
             edges = _grid(*ends, n, j0, j1)
             t0, dt = edges[:-1], np.diff(edges)
-            a = coeffs.a[i]
-            slope = a @ seg.c @ a - a @ seg.b
-            track = _segment_tracking(*values.V[i : i + 2], slope, *ends, t0)
-            p, q = np.broadcast_arrays(track[:, None] * coeffs.zeta[i], a)
-            P = np.stack([p, q], axis=1)
-            mean, factor = _pair_law(P, seg.b, seg.c)
+            track = _segment_tracking(*values.V[i : i + 2], slopes[i], *ends, t0)
+            scale = np.stack([np.ones_like(track), track], axis=1)  # diag(1, V)
+            mean = scale * means[i] * dt[:, None]
+            mean[:, 0] += 1.0
             root_dt = np.sqrt(dt)[:, None, None]
-            laws.append((track, mean * dt[:, None], factor * root_dt))
+            laws.append((mean, scale[:, :, None] * factors[i] * root_dt))
         return tuple(np.concatenate(parts) for parts in zip(*laws))
 
     return int(starts[-1]), law
@@ -446,18 +448,18 @@ def mc_simulate(model, coeffs, values, claim, v, n_paths, seed, step=None):
 
     Deterministic given (seed, n_paths): each block of ``_RNG_BLOCK`` paths
     draws its normals from the SFC64 stream :func:`_block_rng` of (seed,
-    block index).
-    A ``seed`` of None draws fresh entropy from ``np.random.SeedSequence``,
+    block index).  A closed-form ``seed`` is a non-negative int, used as it
+    is; a ``seed`` of None draws fresh entropy from ``np.random.SeedSequence``,
     which the report gives as its seed, so a rerun with that seed repeats it.
     For trees ``claim`` is None or the :class:`TreeSolution`'s own claim, and
     the terminal distribution is enumerated exactly: the report has one path
     per terminal node, ``exact`` true and no standard error, whatever
     ``n_paths`` and ``seed`` are.  IID models step once per period with
     simple returns r ~ N(mu, sigma); piecewise-constant models use an Euler
-    scheme on log returns with the user-supplied ``step``.  Under the feedback rule
-    pi = p + (V - wealth) q a step reads r only through the pair (p.r, q.r),
-    so each step draws that pair from its exact bivariate normal law: two
-    normals per path and step, drawn and rolled by :func:`_simulate_steps`
+    scheme on log returns with the user-supplied ``step``.  Under the feedback
+    rule pi = p + (V - wealth) q one step maps wealth to alpha wealth + beta,
+    alpha = 1 - q.r and beta = (p + V q).r, an exactly bivariate normal pair:
+    two normals per path and step, drawn and rolled by :func:`_simulate_steps`
     in chunks of steps, with the law built per chunk.
     """
     if isinstance(model, FiniteTreeModel):
@@ -466,6 +468,8 @@ def mc_simulate(model, coeffs, values, claim, v, n_paths, seed, step=None):
         return _simulate_tree(model, coeffs, claim, v, seed)
     if int(n_paths) < 1:
         raise InvalidInputError(f"the path count must be at least 1, got {n_paths}")
+    if seed is not None and seed < 0:
+        raise InvalidInputError(f"the seed must be non-negative, got {seed}")
     if claim is not None and claim.constant != 1.0:
         raise InvalidInputError(
             "closed-form models support only the constant payoff 1"

@@ -506,6 +506,27 @@ class TestSimulateCommand:
                     f"the path count must be at least 1, got {paths}"
                 ]
 
+    def test_negative_seed_exits_2_on_closed_forms(self, capsys):
+        argv = ["simulate", "--model", cfg("iid_3assets_t4.json"), "--seed", "-1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "the seed must be non-negative, got -1"
+        ]
+        # a tree is enumerated exactly and draws nothing
+        argv = ["simulate", "--model", cfg("tree_call_binomial.json"), "--seed", "-1"]
+        assert main(argv) == 0
+
+    def test_seeds_are_not_reduced_modulo_2_64(self, capsys):
+        argv = ["simulate", "--model", cfg("iid_3assets_t4.json"), "--paths", "1000"]
+        outs = []
+        for seed in ("1", str(2**64 + 1)):
+            assert main(argv + ["--seed", seed]) == 0
+            outs.append(capsys.readouterr().out.splitlines())
+        moments = [
+            [line for line in out if line.startswith("empirical")] for out in outs
+        ]
+        assert moments[0] != moments[1]
+
     def test_tree_simulation_ignores_path_count(self, capsys):
         # A tree is enumerated exactly, so no path count is checked
         argv = ["simulate", "--model", cfg("tree_call_binomial.json")]

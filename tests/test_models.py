@@ -460,6 +460,16 @@ def _layout_trees():
 
 
 class TestTreeLayout:
+    def test_slots_are_each_levels_branch_positions(self):
+        for tree in _layout_trees():
+            assert len(tree.slots) == len(tree.levels)
+            for (_, _, _, owner), (pos, width) in zip(tree.levels, tree.slots):
+                expected = np.arange(len(owner)) - np.searchsorted(owner, owner)
+                assert np.array_equal(pos, expected)
+                assert width == expected.max() + 1
+            for j in tree.positive_assets():
+                assert discount_tree(tree, j)[0].slots is tree.slots
+
     def test_records_round_trip_to_the_same_layout(self):
         count = 0
         for tree in _layout_trees():

@@ -27,6 +27,7 @@ from mvhedge.oracle import (
 )
 
 DATA = Path(__file__).parent / "data"
+CONFIGS = Path(__file__).parent.parent / "configs"
 
 
 class TestDpSolve:
@@ -333,6 +334,16 @@ class TestMonteCarlo:
         )
         assert again == report
 
+    def test_seed_enters_unreduced_and_must_be_non_negative(self, ito_benchmark):
+        values, coeffs = closed_form_values(ito_benchmark)
+        reports = [
+            mc_simulate(ito_benchmark, coeffs, values, None, 0.3, 300, seed, step=0.5)
+            for seed in (1, 2**64 + 1)
+        ]
+        assert reports[0].error_second_moment != reports[1].error_second_moment
+        with pytest.raises(InvalidInputError, match="seed must be non-negative"):
+            mc_simulate(ito_benchmark, coeffs, values, None, 0.3, 300, -1, step=0.5)
+
     def test_zero_variance_model_exact(self):
         r = 0.02
         model = models.IidDiscreteModel(r * np.ones(2), np.zeros((2, 2)), 3)
@@ -493,22 +504,41 @@ def _rollout(law, v, n_paths, seed, block):
     (2, size) array of standard normals per step.
     """
     n_steps, law = law
-    track, mean, factor = (np.asarray(x).tolist() for x in law(0, n_steps))
+    mean, factor = (np.asarray(x).tolist() for x in law(0, n_steps))
     errors = []
     for b, lo in enumerate(range(0, n_paths, block)):
         size = min(block, n_paths - lo)
         rng = _block_rng(seed, b)
-        z = [rng.standard_normal((2, size)).tolist() for _ in track]
+        z = [rng.standard_normal((2, size)).tolist() for _ in mean]
         for j in range(size):
             wealth = v
-            for k, tracking in enumerate(track):
+            for k in range(n_steps):
                 z0, z1 = z[k][0][j], z[k][1][j]
                 (m0, m1), ((f00, f01), (f10, f11)) = mean[k], factor[k]
-                y0 = m0 + f00 * z0 + f01 * z1
-                y1 = m1 + f10 * z0 + f11 * z1
-                wealth += y0 + (tracking - wealth) * y1
+                alpha = m0 + f00 * z0 + f01 * z1
+                beta = m1 + f10 * z0 + f11 * z1
+                wealth = wealth * alpha + beta
             errors.append(wealth - 1.0)
     return np.array(errors)
+
+
+def _forward_error(law, v):
+    """E[(wealth_T - 1)^2] of the kernel's step law, rolled forward exactly.
+
+    Each step maps wealth w to alpha w + beta, with (alpha, beta) independent
+    of w, so E[w'] = E[alpha] E[w] + E[beta] and E[w'^2] = E[alpha^2] E[w^2] +
+    2 E[alpha beta] E[w] + E[beta^2]; the second moments of (alpha, beta) are
+    mean mean' + factor factor'.  The law is read in the kernel's chunks.
+    """
+    n_steps, law = law
+    m1, m2 = v, v * v
+    for k0 in range(0, n_steps, oracle._LAW_STEPS):
+        mean, factor = law(k0, min(n_steps, k0 + oracle._LAW_STEPS))
+        cov = factor @ factor.transpose(0, 2, 1)
+        second = mean[:, :, None] * mean[:, None, :] + cov
+        for (ea, eb), ((eaa, eab), (_, ebb)) in zip(mean.tolist(), second.tolist()):
+            m1, m2 = ea * m1 + eb, eaa * m2 + 2.0 * eab * m1 + ebb
+    return m2 - 2.0 * m1 + 1.0
 
 
 def _reference_simulate(model, coeffs, values, v, n_paths, seed, step=None):
@@ -669,6 +699,64 @@ class TestPairLawSampler:
             )
         analytic = engine.hedging_error(values, 0.0)
         assert abs(report.error_second_moment - analytic) < 0.05 * (1 + analytic)
+
+
+class TestStepLaw:
+    """The kernel's (alpha, beta) law against its exact forward moments."""
+
+    def test_iid_forward_moments_are_the_hedging_error(self):
+        rng = np.random.default_rng(31)
+        G = rng.normal(size=(3, 3)) * 0.1
+        random_model = models.IidDiscreteModel(
+            rng.normal(size=3) * 0.0003, G @ G.T, 1000
+        )
+        shipped = models.load_config(CONFIGS / "iid_3assets_t4.json")[0]
+        for model in (shipped, random_model):
+            values, coeffs = closed_form_values(model)
+            law = oracle._iid_law(model, coeffs, values)
+            for v in (0.0, 0.3, 1.0):
+                exact = engine.hedging_error(values, v)
+                assert abs(_forward_error(law, v) - exact) <= 1e-12 * exact
+
+    def test_ito_simulation_matches_its_euler_law(self):
+        model = models.load_config(CONFIGS / "pii_4assets_t5.json")[0]
+        values, coeffs = closed_form_values(model)
+        law = oracle._pii_law(model, coeffs, values, 0.05)
+        v = values.V0
+        report = mc_simulate(model, coeffs, values, None, v, 40_000, 0, step=0.05)
+        forward = _forward_error(law, v)
+        assert abs(report.error_second_moment - forward) <= 4.0 * report.std_error
+
+    def test_ito_euler_law_converges_to_the_hedging_error(self):
+        model = models.load_config(CONFIGS / "pii_4assets_t5.json")[0]
+        values, coeffs = closed_form_values(model)
+        for v in (0.0, 1.0):
+            exact = engine.hedging_error(values, v)
+            coarse, fine = (
+                abs(_forward_error(oracle._pii_law(model, coeffs, values, h), v) - exact)
+                for h in (0.05, 0.005)
+            )
+            # first order in the step: about tenfold for a tenfold smaller step
+            assert 8.0 < coarse / fine < 12.0, (coarse, fine)
+
+    def test_ito_law_factors_once_per_build(self, monkeypatch):
+        rng = np.random.default_rng(37)
+        segments = []
+        for duration in (0.4, 1.1, 0.7):
+            G = rng.normal(size=(3, 3)) * 0.3
+            segments.append((duration, rng.normal(size=3) * 0.05, G @ G.T))
+        model = models.PiiItoModel(segments)
+        values, coeffs = closed_form_values(model)
+        calls, pair_law = [], oracle._pair_law
+
+        def spy(P, m, S):
+            calls.append(len(P))
+            return pair_law(P, m, S)
+
+        monkeypatch.setattr(oracle, "_pair_law", spy)
+        monkeypatch.setattr(oracle, "_LAW_STEPS", 7)
+        mc_simulate(model, coeffs, values, None, 0.3, 50, 4, step=0.05)
+        assert calls == [3]
 
 
 class TestEnumeration:
