@@ -247,18 +247,20 @@ def _check_values(tree, prob, prices, rets):
     would pass alone.  Otherwise the first failing member raises the error it
     would raise alone, naming its first offending node, after the
     renormalization warnings of the members before it and, when its failure
-    comes after them, its own.
+    comes after them, its own.  A probability sum or edge return that
+    overflows raises its check's error, not a floating-point warning.
     """
     ids, parent = tree.ids, tree.parent
     prob[:, 0] = 1.0  # the root has no incoming branch
     bad_prices = ~(np.isfinite(prices) & (prices != 0.0))
     bad_prob = ~(prob > 0.0)
-    sums = _branch_sums(prob, tree.first)
-    gap = np.abs(sums - 1.0)
-    bad_sums = ~(gap <= _PROB_SUM_TOL)
-    ok = _first_member(len(prob), bad_prices, bad_prob, bad_sums)
-    # returns only of members with checked prices, so no division warns
-    np.divide(prices[:ok, 1:], prices[:ok, parent[1:]], out=rets[:ok, 1:])
+    # returns of checked prices only; an overflow fails the sum or MAX_AMOUNT check
+    with np.errstate(over="ignore"):
+        sums = _branch_sums(prob, tree.first)
+        gap = np.abs(sums - 1.0)
+        bad_sums = ~(gap <= _PROB_SUM_TOL)
+        ok = _first_member(len(prob), bad_prices, bad_prob, bad_sums)
+        np.divide(prices[:ok, 1:], prices[:ok, parent[1:]], out=rets[:ok, 1:])
     rets[:ok, 1:] -= 1.0
     rets[:ok, 0] = 0.0
     bad_rets = ~(np.abs(rets[:ok]) <= MAX_AMOUNT)
@@ -642,16 +644,26 @@ def _discount(tree, assets, prob, rets):
     one backward recursion over a (K, n) array.  Member k's probabilities
     and edge returns are written into ``prob[k]`` (K, n) and ``rets[k]``
     (K, n, d), which may be views of the caller's arrays, after one
-    :func:`_check_values` over the stack.  Returns the discounted prices
-    (K, n, d), a view of a node-major array, and the moments (K, n).
+    :func:`_check_values` over the stack.  No value warns as it is formed:
+    each is checked, and a moment out of the positive float range raises
+    InvalidNumeraireError for its asset and node.  Returns the discounted
+    prices (K, n, d), a view of a node-major array, and the moments (K, n).
     """
     numeraire = tree.prices[:, assets].T
-    weights = numeraire**2
-    for here, kids, sums, _ in reversed(tree.levels):
-        weights[:, here] = sums(tree.prob[kids] * weights[:, kids], axis=-1)
-    np.divide(tree.prob * weights, weights[:, tree.parent], out=prob)
-    # node-major, like the DP's inputs, so the returns are formed row by row
-    prices = (tree.prices[:, None] / numeraire.T[..., None]).transpose(1, 0, 2)
+    with np.errstate(all="ignore"):
+        weights = numeraire**2
+        for here, kids, sums, _ in reversed(tree.levels):
+            weights[:, here] = sums(tree.prob[kids] * weights[:, kids], axis=-1)
+        np.divide(tree.prob * weights, weights[:, tree.parent], out=prob)
+        # node-major, like the DP's inputs, so the returns are formed row by row
+        prices = (tree.prices[:, None] / numeraire.T[..., None]).transpose(1, 0, 2)
+    bad = ~(np.isfinite(weights) & (weights > 0.0))
+    if bad.any():
+        k, i = np.argwhere(bad)[0]
+        raise InvalidNumeraireError(
+            f"numeraire asset {assets[k]} has E[X_T^2 | node {tree.ids[i]!r}] = "
+            f"{float(weights[k, i])!r}, outside the positive float range"
+        )
     _check_values(tree, prob, prices, rets)
     return prices, weights
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qp
-from .engine import LocalArbitrageError, TreeSolution
+from .engine import LocalArbitrageError, TreeSolution, _tail_sums
 from .linalg import InvalidInputError
 from .models import (
     MAX_STEPS,
@@ -357,26 +357,18 @@ def _iid_law(model, coeffs, values):
     return len(values.V) - 1, law
 
 
-def _segment_tracking(v0, v1, slope, t0, t1, t):
-    """V at times t in [t0, t1) of a segment on which log V has the given slope.
+def _euler_steps(bounds, counts, starts, k0, k1):
+    """Segment ``i``, start ``t0`` and length ``dt`` of Euler steps k0..k1 - 1.
 
-    Anchored at a boundary value that is positive: the other may have
-    underflowed to 0 and carries no logarithm.  Both ends at 0 means every
-    point between underflows too.
+    Segment i holds steps starts[i]..starts[i + 1] - 1; its step j runs
+    between points j and j + 1 of ``np.linspace(bounds[i], bounds[i + 1],
+    counts[i] + 1)``, computed only there, so a chunk may span segments.
     """
-    if v0 > 0.0:
-        return np.exp(np.log(v0) + slope * (t - t0))
-    if v1 > 0.0:
-        return np.exp(np.log(v1) - slope * (t1 - t))
-    return np.zeros_like(t)
-
-
-def _grid(t0, t1, n, j0, j1):
-    """Points j0..j1 of ``np.linspace(t0, t1, n + 1)``, computed only there."""
-    t = np.arange(j0, j1 + 1) * ((t1 - t0) / n) + t0
-    if j1 == n:
-        t[-1] = t1
-    return t
+    k = np.arange(k0, k1)
+    i = np.searchsorted(starts, k, side="right") - 1
+    j, n, lo, hi = k - starts[i], counts[i], bounds[i], bounds[i + 1]
+    t0 = j * ((hi - lo) / n) + lo
+    return i, t0, np.where(j + 1 == n, hi, (j + 1) * ((hi - lo) / n) + lo) - t0
 
 
 def _pii_law(model, coeffs, values, step):
@@ -387,8 +379,10 @@ def _pii_law(model, coeffs, values, step):
     (m_i, F_i) of the rows [-a_i; zeta_i + a_i] under N(b_i, c_i) is built
     once for all segments; a substep of length dt from V has mean
     (1, 0) + dt D m_i and factor sqrt(dt) D F_i, D = diag(1, V), exactly, as
-    (D F)(D F)' = D S D.  V comes from the boundary values: log V is linear
-    on a segment, with slope a_i c_i a_i' - a_i b_i.  The step count is
+    (D F)(D F)' = D S D.  log V is 0 at the horizon and has slope
+    a_i c_i a_i' - a_i b_i on segment i, so its boundary values are sums
+    back from the horizon, finite where V underflows; a chunk of steps is
+    one lookup in the :func:`_euler_steps` table.  The step count is
     checked against ``MAX_STEPS`` before any law is built.
     """
     if step is None or not step > 0:
@@ -404,24 +398,17 @@ def _pii_law(model, coeffs, values, step):
     starts = np.concatenate([[0], np.cumsum(counts)])
     b, c = (np.array([getattr(seg, k) for seg in model.segments]) for k in "bc")
     a = coeffs.a
-    slopes = (_quad(a, c, a) - _rowdot(a, b)).tolist()
+    slopes = _quad(a, c, a) - _rowdot(a, b)
+    log_v = -_tail_sums(slopes * np.diff(bounds))
     means, factors = _pair_law(np.stack([-a, coeffs.zeta + a], axis=1), b, c)
 
     def law(k0, k1):
-        laws = []
-        first = int(np.searchsorted(starts, k0, side="right")) - 1
-        for i in range(first, int(np.searchsorted(starts, k1))):
-            n, ends = counts[i], bounds[i : i + 2]
-            j0, j1 = max(0, k0 - starts[i]), min(n, k1 - starts[i])
-            edges = _grid(*ends, n, j0, j1)
-            t0, dt = edges[:-1], np.diff(edges)
-            track = _segment_tracking(*values.V[i : i + 2], slopes[i], *ends, t0)
-            scale = np.stack([np.ones_like(track), track], axis=1)  # diag(1, V)
-            mean = scale * means[i] * dt[:, None]
-            mean[:, 0] += 1.0
-            root_dt = np.sqrt(dt)[:, None, None]
-            laws.append((mean, scale[:, :, None] * factors[i] * root_dt))
-        return tuple(np.concatenate(parts) for parts in zip(*laws))
+        i, t0, dt = _euler_steps(bounds, counts, starts, k0, k1)
+        track = np.exp(log_v[i + 1] - slopes[i] * (bounds[i + 1] - t0))
+        scale = np.stack([np.ones_like(track), track], axis=1)  # diag(1, V)
+        mean = scale * means[i] * dt[:, None]
+        mean[:, 0] += 1.0
+        return mean, scale[:, :, None] * factors[i] * np.sqrt(dt)[:, None, None]
 
     return int(starts[-1]), law
 

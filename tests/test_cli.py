@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from mvhedge.cli import main
 from test_models import MALFORMED_TREES, TERMINAL_PAYOFF, VALID_TREE
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def cfg(name):
@@ -246,6 +248,41 @@ def test_unread_flag_exits_2(command, flag, capsys):
         main([command, "--model", cfg("tree_call_binomial.json"), flag, "3"])
     assert err.value.code == 2
     assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, config, error",
+    [
+        (
+            "hedge",
+            "edge_return_overflow.json",
+            "every edge return must be at most 1e+150 in magnitude, got inf on "
+            "the edge into node 'u'",
+        ),
+        (
+            "oracle",
+            "tiny_numeraire.json",
+            "numeraire asset 0 has E[X_T^2 | node 'r'] = 0.0, outside the "
+            "positive float range",
+        ),
+        (
+            "oracle",
+            "tiny_terminal_numeraire.json",
+            "every edge return must be at most 1e+150 in magnitude, got 5e+159 on "
+            "the edge into node 'd'",
+        ),
+    ],
+    ids=["edge-return-overflow", "tiny-numeraire", "tiny-terminal-numeraire"],
+)
+def test_float_range_failures_exit_2_without_warnings(command, config, error, capsys):
+    # 1e300 / 1e-300 overflows an edge return; (1e-200)^2 underflows the
+    # numeraire's second moment; asset 0's 1e-160 at node 'd' overflows the
+    # root's reweighting ratio and asset 1's discounted edge return.  Each is
+    # one named error, not a warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([command, "--model", os.path.join(DATA, config)]) == 2
+    assert capsys.readouterr().err.splitlines() == [error]
 
 
 @pytest.mark.parametrize(

@@ -240,6 +240,8 @@ MALFORMED_TREES = [
      None, InvalidModelError, "node 'b' has a non-positive branch probability"),
     ("bad probability sum", _edit("a", branches=[(0.4, "aa"), (0.5, "ab")]), None,
      InvalidModelError, "branch probabilities at node 'a' sum to 0.9"),
+    ("overflowing probability sum", _edit("a", branches=[(1e308, "aa"), (1e308, "ab")]),
+     None, InvalidModelError, "branch probabilities at node 'a' sum to inf"),
     # The CLI's exit-2 contract pins this message too (test_cli.py).
     ("edge return above MAX_AMOUNT", _edit("bb", prices=[1.0, 1e151]), None,
      InvalidInputError, r"every edge return must be at most 1e\+150 in magnitude, "

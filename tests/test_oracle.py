@@ -634,17 +634,28 @@ class TestPairLawSampler:
                     assert report.error_second_moment == float(np.mean(errors**2))
 
     def test_euler_grid_slices_match_linspace(self):
-        # The per-chunk Euler law reads slices of each segment's grid.
+        # Each chunk of the Euler law reads a slice of the step table: step j
+        # of segment i runs between points j and j + 1 of its linspace grid.
         rng = np.random.default_rng(23)
         for _ in range(50):
-            t0 = float(rng.uniform(-3.0, 3.0))
-            t1 = t0 + float(rng.exponential(2.0))
-            n = int(rng.integers(1, 500))
-            j0 = int(rng.integers(0, n))
-            j1 = int(rng.integers(j0 + 1, n + 1))
-            full = np.linspace(t0, t1, n + 1)
-            assert np.array_equal(oracle._grid(t0, t1, n, j0, j1), full[j0 : j1 + 1])
-            assert np.array_equal(oracle._grid(t0, t1, n, 0, n), full)
+            counts = rng.integers(1, 200, size=int(rng.integers(1, 6)))
+            widths = rng.exponential(2.0, len(counts))
+            bounds = np.cumsum(np.append(rng.uniform(-3.0, 3.0), widths))
+            starts = np.concatenate([[0], np.cumsum(counts)])
+            grids = [
+                np.linspace(*bounds[i : i + 2], n + 1) for i, n in enumerate(counts)
+            ]
+            table = (
+                np.repeat(np.arange(len(counts)), counts),
+                np.concatenate([g[:-1] for g in grids]),
+                np.concatenate([np.diff(g) for g in grids]),
+            )
+            k0 = int(rng.integers(0, starts[-1]))
+            k1 = int(rng.integers(k0 + 1, starts[-1] + 1))
+            for lo, hi in ((k0, k1), (0, starts[-1])):
+                steps = oracle._euler_steps(bounds, counts, starts, lo, hi)
+                for got, want in zip(steps, table):
+                    assert np.array_equal(got, want[lo:hi])
 
     def test_pooled_estimates_match_full_dimensional_reference(
         self, discrete_benchmark, ito_benchmark
@@ -757,6 +768,49 @@ class TestStepLaw:
         monkeypatch.setattr(oracle, "_LAW_STEPS", 7)
         mc_simulate(model, coeffs, values, None, 0.3, 50, 4, step=0.05)
         assert calls == [3]
+
+    def test_subnormal_boundary_tracking_keeps_full_precision(self):
+        # log V(t) = -(1450 - t) / 2, so V(0) = exp(-725) is subnormal
+        # (1.4e-315).  Each substep's mean of beta is V(t) (zeta_i + a_i).b dt,
+        # with log V linear in t on each segment and 0 at the horizon; it is
+        # compared wherever it is a normal float, so carries full precision.
+        b = np.array([0.33, -0.33])
+        model = models.PiiItoModel([(650.0, b, np.eye(2)), (800.0, b, np.eye(2))])
+        values, coeffs = closed_form_values(model)
+        assert 0.0 < values.V[0] < np.finfo(float).tiny
+        n_steps, law = oracle._pii_law(model, coeffs, values, 2.5)
+        mean = law(0, n_steps)[0]
+        a, zeta, horizon = coeffs.a, coeffs.zeta, values.times[-1]
+        slopes = [a[i] @ a[i] - a[i] @ b for i in range(2)]
+        expected = []
+        for i, (t0, t1) in enumerate(zip(values.times[:-1], values.times[1:])):
+            edges = np.linspace(t0, t1, round((t1 - t0) / 2.5) + 1)
+            rest = slopes[1] * (horizon - t1) if i == 0 else 0.0
+            log_v = -(rest + slopes[i] * (t1 - edges[:-1]))
+            expected.append(np.exp(log_v) * ((zeta[i] + a[i]) @ b) * np.diff(edges))
+        expected = np.concatenate(expected)
+        assert len(mean) == len(expected) == 580
+        normal = np.abs(expected) >= np.finfo(float).tiny
+        gap = np.abs(mean[normal, 1] - expected[normal])
+        assert np.all(gap <= 1e-12 * np.abs(expected[normal]))
+
+    def test_chunks_span_many_segments(self):
+        # 300 segments of one substep each: a chunk of 7 steps crosses 7
+        # segments, and the chunked law is the one-piece law bit for bit.
+        rng = np.random.default_rng(41)
+        segments = []
+        for _ in range(300):
+            G = rng.normal(size=(2, 2)) * 0.3
+            duration = float(rng.uniform(0.01, 0.1))
+            segments.append((duration, rng.normal(size=2) * 0.05, G @ G.T))
+        model = models.PiiItoModel(segments)
+        values, coeffs = closed_form_values(model)
+        n_steps, law = oracle._pii_law(model, coeffs, values, 1.0)
+        assert n_steps == 300
+        whole = law(0, n_steps)
+        chunks = [law(k0, min(n_steps, k0 + 7)) for k0 in range(0, n_steps, 7)]
+        for part, full in zip(zip(*chunks), whole):
+            assert np.array_equal(np.concatenate(part), full)
 
 
 class TestEnumeration:
