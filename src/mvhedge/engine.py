@@ -216,10 +216,15 @@ def _iid_closed_form(model):
             "attains zero conditional second moment"
         )
     steps = np.arange(T, -1, -1, dtype=float)
-    L = growth**steps
-    V = ((1.0 - ab) / growth) ** steps
-    kappa = 1.0 - bpb - (1.0 - ab) ** 2 / growth
-    contrib = L[1:] * V[1:] ** 2 * kappa
+    # L and V may leave the float range over a long horizon (FrontierTriple
+    # rejects an infinite L0), but L V^2 = ratio^steps with ratio =
+    # E[1 - aR]^2 / E[(1 - aR)^2] <= 1, so eps2 is formed without them.
+    with np.errstate(over="ignore", under="ignore"):
+        L = growth**steps
+        V = ((1.0 - ab) / growth) ** steps
+    ratio = (1.0 - ab) ** 2 / growth
+    kappa = 1.0 - bpb - ratio
+    contrib = ratio ** steps[1:] * kappa
     eps2 = np.concatenate([np.cumsum(contrib[::-1])[::-1], [0.0]])
     xi = (V[1:] - V[:-1])[:, None] * pb + V[:-1, None] * zeta
     # Every period shares a and zeta, so both are read-only views of one row.
@@ -450,5 +455,9 @@ def feedback_strategy(coeffs, values, v, path):
 
 
 def hedging_error(values, v):
-    """Total expected squared hedging error L0 (v - V0)^2 + eps2_0."""
-    return values.L0 * (float(v) - values.V0) ** 2 + values.eps2_0
+    """Total expected squared hedging error L0 (v - V0)^2 + eps2_0.
+
+    The first term is 0 at v = V0, also where L0 overflowed to inf.
+    """
+    gap = float(v) - values.V0
+    return (values.L0 * gap**2 if gap else 0.0) + values.eps2_0

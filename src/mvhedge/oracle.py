@@ -254,13 +254,13 @@ class SimReport:
 
 
 def _block_rng(seed, block):
-    """SFC64 stream of path block ``block``, seeded by SeedSequence([seed, block]).
+    """SFC64 stream of path block ``block``: SeedSequence(seed, spawn_key=(block,)).
 
-    The non-negative ``seed`` enters unreduced, so results depend only on
-    (seed, path index).  ``SeedSequence`` hashes the pair's 32-bit words, so
-    for s < 2**32 the pairs (s, b) and (s + 2**32 b, 0) share a stream.
+    The non-negative ``seed`` enters unreduced as the entropy and the block
+    index as the spawn key, so results depend only on (seed, path index) and
+    no two (seed, block) pairs share a stream.
     """
-    entropy = np.random.SeedSequence([seed, block])
+    entropy = np.random.SeedSequence(seed, spawn_key=(block,))
     return np.random.Generator(np.random.SFC64(entropy))
 
 
@@ -287,8 +287,8 @@ def _pair_law(P, m, S):
 def _simulate_steps(n_steps, law, v, n_paths, seed):
     """Report of the hedging errors wealth_T - 1 of :func:`_roll_affine`.
 
-    The roll returns before the statistics run, so its chunk buffers are
-    freed by then.
+    The roll draws one normal per path and step and returns before the
+    statistics run, so its chunk buffers are freed by then.
     """
     errors = _roll_affine(n_steps, law, v, n_paths, seed)
     errors -= 1.0
@@ -304,40 +304,65 @@ def _simulate_steps(n_steps, law, v, n_paths, seed):
     )
 
 
+def _triangular(factor):
+    """Per step (p, q, r) with |w f0 + f1|^2 = (p w + q)^2 + r^2 for all w.
+
+    ``factor`` stacks the (K, 2, 2) square roots [f0; f1] of (alpha, beta).
+    One Gram-Schmidt step on the rows: p = |f0|, u = f0 / p, q = u.f1 and
+    r = |u x f1|, or q = 0 and r = |f1| where p = 0 (alpha deterministic).
+    q and r are bounded by |f1|, so nothing cancels or overflows here.
+    """
+    f0, f1 = factor[:, 0], factor[:, 1]
+    p = np.hypot(f0[:, 0], f0[:, 1])
+    u = np.divide(f0, p[:, None], out=np.zeros_like(f0), where=p[:, None] > 0)
+    q = u[:, 0] * f1[:, 0] + u[:, 1] * f1[:, 1]
+    cross = np.abs(u[:, 0] * f1[:, 1] - u[:, 1] * f1[:, 0])
+    return p, q, np.where(p > 0, cross, np.hypot(f1[:, 0], f1[:, 1]))
+
+
 def _roll_affine(n_steps, law, v, n_paths, seed):
     """Terminal wealth of n_paths paths over n_steps random affine maps.
 
-    Step k maps wealth to alpha wealth + beta, with (alpha, beta) = mean[k] +
-    factor[k] z for two standard normals z per path; for the rule pi = p +
-    (V - wealth) q, alpha = 1 - q.r and beta = (p + V q).r.  ``law(k0, k1)``
-    gives mean and factor of steps k0..k1 - 1, per ``_LAW_STEPS`` steps.
-    Each block of ``_RNG_BLOCK`` paths has its own :func:`_block_rng` stream;
-    a block of ``size`` paths draws (chunk, 2, size) normals per chunk of
-    ``max(1, _RNG_BLOCK // size)`` steps into reused buffers.  A generator
-    fills consecutive draws in order, so chunking moves no draw, and memory
-    is bounded by the chunk sizes whatever the horizon.
+    Step k maps wealth w to alpha w + beta, with (alpha, beta) = mean[k] +
+    factor[k] z independent of w; ``law(k0, k1)`` gives mean and factor of
+    steps k0..k1 - 1, per ``_LAW_STEPS`` steps.  Given w the new wealth is
+    exactly N(m0 w + m1, (p w + q)^2 + r^2) with (p, q, r) of
+    :func:`_triangular`, so one normal z per path and step gives it as
+    m0 w + m1 + sqrt((p w + q)^2 + r^2) z.  Each block of ``_RNG_BLOCK``
+    paths has its own :func:`_block_rng` stream; a block of ``size`` paths
+    draws (chunk, size) normals per chunk of ``max(1, _RNG_BLOCK // size)``
+    steps into a reused buffer.  A generator fills consecutive draws in
+    order, so chunking moves no draw, and memory is bounded by the chunk
+    sizes whatever the horizon.
     """
     wealth = np.full(n_paths, float(v))
     blocks = [
         (wealth[lo : lo + _RNG_BLOCK], _block_rng(seed, block))
         for block, lo in enumerate(range(0, n_paths, _RNG_BLOCK))
     ]
-    bufs = np.empty((3, 2 * _RNG_BLOCK))  # one chunk of normals, maps and a product
+    normals, scratch = np.empty((2, _RNG_BLOCK))  # a chunk of normals, a path vector
     for k0 in range(0, n_steps, _LAW_STEPS):
         mean, factor = law(k0, min(n_steps, k0 + _LAW_STEPS))
+        p, q, r = _triangular(factor)
+        steps = list(zip(*(x.tolist() for x in (p, q, r * r, mean[:, 0], mean[:, 1]))))
         for paths, rng in blocks:
             size, chunk = len(paths), max(1, _RNG_BLOCK // len(paths))
-            for j in range(0, len(mean), chunk):
-                m, f = mean[j : j + chunk, :, None], factor[j : j + chunk, ..., None]
-                z, y, fz = (b[: len(m) * 2 * size].reshape(-1, 2, size) for b in bufs)
+            t = scratch[:size]
+            for j in range(0, len(steps), chunk):
+                part = steps[j : j + chunk]
+                z = normals[: len(part) * size].reshape(-1, size)
                 rng.standard_normal(out=z)
-                # y = (mean + f[:, :, 0] z0) + f[:, :, 1] z1, as (alpha, beta)
-                np.multiply(f[:, :, 0], z[:, None, 0], out=y)
-                y += m
-                y += np.multiply(f[:, :, 1], z[:, None, 1], out=fz)
-                for alpha, beta in zip(y[:, 0], y[:, 1]):
-                    paths *= alpha
-                    paths += beta
+                for (pk, qk, r2k, m0, m1), zk in zip(part, z):
+                    # t = sqrt((p w + q)^2 + r^2) z, then w = m0 w + m1 + t
+                    np.multiply(paths, pk, out=t)
+                    t += qk
+                    t *= t
+                    t += r2k
+                    np.sqrt(t, out=t)
+                    t *= zk
+                    paths *= m0
+                    paths += m1
+                    paths += t
     return wealth
 
 
@@ -445,9 +470,10 @@ def mc_simulate(model, coeffs, values, claim, v, n_paths, seed, step=None):
     simple returns r ~ N(mu, sigma); piecewise-constant models use an Euler
     scheme on log returns with the user-supplied ``step``.  Under the feedback
     rule pi = p + (V - wealth) q one step maps wealth to alpha wealth + beta,
-    alpha = 1 - q.r and beta = (p + V q).r, an exactly bivariate normal pair:
-    two normals per path and step, drawn and rolled by :func:`_simulate_steps`
-    in chunks of steps, with the law built per chunk.
+    alpha = 1 - q.r and beta = (p + V q).r, an exactly bivariate normal pair
+    independent of wealth, so the new wealth is exactly normal given the old:
+    one normal per path and step, drawn and rolled by :func:`_simulate_steps`
+    in chunks of steps, with the pair's law built per chunk.
     """
     if isinstance(model, FiniteTreeModel):
         if not isinstance(coeffs, TreeSolution):

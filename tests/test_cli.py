@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import warnings
@@ -283,6 +284,39 @@ def test_float_range_failures_exit_2_without_warnings(command, config, error, ca
         warnings.simplefilter("error", RuntimeWarning)
         assert main([command, "--model", os.path.join(DATA, config)]) == 2
     assert capsys.readouterr().err.splitlines() == [error]
+
+
+def test_iid_long_horizon_stays_in_float_range(capsys):
+    # growth = 1 - 2ab + aca is 1.10, so L = growth^T overflows at T = 20000
+    # and V underflows to 0, but L V^2 = ((1 - ab)^2 / growth)^T does not:
+    # simulate reports the finite error at wealth 0 and frontier rejects the
+    # infinite L0 in one line, neither with a warning.
+    path = os.path.join(DATA, "iid_long_horizon.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        argv = ["simulate", "--model", path, "--paths", "1000", "--seed", "1"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert main(["frontier", "--model", path]) == 2
+        model = models.load_config(path)[0]
+        analytic = engine.hedging_error(engine.closed_form_values(model).values, 0.0)
+    assert capsys.readouterr().err.splitlines() == [
+        "L0 must be positive and finite, got inf"
+    ]
+    printed = float(re.search(r"analytic hedging error = (\S+)", out).group(1))
+    assert np.isfinite(printed) and printed == float(cli._fmt(analytic))
+    # Log-space reference: a and p b from the budget-constrained KKT systems,
+    # then L0 V0^2 + eps2_0 = ratio^T + kappa (1 + ratio + ... + ratio^(T-1)).
+    b, c = model.log_characteristics(0)
+    kkt = np.block([[c, np.ones((3, 1))], [np.ones((1, 3)), np.zeros((1, 1))]])
+    x = np.linalg.solve(kkt, np.column_stack([np.append(b, -1.0), np.append(b, 0.0)]))
+    a, pb = x[:3, 0], x[:3, 1]
+    growth = 1.0 - 2.0 * (a @ b) + a @ c @ a
+    log_ratio = 2.0 * np.log(1.0 - a @ b) - np.log(growth)
+    kappa = 1.0 - b @ pb - np.exp(log_ratio)
+    powers = np.exp(log_ratio * np.arange(model.n_periods + 1))
+    reference = powers[-1] + kappa * math.fsum(powers[:-1])
+    assert abs(analytic - reference) <= 1e-12 * reference
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -344,6 +345,13 @@ class TestMonteCarlo:
         with pytest.raises(InvalidInputError, match="seed must be non-negative"):
             mc_simulate(ito_benchmark, coeffs, values, None, 0.3, 300, -1, step=0.5)
 
+    def test_block_streams_do_not_collide(self):
+        # The block index is a spawn key, not a second entropy word, so block
+        # 1 of seed 5 and block 0 of seed 2**32 + 5 draw different numbers.
+        pairs = ((5, 1), (2**32 + 5, 0))
+        draws = [_block_rng(s, b).standard_normal(8) for s, b in pairs]
+        assert not np.array_equal(*draws)
+
     def test_zero_variance_model_exact(self):
         r = 0.02
         model = models.IidDiscreteModel(r * np.ones(2), np.zeros((2, 2)), 3)
@@ -496,28 +504,29 @@ class TestMonteCarlo:
 
 
 def _rollout(law, v, n_paths, seed, block):
-    """Per-path Python rollout of the pair-law kernel on its own normals.
+    """Per-path Python rollout of the one-normal kernel on its own normals.
 
     ``law`` is the (step count, per-chunk law) pair of ``_iid_law`` or
-    ``_pii_law``, built here in one piece.  Block b holds paths
-    [b * block, (b + 1) * block); its ``_block_rng`` stream gives one
-    (2, size) array of standard normals per step.
+    ``_pii_law``, built here in one piece and written as (p, q, r) by
+    ``_triangular``.  Block b holds paths [b * block, (b + 1) * block); its
+    ``_block_rng`` stream gives one (size,) array of standard normals per
+    step, and wealth w steps to m0 w + m1 + sqrt((p w + q)^2 + r^2) z.
     """
     n_steps, law = law
-    mean, factor = (np.asarray(x).tolist() for x in law(0, n_steps))
+    mean, factor = law(0, n_steps)
+    p, q, r = oracle._triangular(factor)
+    steps = list(zip(*(x.tolist() for x in (p, q, r * r, mean[:, 0], mean[:, 1]))))
     errors = []
     for b, lo in enumerate(range(0, n_paths, block)):
         size = min(block, n_paths - lo)
         rng = _block_rng(seed, b)
-        z = [rng.standard_normal((2, size)).tolist() for _ in mean]
+        z = [rng.standard_normal(size).tolist() for _ in steps]
         for j in range(size):
             wealth = v
-            for k in range(n_steps):
-                z0, z1 = z[k][0][j], z[k][1][j]
-                (m0, m1), ((f00, f01), (f10, f11)) = mean[k], factor[k]
-                alpha = m0 + f00 * z0 + f01 * z1
-                beta = m1 + f10 * z0 + f11 * z1
-                wealth = wealth * alpha + beta
+            for (pk, qk, r2k, m0, m1), zk in zip(steps, z):
+                t = pk * wealth + qk
+                t = math.sqrt(t * t + r2k) * zk[j]
+                wealth = wealth * m0 + m1 + t
             errors.append(wealth - 1.0)
     return np.array(errors)
 
@@ -632,6 +641,80 @@ class TestPairLawSampler:
                     )
                     assert report.error_mean == float(np.mean(errors))
                     assert report.error_second_moment == float(np.mean(errors**2))
+
+    @pytest.mark.parametrize("kind", ["random", "rank-one", "zero beta row"])
+    def test_triangular_form_is_the_conditional_variance(self, kind):
+        # (p w + q)^2 + r^2 = |w f0 + f1|^2 for the rows f0, f1 of each factor.
+        rng = np.random.default_rng(43)
+        factor = rng.normal(size=(64, 2, 2))
+        if kind == "rank-one":
+            factor[:, 1] = factor[:, 0] * rng.normal(size=(64, 1))
+        elif kind == "zero beta row":
+            # zero drift: the law's factor is [[0, 0.0928], [0, 0]]
+            model = models.IidDiscreteModel(
+                np.zeros(2), np.array([[1e-2, 2e-3], [2e-3, 4e-2]]), 3
+            )
+            values, coeffs = closed_form_values(model)
+            n_steps, law = oracle._iid_law(model, coeffs, values)
+            factor = law(0, n_steps)[1]
+            assert not factor[:, 1].any() and factor[:, 0].any()
+        p, q, r = oracle._triangular(factor)
+        norms = np.linalg.norm(factor, axis=2)
+        for w in rng.normal(size=20) * 3.0:
+            exact = np.sum((w * factor[:, 0] + factor[:, 1]) ** 2, axis=1)
+            # relative to (|w f0| + |f1|)^2: where w f0 + f1 nearly cancels,
+            # both sides round at that scale
+            scale = (abs(w) * norms[:, 0] + norms[:, 1]) ** 2
+            assert np.all(np.abs((p * w + q) ** 2 + r**2 - exact) <= 1e-14 * scale)
+
+    def test_deterministic_alpha_rolls_finite(self):
+        # f0 = 0 takes the p = 0 branch: q = 0 and r = |f1|, so each step adds
+        # |f1| z to m0 w + m1, with no division by p.
+        rng = np.random.default_rng(47)
+        n_steps, n_paths, v, seed = 9, 70, 0.4, 6
+        mean = np.column_stack([1.0 + rng.normal(size=n_steps) * 0.01,
+                                rng.normal(size=n_steps) * 0.01])
+        factor = np.zeros((n_steps, 2, 2))
+        factor[:, 1] = rng.normal(size=(n_steps, 2)) * 0.1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            wealth = oracle._roll_affine(
+                n_steps, lambda k0, k1: (mean[k0:k1], factor[k0:k1]), v, n_paths, seed
+            )
+        z = _block_rng(seed, 0).standard_normal((n_steps, n_paths))
+        expected = np.full(n_paths, v)
+        for (m0, m1), (_, f1), zk in zip(mean, factor, z):
+            expected = m0 * expected + m1 + math.hypot(*f1) * zk
+        assert np.all(np.isfinite(wealth))
+        assert np.allclose(wealth, expected, rtol=1e-14, atol=0.0)
+
+    def test_one_normal_per_path_step(
+        self, discrete_benchmark, ito_benchmark, monkeypatch
+    ):
+        # 20000 paths make a full block and a partial one; every draw is counted.
+        drawn, block_rng = [], oracle._block_rng
+
+        class Counting:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_normal(self, out):
+                drawn.append(out.size)
+                return self.rng.standard_normal(out=out)
+
+        monkeypatch.setattr(
+            oracle, "_block_rng", lambda seed, block: Counting(block_rng(seed, block))
+        )
+        n_paths = 20_000
+        for model, step in ((discrete_benchmark, None), (ito_benchmark, 0.05)):
+            values, coeffs = closed_form_values(model)
+            if step is None:
+                n_steps = oracle._iid_law(model, coeffs, values)[0]
+            else:
+                n_steps = oracle._pii_law(model, coeffs, values, step)[0]
+            drawn.clear()
+            mc_simulate(model, coeffs, values, None, 0.3, n_paths, 2, step=step)
+            assert sum(drawn) == n_paths * n_steps
 
     def test_euler_grid_slices_match_linspace(self):
         # Each chunk of the Euler law reads a slice of the step table: step j
