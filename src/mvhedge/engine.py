@@ -153,9 +153,10 @@ def myopic_minvar(b, c):
 
 
 class _RootValues:
-    """L0, V0 and eps2_0: the root entries of the arrays L, V and eps2."""
+    """L0, V0, eps2_0 and log L0: the root entries of the arrays L, V and eps2."""
 
     L0 = property(lambda self: float(self.L[0]))
+    log_L0 = property(lambda self: float(np.log(self.L[0])))
     V0 = property(lambda self: float(self.V[0]))
     eps2_0 = property(lambda self: float(self.eps2[0]))
 
@@ -169,13 +170,17 @@ class ValueProcesses(_RootValues):
 
     ``times[j]`` labels the j-th grid point (integer periods for discrete
     models, segment boundaries for piecewise-constant ones); L, V, eps2 hold
-    the corresponding values, with L[-1] = 1 and eps2[-1] = 0.
+    the corresponding values, with L[-1] = 1 and eps2[-1] = 0.  ``log_L`` is
+    log L, finite where L overflows (IID models over a long horizon).
     """
 
     times: np.ndarray
     L: np.ndarray
     V: np.ndarray
     eps2: np.ndarray
+    log_L: np.ndarray
+
+    log_L0 = property(lambda self: float(self.log_L[0]))
 
 
 @dataclass(frozen=True)
@@ -234,7 +239,7 @@ def _iid_closed_form(model):
         zeta=np.broadcast_to(zeta, (T, zeta.shape[0])),
         riskfree_rate=None,
     )
-    values = ValueProcesses(times=np.arange(T + 1, dtype=float), L=L, V=V, eps2=eps2)
+    values = ValueProcesses(np.arange(T + 1.0), L, V, eps2, steps * np.log(growth))
     return ClosedFormResult(values, coeffs)
 
 
@@ -271,7 +276,7 @@ def _pii_closed_form(model):
     L, V = np.exp(int_L), np.exp(int_LV - int_L)
     rates = None if np.all(np.isnan(riskfree)) else riskfree
     coeffs = HedgeCoefficients(a, V[:-1, None] * zeta, zeta, rates)
-    return ClosedFormResult(ValueProcesses(t, L, V, eps2), coeffs)
+    return ClosedFormResult(ValueProcesses(t, L, V, eps2, int_L), coeffs)
 
 
 def closed_form_values(model):
@@ -457,7 +462,12 @@ def feedback_strategy(coeffs, values, v, path):
 def hedging_error(values, v):
     """Total expected squared hedging error L0 (v - V0)^2 + eps2_0.
 
-    The first term is 0 at v = V0, also where L0 overflowed to inf.
+    The first term is 0 at v = V0, also where L0 overflowed to inf; elsewhere
+    an infinite L0 forms it as exp(log L0 + 2 log|v - V0|), which is inf only
+    where the term itself leaves the float range.
     """
     gap = float(v) - values.V0
-    return (values.L0 * gap**2 if gap else 0.0) + values.eps2_0
+    if values.L0 < np.inf or not gap:
+        return (values.L0 * gap**2 if gap else 0.0) + values.eps2_0
+    with np.errstate(over="ignore"):
+        return float(np.exp(values.log_L0 + 2.0 * np.log(abs(gap)))) + values.eps2_0

@@ -645,9 +645,11 @@ def _discount(tree, assets, prob, rets):
     and edge returns are written into ``prob[k]`` (K, n) and ``rets[k]``
     (K, n, d), which may be views of the caller's arrays, after one
     :func:`_check_values` over the stack.  No value warns as it is formed:
-    each is checked, and a moment out of the positive float range raises
-    InvalidNumeraireError for its asset and node.  Returns the discounted
-    prices (K, n, d), a view of a node-major array, and the moments (K, n).
+    each is checked, and a moment out of the positive float range or a
+    reweighted branch probability that underflows to 0 raises
+    InvalidNumeraireError for the first failing asset and its node.  Returns
+    the discounted prices (K, n, d), a view of a node-major array, and the
+    moments (K, n).
     """
     numeraire = tree.prices[:, assets].T
     with np.errstate(all="ignore"):
@@ -658,11 +660,20 @@ def _discount(tree, assets, prob, rets):
         # node-major, like the DP's inputs, so the returns are formed row by row
         prices = (tree.prices[:, None] / numeraire.T[..., None]).transpose(1, 0, 2)
     bad = ~(np.isfinite(weights) & (weights > 0.0))
-    if bad.any():
-        k, i = np.argwhere(bad)[0]
+    lost = ~(prob[:, 1:] > 0.0)  # p E[X_T^2 | child] / E[X_T^2 | node] underflowed
+    k = _first_member(len(prob), bad, lost)
+    if k < len(prob):
+        if bad[k].any():
+            i = int(np.argmax(bad[k]))
+            raise InvalidNumeraireError(
+                f"numeraire asset {assets[k]} has E[X_T^2 | node {tree.ids[i]!r}] "
+                f"= {float(weights[k, i])!r}, outside the positive float range"
+            )
+        i = 1 + int(np.argmax(lost[k]))
         raise InvalidNumeraireError(
-            f"numeraire asset {assets[k]} has E[X_T^2 | node {tree.ids[i]!r}] = "
-            f"{float(weights[k, i])!r}, outside the positive float range"
+            f"numeraire asset {assets[k]} reweights the branch probability of node "
+            f"{tree.ids[i]!r} to {float(prob[k, i])!r}, outside the positive float "
+            "range"
         )
     _check_values(tree, prob, prices, rets)
     return prices, weights

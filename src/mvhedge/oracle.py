@@ -11,6 +11,7 @@ directly on the children's value-function coefficients, so agreement between
 the two is a genuine cross-check.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -287,18 +288,30 @@ def _pair_law(P, m, S):
 def _simulate_steps(n_steps, law, v, n_paths, seed):
     """Report of the hedging errors wealth_T - 1 of :func:`_roll_affine`.
 
-    The roll draws one normal per path and step and returns before the
-    statistics run, so its chunk buffers are freed by then.
+    Each block's errors are folded, in place on the roll's buffer, into the
+    running count, sum of the errors, mean of the squared errors and their
+    M2 by the pairwise update of Chan, Golub and LeVeque (1983), so no array
+    of length n_paths is formed.  On one block the statistics are those of
+    ``np.mean`` and ``np.std(ddof=1)`` bit for bit.
     """
-    errors = _roll_affine(n_steps, law, v, n_paths, seed)
-    errors -= 1.0
-    sq = errors**2
-    se = 0.0 if n_paths < 2 else float(np.std(sq, ddof=1) / np.sqrt(n_paths))
+    count, total, mean_sq, m2 = 0, 0.0, 0.0, 0.0
+    for errors in _roll_affine(n_steps, law, v, n_paths, seed):
+        size = len(errors)
+        errors -= 1.0
+        total += float(errors.sum())
+        errors *= errors
+        block_mean = float(errors.mean())
+        errors -= block_mean
+        errors *= errors
+        delta, count = block_mean - mean_sq, count + size
+        mean_sq += delta * (size / count)
+        m2 += float(errors.sum()) + (count - size) * size / count * delta * delta
+    se = 0.0 if n_paths < 2 else math.sqrt(m2 / (n_paths - 1)) / math.sqrt(n_paths)
     return SimReport(
         n_paths=n_paths,
         seed=seed,
-        error_mean=float(np.mean(errors)),
-        error_second_moment=float(np.mean(sq)),
+        error_mean=total / n_paths,
+        error_second_moment=mean_sq,
         std_error=se,
         exact=False,
     )
@@ -329,25 +342,31 @@ def _roll_affine(n_steps, law, v, n_paths, seed):
     exactly N(m0 w + m1, (p w + q)^2 + r^2) with (p, q, r) of
     :func:`_triangular`, so one normal z per path and step gives it as
     m0 w + m1 + sqrt((p w + q)^2 + r^2) z.  Each block of ``_RNG_BLOCK``
-    paths has its own :func:`_block_rng` stream; a block of ``size`` paths
-    draws (chunk, size) normals per chunk of ``max(1, _RNG_BLOCK // size)``
-    steps into a reused buffer.  A generator fills consecutive draws in
-    order, so chunking moves no draw, and memory is bounded by the chunk
-    sizes whatever the horizon.
+    paths draws from its own :func:`_block_rng` stream and rolls to the
+    horizon, a block of ``size`` paths drawing (chunk, size) normals per
+    chunk of ``max(1, _RNG_BLOCK // size)`` steps; a generator fills
+    consecutive draws in order, so chunking moves no draw.  A one-chunk
+    horizon builds its step table once; a longer one rebuilds each chunk's
+    table per block.  Yields each block's terminal wealth in one reused
+    buffer, valid until the next block, so memory is bounded whatever the
+    horizon and the path count.
     """
-    wealth = np.full(n_paths, float(v))
-    blocks = [
-        (wealth[lo : lo + _RNG_BLOCK], _block_rng(seed, block))
-        for block, lo in enumerate(range(0, n_paths, _RNG_BLOCK))
-    ]
-    normals, scratch = np.empty((2, _RNG_BLOCK))  # a chunk of normals, a path vector
-    for k0 in range(0, n_steps, _LAW_STEPS):
-        mean, factor = law(k0, min(n_steps, k0 + _LAW_STEPS))
-        p, q, r = _triangular(factor)
-        steps = list(zip(*(x.tolist() for x in (p, q, r * r, mean[:, 0], mean[:, 1]))))
-        for paths, rng in blocks:
-            size, chunk = len(paths), max(1, _RNG_BLOCK // len(paths))
-            t = scratch[:size]
+    def tables():
+        for k0 in range(0, n_steps, _LAW_STEPS):
+            mean, factor = law(k0, min(n_steps, k0 + _LAW_STEPS))
+            p, q, r = _triangular(factor)
+            columns = (p, q, r * r, mean[:, 0], mean[:, 1])
+            yield list(zip(*(x.tolist() for x in columns)))
+
+    built = list(tables()) if n_steps <= _LAW_STEPS else None
+    normals = np.empty(_RNG_BLOCK)
+    wealth, scratch = np.empty((2, min(n_paths, _RNG_BLOCK)))
+    for block, lo in enumerate(range(0, n_paths, _RNG_BLOCK)):
+        paths, rng = wealth[: n_paths - lo], _block_rng(seed, block)
+        size, chunk = len(paths), max(1, _RNG_BLOCK // len(paths))
+        t = scratch[:size]
+        paths.fill(v)
+        for steps in built or tables():
             for j in range(0, len(steps), chunk):
                 part = steps[j : j + chunk]
                 z = normals[: len(part) * size].reshape(-1, size)
@@ -363,7 +382,7 @@ def _roll_affine(n_steps, law, v, n_paths, seed):
                     paths *= m0
                     paths += m1
                     paths += t
-    return wealth
+        yield paths
 
 
 def _iid_law(model, coeffs, values):
@@ -472,8 +491,9 @@ def mc_simulate(model, coeffs, values, claim, v, n_paths, seed, step=None):
     rule pi = p + (V - wealth) q one step maps wealth to alpha wealth + beta,
     alpha = 1 - q.r and beta = (p + V q).r, an exactly bivariate normal pair
     independent of wealth, so the new wealth is exactly normal given the old:
-    one normal per path and step, drawn and rolled by :func:`_simulate_steps`
-    in chunks of steps, with the pair's law built per chunk.
+    one normal per path and step.  :func:`_simulate_steps` rolls one block of
+    paths at a time to the horizon and folds it into running statistics, so
+    memory is bounded whatever ``n_paths`` and the horizon.
     """
     if isinstance(model, FiniteTreeModel):
         if not isinstance(coeffs, TreeSolution):

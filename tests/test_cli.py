@@ -272,14 +272,26 @@ def test_unread_flag_exits_2(command, flag, capsys):
             "every edge return must be at most 1e+150 in magnitude, got 5e+159 on "
             "the edge into node 'd'",
         ),
+        (
+            "oracle",
+            "underflow_branch_probability.json",
+            "numeraire asset 0 reweights the branch probability of node 'd' to "
+            "0.0, outside the positive float range",
+        ),
     ],
-    ids=["edge-return-overflow", "tiny-numeraire", "tiny-terminal-numeraire"],
+    ids=[
+        "edge-return-overflow",
+        "tiny-numeraire",
+        "tiny-terminal-numeraire",
+        "underflowed-branch-probability",
+    ],
 )
 def test_float_range_failures_exit_2_without_warnings(command, config, error, capsys):
     # 1e300 / 1e-300 overflows an edge return; (1e-200)^2 underflows the
     # numeraire's second moment; asset 0's 1e-160 at node 'd' overflows the
-    # root's reweighting ratio and asset 1's discounted edge return.  Each is
-    # one named error, not a warning.
+    # root's reweighting ratio and asset 1's discounted edge return; asset 0
+    # priced 1, 1e5 and 1e-160 reweights node 'd' by 0.5e-320 / 0.5e10, which
+    # underflows to 0.  Each is one named error, not a warning.
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert main([command, "--model", os.path.join(DATA, config)]) == 2
@@ -305,8 +317,35 @@ def test_iid_long_horizon_stays_in_float_range(capsys):
     ]
     printed = float(re.search(r"analytic hedging error = (\S+)", out).group(1))
     assert np.isfinite(printed) and printed == float(cli._fmt(analytic))
-    # Log-space reference: a and p b from the budget-constrained KKT systems,
-    # then L0 V0^2 + eps2_0 = ratio^T + kappa (1 + ratio + ... + ratio^(T-1)).
+    reference = _iid_error_at_zero_wealth(model)
+    assert abs(analytic - reference) <= 1e-12 * reference
+
+
+def test_iid_overflowed_l0_with_normal_v0(capsys):
+    # At T = 10000, L0 = e^978 overflows but V0 = e^-603 is a normal float, so
+    # (0 - V0)^2 underflows to 0 and L0 (0 - V0)^2 is formed from log L0.
+    path = os.path.join(DATA, "iid_long_horizon_t10000.json")
+    model = models.load_config(path)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        values = engine.closed_form_values(model).values
+        assert values.L0 == np.inf and values.V0 > np.finfo(float).tiny
+        argv = ["simulate", "--model", path, "--paths", "1000", "--seed", "1"]
+        assert main(argv) == 0
+        analytic = engine.hedging_error(values, 0.0)
+    out = capsys.readouterr().out
+    printed = float(re.search(r"analytic hedging error = (\S+)", out).group(1))
+    assert np.isfinite(printed) and printed == float(cli._fmt(analytic))
+    reference = _iid_error_at_zero_wealth(model)
+    assert abs(analytic - reference) <= 1e-12 * reference
+
+
+def _iid_error_at_zero_wealth(model):
+    """Log-space reference for the three-asset IID hedging error at wealth 0.
+
+    a and p b come from the budget-constrained KKT systems, then L0 V0^2 +
+    eps2_0 = ratio^T + kappa (1 + ratio + ... + ratio^(T-1)).
+    """
     b, c = model.log_characteristics(0)
     kkt = np.block([[c, np.ones((3, 1))], [np.ones((1, 3)), np.zeros((1, 1))]])
     x = np.linalg.solve(kkt, np.column_stack([np.append(b, -1.0), np.append(b, 0.0)]))
@@ -315,8 +354,7 @@ def test_iid_long_horizon_stays_in_float_range(capsys):
     log_ratio = 2.0 * np.log(1.0 - a @ b) - np.log(growth)
     kappa = 1.0 - b @ pb - np.exp(log_ratio)
     powers = np.exp(log_ratio * np.arange(model.n_periods + 1))
-    reference = powers[-1] + kappa * math.fsum(powers[:-1])
-    assert abs(analytic - reference) <= 1e-12 * reference
+    return powers[-1] + kappa * math.fsum(powers[:-1])
 
 
 @pytest.mark.parametrize(

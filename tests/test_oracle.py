@@ -455,6 +455,63 @@ class TestMonteCarlo:
         assert max(steps) <= oracle._LAW_STEPS
         assert sum(steps) == 10**5
 
+    def test_memory_does_not_grow_with_the_path_count(self):
+        # Each block rolls to the horizon in one reused buffer and is folded
+        # into running statistics, so the traced peak of 2, 9 and 64 blocks
+        # differs by at most one block's buffer.  Vectors of every path's
+        # wealth and its squares would take 3.0 MB at 2**17 + 1 paths.  A
+        # coarse Euler step keeps the Ito config at 2**20 paths cheap.
+        buffer = np.empty(oracle._RNG_BLOCK).nbytes
+        for name, step in (("iid_3assets_t4.json", None), ("pii_4assets_t5.json", 0.5)):
+            model = models.load_config(CONFIGS / name)[0]
+            values, coeffs = closed_form_values(model)
+            # a first call imports numpy's random modules, traced memory too
+            mc_simulate(model, coeffs, values, None, 0.0, 100, 1, step=step)
+            peaks = {}
+            for n_paths in (2**14 + 1, 2**17 + 1, 2**20):
+                tracemalloc.start()
+                try:
+                    mc_simulate(model, coeffs, values, None, 0.0, n_paths, 1, step=step)
+                    peaks[n_paths] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert max(peaks.values()) - min(peaks.values()) <= buffer, (name, peaks)
+            assert peaks[2**17 + 1] < 1e6, (name, peaks)
+
+    def test_one_chunk_law_serves_every_block(self, monkeypatch):
+        # 2**17 paths are eight blocks; the 4-period IID law fits one chunk,
+        # so its step table is built once, not once per block.
+        model = models.load_config(CONFIGS / "iid_3assets_t4.json")[0]
+        values, coeffs = closed_form_values(model)
+        calls, pair_law = [], oracle._pair_law
+
+        def spy(P, m, S):
+            calls.append(len(P))
+            return pair_law(P, m, S)
+
+        monkeypatch.setattr(oracle, "_pair_law", spy)
+        mc_simulate(model, coeffs, values, None, 0.0, 2**17, 5)
+        assert calls == [4]
+
+    def test_path_count_beyond_memory_streams(self, monkeypatch):
+        # 10**12 paths would take 8 TB as one vector; streamed, block 0 rolls
+        # to the horizon and block 1 asks for its stream, where the spy stops.
+        class Reached(Exception):
+            pass
+
+        block_rng = oracle._block_rng
+
+        def spy(seed, block):
+            if block == 1:
+                raise Reached
+            return block_rng(seed, block)
+
+        monkeypatch.setattr(oracle, "_block_rng", spy)
+        model = models.load_config(CONFIGS / "iid_3assets_t4.json")[0]
+        values, coeffs = closed_form_values(model)
+        with pytest.raises(Reached):
+            mc_simulate(model, coeffs, values, None, 0.0, 10**12, 5)
+
     def test_ito_euler_converges(self, ito_benchmark):
         values, coeffs = closed_form_values(ito_benchmark)
         report = mc_simulate(
@@ -504,7 +561,7 @@ class TestMonteCarlo:
 
 
 def _rollout(law, v, n_paths, seed, block):
-    """Per-path Python rollout of the one-normal kernel on its own normals.
+    """Terminal wealth of a per-path Python rollout of the one-normal kernel.
 
     ``law`` is the (step count, per-chunk law) pair of ``_iid_law`` or
     ``_pii_law``, built here in one piece and written as (p, q, r) by
@@ -516,7 +573,7 @@ def _rollout(law, v, n_paths, seed, block):
     mean, factor = law(0, n_steps)
     p, q, r = oracle._triangular(factor)
     steps = list(zip(*(x.tolist() for x in (p, q, r * r, mean[:, 0], mean[:, 1]))))
-    errors = []
+    terminal = []
     for b, lo in enumerate(range(0, n_paths, block)):
         size = min(block, n_paths - lo)
         rng = _block_rng(seed, b)
@@ -527,8 +584,14 @@ def _rollout(law, v, n_paths, seed, block):
                 t = pk * wealth + qk
                 t = math.sqrt(t * t + r2k) * zk[j]
                 wealth = wealth * m0 + m1 + t
-            errors.append(wealth - 1.0)
-    return np.array(errors)
+            terminal.append(wealth)
+    return np.array(terminal)
+
+
+def _kernel_wealth(n_steps, law, v, n_paths, seed):
+    """Every path's terminal wealth from ``oracle._roll_affine``'s blocks."""
+    blocks = oracle._roll_affine(n_steps, law, v, n_paths, seed)
+    return np.concatenate([paths.copy() for paths in blocks])
 
 
 def _forward_error(law, v):
@@ -612,12 +675,16 @@ class TestPairLawSampler:
 
     def test_kernel_matches_per_path_rollout(self, discrete_benchmark, monkeypatch):
         # Blocks of 64 paths, on the IID law (4 steps) and on a two-segment
-        # Euler grid (6 + 14 steps); errors must agree bit for bit.  A block
-        # of size paths draws max(1, 64 // size) steps per chunk:
+        # Euler grid (6 + 14 steps); every path's terminal wealth must agree
+        # bit for bit.  The statistics folded block by block differ from
+        # np.mean and np.std(ddof=1) over the whole vector only in the order
+        # of summation.  A block of size paths draws max(1, 64 // size) steps
+        # per chunk:
         # - 150 paths: blocks 64, 64, 22, so the last block draws 2 steps;
         # - 21 paths: one block drawing 3 steps, the last chunk partial;
         # - 149 paths: blocks 64, 64, 21, the last with partial chunks.
-        # Laws of 7 steps cut the draw chunks and the segment boundary too.
+        # Laws of 7 steps cut the draw chunks and the segment boundary too,
+        # and each block rebuilds the tables of the chunks it rolls through.
         monkeypatch.setattr(oracle, "_RNG_BLOCK", 64)
         rng = np.random.default_rng(13)
         segments = []
@@ -635,12 +702,21 @@ class TestPairLawSampler:
                 else:
                     law = oracle._pii_law(model, coeffs, values, step)
                 for n_paths in (150, 21, 149):
-                    errors = _rollout(law, v, n_paths, seed, 64)
+                    wealth = _rollout(law, v, n_paths, seed, 64)
+                    kernel = _kernel_wealth(*law, v, n_paths, seed)
+                    assert np.array_equal(kernel, wealth)
                     report = mc_simulate(
                         model, coeffs, values, None, v, n_paths, seed, step=step
                     )
-                    assert report.error_mean == float(np.mean(errors))
-                    assert report.error_second_moment == float(np.mean(errors**2))
+                    errors = wealth - 1.0
+                    sq = errors**2
+                    folded = (
+                        (report.error_mean, np.mean(errors)),
+                        (report.error_second_moment, np.mean(sq)),
+                        (report.std_error, np.std(sq, ddof=1) / np.sqrt(n_paths)),
+                    )
+                    for got, want in folded:
+                        assert abs(got - want) <= 1e-14 * abs(want), (got, want)
 
     @pytest.mark.parametrize("kind", ["random", "rank-one", "zero beta row"])
     def test_triangular_form_is_the_conditional_variance(self, kind):
@@ -678,7 +754,7 @@ class TestPairLawSampler:
         factor[:, 1] = rng.normal(size=(n_steps, 2)) * 0.1
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            wealth = oracle._roll_affine(
+            wealth = _kernel_wealth(
                 n_steps, lambda k0, k1: (mean[k0:k1], factor[k0:k1]), v, n_paths, seed
             )
         z = _block_rng(seed, 0).standard_normal((n_steps, n_paths))
