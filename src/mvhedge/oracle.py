@@ -45,6 +45,7 @@ __all__ = [
 
 _RNG_BLOCK = 1 << 14
 _LAW_STEPS = 1 << 12
+_FOLD_RANGE = 2.0**450
 
 
 @dataclass(frozen=True)
@@ -265,41 +266,46 @@ def _block_rng(seed, block):
     return np.random.Generator(np.random.SFC64(entropy))
 
 
-def _psd_factor(c):
-    """Clipped-``eigh`` square root F of each symmetric PSD matrix: F F' = c.
-
-    Accepts one matrix or a stack; eigenvalues are clipped at 0, so singular
-    and zero matrices keep an exact (singular or zero) factor.
-    """
-    w, Q = np.linalg.eigh(np.asarray(c, dtype=float))
-    return Q * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
-
-
 def _pair_law(P, m, S):
-    """Law of the pairs P r for r ~ N(m, S): means (K, 2) and factors (K, 2, 2).
+    """Step table of the pairs P r, r ~ N(m, S): five (K,) rows (m0, m1, p, q, r^2).
 
-    ``P`` stacks K pairs of rows [p; q] as (K, 2, d), with one (m, S) or K; the
-    pair (p.r, q.r) is exactly normal with mean P m and covariance P S P' =
-    factor factor' (``eigh`` reads the lower triangle of each computed P S P').
+    ``P`` stacks K pairs of rows [g; h] as (K, 2, d), with one (m, S) or K; the
+    pair (g.r, h.r) is exactly normal with means m0 = g.m, m1 = h.m and
+    covariance C = P S P', whose lower Cholesky triangle is [[p, 0], [q, r]]:
+    p = sqrt(C00), q = C10 / p (0 where p = 0) and r^2 = C11 - q^2.  C00 and
+    r^2 are clipped at 0: a PSD ``S`` may have rounding-level negative eigenvalues.
     """
-    return (P @ m[..., None])[..., 0], _psd_factor(P @ S @ P.transpose(0, 2, 1))
+    C = P @ S @ P.transpose(0, 2, 1)
+    p = np.sqrt(np.maximum(C[:, 0, 0], 0.0))
+    q = np.divide(C[:, 1, 0], p, out=np.zeros_like(p), where=p > 0)
+    r2 = np.maximum(C[:, 1, 1] - q * q, 0.0)
+    return np.vstack([(P @ m[..., None])[..., 0].T, p, q, r2])
 
 
 def _simulate_steps(n_steps, law, v, n_paths, seed):
     """Report of the hedging errors wealth_T - 1 of :func:`_roll_affine`.
 
     Each block's errors are folded, in place on the roll's buffer, into the
-    running count, sum of the errors, mean of the squared errors and their
-    M2 by the pairwise update of Chan, Golub and LeVeque (1983), so no array
-    of length n_paths is formed.  On one block the statistics are those of
+    running count, sum of the errors, mean of the squared errors and their M2 by
+    the pairwise update of Chan, Golub and LeVeque (1983), so no array of length
+    n_paths is formed.  Squared errors are folded in an exact power-of-two
+    ``unit``, 1 until one passes ``_FOLD_RANGE`` units, then the power of two
+    at or below it, with the running mean and M2 rescaled each time it grows,
+    so M2 never overflows.  With unit 1, one block's statistics are those of
     ``np.mean`` and ``np.std(ddof=1)`` bit for bit.
     """
-    count, total, mean_sq, m2 = 0, 0.0, 0.0, 0.0
+    count, total, mean_sq, m2, unit = 0, 0.0, 0.0, 0.0, 1.0
     for errors in _roll_affine(n_steps, law, v, n_paths, seed):
         size = len(errors)
         errors -= 1.0
         total += float(errors.sum())
         errors *= errors
+        top = float(errors.max())
+        if unit * _FOLD_RANGE < top < math.inf:
+            old, unit = unit, math.ldexp(1.0, math.frexp(top)[1] - 1)
+            mean_sq, m2 = mean_sq * (old / unit), m2 * (old / unit) ** 2
+        if unit > 1.0:
+            errors /= unit
         block_mean = float(errors.mean())
         errors -= block_mean
         errors *= errors
@@ -311,41 +317,24 @@ def _simulate_steps(n_steps, law, v, n_paths, seed):
         n_paths=n_paths,
         seed=seed,
         error_mean=total / n_paths,
-        error_second_moment=mean_sq,
-        std_error=se,
+        error_second_moment=mean_sq * unit,
+        std_error=se * unit,
         exact=False,
     )
-
-
-def _triangular(factor):
-    """Per step (p, q, r) with |w f0 + f1|^2 = (p w + q)^2 + r^2 for all w.
-
-    ``factor`` stacks the (K, 2, 2) square roots [f0; f1] of (alpha, beta).
-    One Gram-Schmidt step on the rows: p = |f0|, u = f0 / p, q = u.f1 and
-    r = |u x f1|, or q = 0 and r = |f1| where p = 0 (alpha deterministic).
-    q and r are bounded by |f1|, so nothing cancels or overflows here.
-    """
-    f0, f1 = factor[:, 0], factor[:, 1]
-    p = np.hypot(f0[:, 0], f0[:, 1])
-    u = np.divide(f0, p[:, None], out=np.zeros_like(f0), where=p[:, None] > 0)
-    q = u[:, 0] * f1[:, 0] + u[:, 1] * f1[:, 1]
-    cross = np.abs(u[:, 0] * f1[:, 1] - u[:, 1] * f1[:, 0])
-    return p, q, np.where(p > 0, cross, np.hypot(f1[:, 0], f1[:, 1]))
 
 
 def _roll_affine(n_steps, law, v, n_paths, seed):
     """Terminal wealth of n_paths paths over n_steps random affine maps.
 
-    Step k maps wealth w to alpha w + beta, with (alpha, beta) = mean[k] +
-    factor[k] z independent of w; ``law(k0, k1)`` gives mean and factor of
+    Step k maps wealth w to alpha w + beta, a normal pair independent of w;
+    ``law(k0, k1)`` gives its :func:`_pair_law` rows (m0, m1, p, q, r^2) for
     steps k0..k1 - 1, per ``_LAW_STEPS`` steps.  Given w the new wealth is
-    exactly N(m0 w + m1, (p w + q)^2 + r^2) with (p, q, r) of
-    :func:`_triangular`, so one normal z per path and step gives it as
-    m0 w + m1 + sqrt((p w + q)^2 + r^2) z.  Each block of ``_RNG_BLOCK``
-    paths draws from its own :func:`_block_rng` stream and rolls to the
-    horizon, a block of ``size`` paths drawing (chunk, size) normals per
-    chunk of ``max(1, _RNG_BLOCK // size)`` steps; a generator fills
-    consecutive draws in order, so chunking moves no draw.  A one-chunk
+    exactly N(m0 w + m1, (p w + q)^2 + r^2), so one normal z per path and step
+    gives it as m0 w + m1 + sqrt((p w + q)^2 + r^2) z.  Each block of
+    ``_RNG_BLOCK`` paths draws from its own :func:`_block_rng` stream and
+    rolls to the horizon, a block of ``size`` paths drawing (chunk, size)
+    normals per chunk of ``max(1, _RNG_BLOCK // size)`` steps; a generator
+    fills consecutive draws in order, so chunking moves no draw.  A one-chunk
     horizon builds its step table once; a longer one rebuilds each chunk's
     table per block.  Yields each block's terminal wealth in one reused
     buffer, valid until the next block, so memory is bounded whatever the
@@ -353,10 +342,7 @@ def _roll_affine(n_steps, law, v, n_paths, seed):
     """
     def tables():
         for k0 in range(0, n_steps, _LAW_STEPS):
-            mean, factor = law(k0, min(n_steps, k0 + _LAW_STEPS))
-            p, q, r = _triangular(factor)
-            columns = (p, q, r * r, mean[:, 0], mean[:, 1])
-            yield list(zip(*(x.tolist() for x in columns)))
+            yield list(zip(*law(k0, min(n_steps, k0 + _LAW_STEPS)).tolist()))
 
     built = list(tables()) if n_steps <= _LAW_STEPS else None
     normals = np.empty(_RNG_BLOCK)
@@ -371,7 +357,7 @@ def _roll_affine(n_steps, law, v, n_paths, seed):
                 part = steps[j : j + chunk]
                 z = normals[: len(part) * size].reshape(-1, size)
                 rng.standard_normal(out=z)
-                for (pk, qk, r2k, m0, m1), zk in zip(part, z):
+                for (m0, m1, pk, qk, r2k), zk in zip(part, z):
                     # t = sqrt((p w + q)^2 + r^2) z, then w = m0 w + m1 + t
                     np.multiply(paths, pk, out=t)
                     t += qk
@@ -388,15 +374,15 @@ def _roll_affine(n_steps, law, v, n_paths, seed):
 def _iid_law(model, coeffs, values):
     """Step count and per-chunk law of (alpha, beta) per period, r ~ N(mu, sigma).
 
-    ``law(k0, k1)`` gives periods k0..k1 - 1: the :func:`_pair_law` of the
-    rows [-a[t]; xi[t] + V[t] a[t]], with 1 added to alpha's mean.
+    ``law(k0, k1)`` gives periods k0..k1 - 1: the :func:`_pair_law` table of
+    the rows [-a[t]; xi[t] + V[t] a[t]], with 1 added to alpha's mean m0.
     """
     def law(k0, k1):
         a = coeffs.a[k0:k1]
         P = np.stack([-a, coeffs.xi[k0:k1] + values.V[k0:k1, None] * a], axis=1)
-        mean, factor = _pair_law(P, model.mu, model.sigma)
-        mean[:, 0] += 1.0
-        return mean, factor
+        table = _pair_law(P, model.mu, model.sigma)
+        table[0] += 1.0
+        return table
 
     return len(values.V) - 1, law
 
@@ -419,15 +405,16 @@ def _pii_law(model, coeffs, values, step):
     """Step count and per-chunk law of (alpha, beta) on the Euler grid.
 
     Each segment is cut into ceil(duration / step) substeps, so segment
-    boundaries are grid points; dlog ~ N(b_i dt, c_i dt).  The pair law
-    (m_i, F_i) of the rows [-a_i; zeta_i + a_i] under N(b_i, c_i) is built
-    once for all segments; a substep of length dt from V has mean
-    (1, 0) + dt D m_i and factor sqrt(dt) D F_i, D = diag(1, V), exactly, as
-    (D F)(D F)' = D S D.  log V is 0 at the horizon and has slope
-    a_i c_i a_i' - a_i b_i on segment i, so its boundary values are sums
-    back from the horizon, finite where V underflows; a chunk of steps is
-    one lookup in the :func:`_euler_steps` table.  The step count is
-    checked against ``MAX_STEPS`` before any law is built.
+    boundaries are grid points; dlog ~ N(b_i dt, c_i dt).  The
+    :func:`_pair_law` table (m0, m1, p, q, r^2) of the rows [-a_i; zeta_i +
+    a_i] under N(b_i, c_i) is built once for all segments.  A substep of
+    length dt from V has means 1 + dt m0 and dt V m1 and the triangle
+    (sqrt(dt) p, sqrt(dt) V q, dt V^2 r^2), exactly, as the triangle of D C D
+    is D times that of C for D = diag(sqrt(dt), sqrt(dt) V).  log V is 0 at
+    the horizon and has slope a_i c_i a_i' - a_i b_i on segment i, so its
+    boundary values are sums back from the horizon, finite where V
+    underflows; a chunk of steps is one lookup in the :func:`_euler_steps`
+    table.  The step count is checked against ``MAX_STEPS`` first.
     """
     if step is None or not step > 0:
         raise InvalidInputError(f"a positive Euler step is required, got {step}")
@@ -444,15 +431,15 @@ def _pii_law(model, coeffs, values, step):
     a = coeffs.a
     slopes = _quad(a, c, a) - _rowdot(a, b)
     log_v = -_tail_sums(slopes * np.diff(bounds))
-    means, factors = _pair_law(np.stack([-a, coeffs.zeta + a], axis=1), b, c)
+    m0, m1, p, q, r2 = _pair_law(np.stack([-a, coeffs.zeta + a], axis=1), b, c)
 
     def law(k0, k1):
         i, t0, dt = _euler_steps(bounds, counts, starts, k0, k1)
         track = np.exp(log_v[i + 1] - slopes[i] * (bounds[i + 1] - t0))
-        scale = np.stack([np.ones_like(track), track], axis=1)  # diag(1, V)
-        mean = scale * means[i] * dt[:, None]
-        mean[:, 0] += 1.0
-        return mean, scale[:, :, None] * factors[i] * np.sqrt(dt)[:, None, None]
+        root = np.sqrt(dt)
+        dv = root * track  # D = diag(root, dv)
+        mean = (1.0 + m0[i] * dt, track * m1[i] * dt)
+        return np.stack([*mean, root * p[i], dv * q[i], dv * dv * r2[i]])
 
     return int(starts[-1]), law
 
@@ -488,8 +475,8 @@ def mc_simulate(model, coeffs, values, claim, v, n_paths, seed, step=None):
     ``n_paths`` and ``seed`` are.  IID models step once per period with
     simple returns r ~ N(mu, sigma); piecewise-constant models use an Euler
     scheme on log returns with the user-supplied ``step``.  Under the feedback
-    rule pi = p + (V - wealth) q one step maps wealth to alpha wealth + beta,
-    alpha = 1 - q.r and beta = (p + V q).r, an exactly bivariate normal pair
+    rule pi = xi + (V - wealth) a one step maps wealth to alpha wealth + beta,
+    alpha = 1 - a.r and beta = (xi + V a).r, an exactly bivariate normal pair
     independent of wealth, so the new wealth is exactly normal given the old:
     one normal per path and step.  :func:`_simulate_steps` rolls one block of
     paths at a time to the horizon and folds it into running statistics, so

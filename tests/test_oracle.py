@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -512,6 +513,61 @@ class TestMonteCarlo:
         with pytest.raises(Reached):
             mc_simulate(model, coeffs, values, None, 0.0, 10**12, 5)
 
+    @pytest.mark.parametrize(
+        "path, v",
+        [
+            (CONFIGS / "iid_3assets_t4.json", 1e150),
+            (CONFIGS / "pii_4assets_t5.json", 1e150),
+            (DATA / "iid_long_horizon_t10000.json", 0.3),
+        ],
+        ids=["iid-1e150", "pii-1e150", "long-horizon"],
+    )
+    def test_fold_keeps_the_standard_error_in_range(
+        self, path, v, capsys, monkeypatch
+    ):
+        # |error| passes 1e77, so the squared errors' own squares overflow,
+        # yet the second moment and its standard error are finite floats.
+        argv = ["simulate", "--model", str(path), "--wealth", str(v)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv + ["--paths", "1000", "--seed", "1"]) == 0
+        out = capsys.readouterr().out
+        assert np.isfinite(float(re.search(r"standard error = (\S+)", out)[1]))
+        # 256-path blocks: four blocks fold in units other than 1
+        monkeypatch.setattr(oracle, "_RNG_BLOCK", 256)
+        model, _, _, step = models.load_config(path)
+        values, coeffs = closed_form_values(model)
+        if step is None:
+            law = oracle._iid_law(model, coeffs, values)
+        else:
+            law = oracle._pii_law(model, coeffs, values, step)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = mc_simulate(model, coeffs, values, None, v, 1000, 1, step=step)
+        reference = _scaled_moments(_kernel_wealth(*law, v, 1000, 1) - 1.0)
+        got = (report.error_second_moment, report.std_error)
+        for got, want in zip(got, reference):
+            assert np.isfinite(want) and abs(got - want) <= 1e-12 * want, (got, want)
+
+    def test_fold_rescales_its_running_totals(self, monkeypatch):
+        # Block 0's squared errors stay below _FOLD_RANGE = 2^450, so it folds
+        # in unit 1; block 1's pass it and block 2's pass 2^450 units of the
+        # new unit, so the unit grows twice with running totals to rescale.
+        rng = np.random.default_rng(53)
+        errors = [
+            rng.normal(size=n) * s
+            for n, s in ((300, 2.0**222), (200, 2.0**226), (100, 2.0**460))
+        ]
+        assert (errors[0] ** 2).max() < oracle._FOLD_RANGE < (errors[1] ** 2).max()
+        monkeypatch.setattr(
+            oracle, "_roll_affine", lambda *args: (e + 1.0 for e in errors)
+        )
+        report = oracle._simulate_steps(0, None, 0.0, 600, 1)
+        reference = _scaled_moments(np.concatenate(errors))
+        got = (report.error_second_moment, report.std_error)
+        for got, want in zip(got, reference):
+            assert abs(got - want) <= 1e-12 * want, (got, want)
+
     def test_ito_euler_converges(self, ito_benchmark):
         values, coeffs = closed_form_values(ito_benchmark)
         report = mc_simulate(
@@ -564,15 +620,13 @@ def _rollout(law, v, n_paths, seed, block):
     """Terminal wealth of a per-path Python rollout of the one-normal kernel.
 
     ``law`` is the (step count, per-chunk law) pair of ``_iid_law`` or
-    ``_pii_law``, built here in one piece and written as (p, q, r) by
-    ``_triangular``.  Block b holds paths [b * block, (b + 1) * block); its
-    ``_block_rng`` stream gives one (size,) array of standard normals per
-    step, and wealth w steps to m0 w + m1 + sqrt((p w + q)^2 + r^2) z.
+    ``_pii_law``, built here in one piece as rows (m0, m1, p, q, r^2).  Block
+    b holds paths [b * block, (b + 1) * block); its ``_block_rng`` stream
+    gives one (size,) array of standard normals per step, and wealth w steps
+    to m0 w + m1 + sqrt((p w + q)^2 + r^2) z.
     """
     n_steps, law = law
-    mean, factor = law(0, n_steps)
-    p, q, r = oracle._triangular(factor)
-    steps = list(zip(*(x.tolist() for x in (p, q, r * r, mean[:, 0], mean[:, 1]))))
+    steps = list(zip(*law(0, n_steps).tolist()))
     terminal = []
     for b, lo in enumerate(range(0, n_paths, block)):
         size = min(block, n_paths - lo)
@@ -580,7 +634,7 @@ def _rollout(law, v, n_paths, seed, block):
         z = [rng.standard_normal(size).tolist() for _ in steps]
         for j in range(size):
             wealth = v
-            for (pk, qk, r2k, m0, m1), zk in zip(steps, z):
+            for (m0, m1, pk, qk, r2k), zk in zip(steps, z):
                 t = pk * wealth + qk
                 t = math.sqrt(t * t + r2k) * zk[j]
                 wealth = wealth * m0 + m1 + t
@@ -594,23 +648,35 @@ def _kernel_wealth(n_steps, law, v, n_paths, seed):
     return np.concatenate([paths.copy() for paths in blocks])
 
 
+def _scaled_moments(errors):
+    """Mean of the squared errors and its standard error, scaled by hand.
+
+    With 2^-k |errors| <= 1 the squares of the scaled squares are in range,
+    so ``np.mean`` and ``np.std(ddof=1)`` of them, times 2^2k, stay finite.
+    """
+    k = math.frexp(np.abs(errors).max())[1]
+    sq = np.ldexp(errors, -k) ** 2
+    se = np.std(sq, ddof=1) / np.sqrt(len(sq))
+    return np.ldexp(np.mean(sq), 2 * k), np.ldexp(se, 2 * k)
+
+
 def _forward_error(law, v):
     """E[(wealth_T - 1)^2] of the kernel's step law, rolled forward exactly.
 
     Each step maps wealth w to alpha w + beta, with (alpha, beta) independent
     of w, so E[w'] = E[alpha] E[w] + E[beta] and E[w'^2] = E[alpha^2] E[w^2] +
-    2 E[alpha beta] E[w] + E[beta^2]; the second moments of (alpha, beta) are
-    mean mean' + factor factor'.  The law is read in the kernel's chunks.
+    2 E[alpha beta] E[w] + E[beta^2].  With the law's rows (m0, m1, p, q,
+    r^2) the second moments of (alpha, beta) are m0^2 + p^2, m0 m1 + p q and
+    m1^2 + q^2 + r^2.  The law is read in the kernel's chunks.
     """
     n_steps, law = law
-    m1, m2 = v, v * v
+    w1, w2 = v, v * v
     for k0 in range(0, n_steps, oracle._LAW_STEPS):
-        mean, factor = law(k0, min(n_steps, k0 + oracle._LAW_STEPS))
-        cov = factor @ factor.transpose(0, 2, 1)
-        second = mean[:, :, None] * mean[:, None, :] + cov
-        for (ea, eb), ((eaa, eab), (_, ebb)) in zip(mean.tolist(), second.tolist()):
-            m1, m2 = ea * m1 + eb, eaa * m2 + 2.0 * eab * m1 + ebb
-    return m2 - 2.0 * m1 + 1.0
+        table = law(k0, min(n_steps, k0 + oracle._LAW_STEPS))
+        for m0, m1, p, q, r2 in zip(*table.tolist()):
+            eaa, eab, ebb = m0 * m0 + p * p, m0 * m1 + p * q, m1 * m1 + q * q + r2
+            w1, w2 = m0 * w1 + m1, eaa * w2 + 2.0 * eab * w1 + ebb
+    return w2 - 2.0 * w1 + 1.0
 
 
 def _reference_simulate(model, coeffs, values, v, n_paths, seed, step=None):
@@ -652,26 +718,92 @@ def _pooled(results):
     return float(np.mean(est)), float(np.sqrt(np.sum(se**2)) / len(se))
 
 
+def _pair_law_rows(kind):
+    """Rows P (64, 2, 4), mean m and covariance S of a ``_pair_law`` case."""
+    rng = np.random.default_rng(21)
+    d, K = 4, 64
+    G = rng.normal(size=(d, d))
+    if kind == "rank-deficient":
+        G[:, 3] = G[:, 1]  # asset 3 duplicates asset 1
+        G[:, 2] = 0.0
+    S = G.T @ G if kind != "zero" else np.zeros((d, d))
+    m = rng.normal(size=d)
+    P = rng.normal(size=(K, 2, d))
+    if kind == "rank-one":
+        P[:, 1] = P[:, 0] * rng.normal(size=(K, 1))
+    elif kind == "zero beta row":
+        # zero drift: alpha is random, beta's row and the triangle's q, r are 0
+        model = models.IidDiscreteModel(
+            np.zeros(2), np.array([[1e-2, 2e-3], [2e-3, 4e-2]]), 3
+        )
+        values, coeffs = closed_form_values(model)
+        a = coeffs.a
+        P = np.stack([-a, coeffs.xi + values.V[:-1, None] * a], axis=1)
+        m, S = model.mu, model.sigma
+        assert not P[:, 1].any() and P[:, 0].any()
+    elif kind == "negative-eigenvalue":
+        # symmetric_psd accepts an eigenvalue down to -psd_tol * trace:
+        # alpha's row along one of -1e-13 has the variance -1e-13, which
+        # is clipped to 0, so p = q = 0 and r^2 is beta's variance.
+        Q = np.linalg.qr(G)[0]
+        S = (Q * np.array([-1e-13, 1.0, 2.0, 3.0])) @ Q.T
+        P[:, 0] = Q[:, 0]
+        models.IidDiscreteModel(m * 0.01, S, 1)  # accepted as PSD
+    return P, m, S
+
+
+def _pair_law_checked(P, m, S):
+    """``_pair_law(P, m, S)`` with warnings raised as errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return oracle._pair_law(P, m, S)
+
+
 class TestPairLawSampler:
-    @pytest.mark.parametrize("kind", ["random", "rank-deficient", "zero"])
+    @pytest.mark.parametrize(
+        "kind",
+        ["random", "rank-deficient", "zero", "rank-one", "zero beta row",
+         "negative-eigenvalue"],
+    )
     def test_pair_law_reproduces_projected_covariance(self, kind):
-        rng = np.random.default_rng(21)
-        d, K = 4, 64
-        G = rng.normal(size=(d, d))
-        if kind == "rank-deficient":
-            G[:, 3] = G[:, 1]  # asset 3 duplicates asset 1
-            G[:, 2] = 0.0
-        S = G.T @ G if kind != "zero" else np.zeros((d, d))
-        m = rng.normal(size=d)
-        P = rng.normal(size=(K, 2, d))
-        mean, factor = oracle._pair_law(P, m, S)
+        # The triangle (p, q, r) of each step gives back P S P' as
+        # [[p^2, p q], [p q, q^2 + r^2]].
+        P, m, S = _pair_law_rows(kind)
+        m0, m1, p, q, r2 = _pair_law_checked(P, m, S)
         cov = np.einsum("kia,ab,kjb->kij", P, S, P)
-        gap = np.abs(factor @ factor.transpose(0, 2, 1) - cov).max(axis=(1, 2))
-        assert np.all(gap <= 1e-14 * np.abs(cov).max(axis=(1, 2)))
         exact_mean = np.einsum("kia,a->ki", P, m)
-        assert np.abs(mean - exact_mean).max() <= 1e-14 * np.abs(exact_mean).max()
+        for got, want in ((m0, exact_mean[:, 0]), (m1, exact_mean[:, 1])):
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(exact_mean).max()
+        if kind == "negative-eigenvalue":
+            assert np.all(cov[:, 0, 0] < 0.0)
+            assert not p.any() and not q.any()
+            assert np.all(np.abs(r2 - cov[:, 1, 1]) <= 1e-14 * cov[:, 1, 1])
+            return
+        assert np.all(r2 >= 0.0)
+        tri = np.stack([[p * p, p * q], [p * q, q * q + r2]]).transpose(2, 0, 1)
+        gap = np.abs(tri - cov).max(axis=(1, 2))
+        assert np.all(gap <= 1e-14 * np.abs(cov).max(axis=(1, 2)))
         if kind == "zero":
-            assert not factor.any()
+            assert not np.any([p, q, r2])
+        if kind == "zero beta row":
+            assert p.all() and not q.any() and not r2.any()
+
+    @pytest.mark.parametrize(
+        "kind", ["random", "rank-one", "zero beta row", "rank-deficient", "zero"]
+    )
+    def test_triangular_form_is_the_conditional_variance(self, kind):
+        # (p w + q)^2 + r^2 = Var(alpha w + beta) = w^2 C00 + 2 w C10 + C11
+        # for every w, with C = P S P' the covariance of (alpha, beta).
+        P, m, S = _pair_law_rows(kind)
+        _, _, p, q, r2 = _pair_law_checked(P, m, S)
+        cov = np.einsum("kia,ab,kjb->kij", P, S, P)
+        root = np.sqrt(np.abs(cov[:, [0, 1], [0, 1]]))
+        for w in np.random.default_rng(43).normal(size=20) * 3.0:
+            exact = w * w * cov[:, 0, 0] + 2.0 * w * cov[:, 1, 0] + cov[:, 1, 1]
+            # relative to (|w| sqrt(C00) + sqrt(C11))^2: where p w + q nearly
+            # cancels, both sides round at that scale
+            scale = (abs(w) * root[:, 0] + root[:, 1]) ** 2
+            assert np.all(np.abs((p * w + q) ** 2 + r2 - exact) <= 1e-14 * scale)
 
     def test_kernel_matches_per_path_rollout(self, discrete_benchmark, monkeypatch):
         # Blocks of 64 paths, on the IID law (4 steps) and on a two-segment
@@ -718,49 +850,25 @@ class TestPairLawSampler:
                     for got, want in folded:
                         assert abs(got - want) <= 1e-14 * abs(want), (got, want)
 
-    @pytest.mark.parametrize("kind", ["random", "rank-one", "zero beta row"])
-    def test_triangular_form_is_the_conditional_variance(self, kind):
-        # (p w + q)^2 + r^2 = |w f0 + f1|^2 for the rows f0, f1 of each factor.
-        rng = np.random.default_rng(43)
-        factor = rng.normal(size=(64, 2, 2))
-        if kind == "rank-one":
-            factor[:, 1] = factor[:, 0] * rng.normal(size=(64, 1))
-        elif kind == "zero beta row":
-            # zero drift: the law's factor is [[0, 0.0928], [0, 0]]
-            model = models.IidDiscreteModel(
-                np.zeros(2), np.array([[1e-2, 2e-3], [2e-3, 4e-2]]), 3
-            )
-            values, coeffs = closed_form_values(model)
-            n_steps, law = oracle._iid_law(model, coeffs, values)
-            factor = law(0, n_steps)[1]
-            assert not factor[:, 1].any() and factor[:, 0].any()
-        p, q, r = oracle._triangular(factor)
-        norms = np.linalg.norm(factor, axis=2)
-        for w in rng.normal(size=20) * 3.0:
-            exact = np.sum((w * factor[:, 0] + factor[:, 1]) ** 2, axis=1)
-            # relative to (|w f0| + |f1|)^2: where w f0 + f1 nearly cancels,
-            # both sides round at that scale
-            scale = (abs(w) * norms[:, 0] + norms[:, 1]) ** 2
-            assert np.all(np.abs((p * w + q) ** 2 + r**2 - exact) <= 1e-14 * scale)
-
     def test_deterministic_alpha_rolls_finite(self):
-        # f0 = 0 takes the p = 0 branch: q = 0 and r = |f1|, so each step adds
-        # |f1| z to m0 w + m1, with no division by p.
+        # A deterministic alpha has p = 0, so q = 0 and r^2 = |f1|^2 for beta's
+        # square root f1: each step adds |f1| z to m0 w + m1.
         rng = np.random.default_rng(47)
         n_steps, n_paths, v, seed = 9, 70, 0.4, 6
         mean = np.column_stack([1.0 + rng.normal(size=n_steps) * 0.01,
                                 rng.normal(size=n_steps) * 0.01])
-        factor = np.zeros((n_steps, 2, 2))
-        factor[:, 1] = rng.normal(size=(n_steps, 2)) * 0.1
+        f1 = rng.normal(size=(n_steps, 2)) * 0.1
+        zero = np.zeros(n_steps)
+        table = np.vstack([mean.T, zero, zero, (f1**2).sum(axis=1)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             wealth = _kernel_wealth(
-                n_steps, lambda k0, k1: (mean[k0:k1], factor[k0:k1]), v, n_paths, seed
+                n_steps, lambda k0, k1: table[:, k0:k1], v, n_paths, seed
             )
         z = _block_rng(seed, 0).standard_normal((n_steps, n_paths))
         expected = np.full(n_paths, v)
-        for (m0, m1), (_, f1), zk in zip(mean, factor, z):
-            expected = m0 * expected + m1 + math.hypot(*f1) * zk
+        for (m0, m1), fk, zk in zip(mean, f1, z):
+            expected = m0 * expected + m1 + math.hypot(*fk) * zk
         assert np.all(np.isfinite(wealth))
         assert np.allclose(wealth, expected, rtol=1e-14, atol=0.0)
 
@@ -928,6 +1036,39 @@ class TestStepLaw:
         mc_simulate(model, coeffs, values, None, 0.3, 50, 4, step=0.05)
         assert calls == [3]
 
+    def test_ito_law_scales_each_segments_triangle(self):
+        # Substep k of segment i, of length dt and starting at V, has the rows
+        # [-a_i; V (zeta_i + a_i)] and log returns N(b_i dt, c_i dt); the law
+        # scales segment i's one triangle instead of building this one.
+        rng = np.random.default_rng(37)
+        segments = []
+        for duration in (0.4, 1.1, 0.7):
+            G = rng.normal(size=(3, 3)) * 0.3
+            segments.append((duration, rng.normal(size=3) * 0.05, G @ G.T))
+        model = models.PiiItoModel(segments)
+        values, coeffs = closed_form_values(model)
+        n_steps, law = oracle._pii_law(model, coeffs, values, 0.05)
+        rows, means, covs = [], [], []
+        for i, seg in enumerate(model.segments):
+            t_i, t_j = values.times[i], values.times[i + 1]
+            edges = np.linspace(t_i, t_j, round((t_j - t_i) / 0.05) + 1)
+            log_v = np.log(values.V[i : i + 2])
+            for t0, dt in zip(edges[:-1], np.diff(edges)):
+                s = (t0 - t_i) / (t_j - t_i)
+                V = np.exp(log_v[0] + s * (log_v[1] - log_v[0]))
+                a = coeffs.a[i]
+                rows.append([-a, V * (coeffs.zeta[i] + a)])
+                means.append(seg.b * dt)
+                covs.append(seg.c * dt)
+        want = oracle._pair_law(np.array(rows), np.array(means), np.array(covs))
+        want[0] += 1.0
+        got = law(0, n_steps)
+        assert got.shape == want.shape == (5, 44)
+        # r^2 = C11 - q^2 cancels, so both sides round at beta's variance C11
+        scale = np.abs(want)
+        scale[4] = want[3] ** 2 + want[4]
+        assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
     def test_subnormal_boundary_tracking_keeps_full_precision(self):
         # log V(t) = -(1450 - t) / 2, so V(0) = exp(-725) is subnormal
         # (1.4e-315).  Each substep's mean of beta is V(t) (zeta_i + a_i).b dt,
@@ -938,7 +1079,7 @@ class TestStepLaw:
         values, coeffs = closed_form_values(model)
         assert 0.0 < values.V[0] < np.finfo(float).tiny
         n_steps, law = oracle._pii_law(model, coeffs, values, 2.5)
-        mean = law(0, n_steps)[0]
+        beta_mean = law(0, n_steps)[1]
         a, zeta, horizon = coeffs.a, coeffs.zeta, values.times[-1]
         slopes = [a[i] @ a[i] - a[i] @ b for i in range(2)]
         expected = []
@@ -948,9 +1089,9 @@ class TestStepLaw:
             log_v = -(rest + slopes[i] * (t1 - edges[:-1]))
             expected.append(np.exp(log_v) * ((zeta[i] + a[i]) @ b) * np.diff(edges))
         expected = np.concatenate(expected)
-        assert len(mean) == len(expected) == 580
+        assert len(beta_mean) == len(expected) == 580
         normal = np.abs(expected) >= np.finfo(float).tiny
-        gap = np.abs(mean[normal, 1] - expected[normal])
+        gap = np.abs(beta_mean[normal] - expected[normal])
         assert np.all(gap <= 1e-12 * np.abs(expected[normal]))
 
     def test_chunks_span_many_segments(self):
