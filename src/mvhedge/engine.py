@@ -64,7 +64,7 @@ def _solve_portfolio(c, target, cost, where=None):
     """
     target = np.asarray(target, dtype=float)
     cost = np.reshape(cost, (1,) + target.shape[np.ndim(c) - 1 :])
-    problem = qp.QpProblem(c, target, np.ones((1, np.shape(c)[-1])), cost)
+    problem = qp.QpProblem(c, target, qp._ones(np.shape(c)[-1]), cost)
     try:
         return qp.solve(problem)
     except qp.UnboundedBelowError as err:
@@ -159,9 +159,6 @@ class _RootValues:
     log_L0 = property(lambda self: float(np.log(self.L[0])))
     V0 = property(lambda self: float(self.V[0]))
     eps2_0 = property(lambda self: float(self.eps2[0]))
-
-    def triple(self):
-        return self.L0, self.V0, self.eps2_0
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ the conditional second-moment rate.  Models are immutable after construction
 and validated eagerly.
 """
 
+import copy
 import json
 import warnings
 from dataclasses import dataclass
@@ -191,22 +192,6 @@ def _quad(x, M, y):
     return (x[..., None, :] @ M @ y[..., :, None])[..., 0, 0]
 
 
-def _branch_sums(prob, first):
-    """Sum of ``prob[..., first[i]:first[i + 1]]`` for each i, rounded like ``.sum()``.
-
-    ``prob`` is (n,) or a stack (K, n).  Grouped by branch count, each sum is
-    one row of a ``sum`` along the last axis, which adds in the order of a
-    node's own ``probs.sum()`` (``np.add.reduceat`` does not), so the sum
-    checks and renormalization round as a node-by-node check would.
-    """
-    counts = first[1:] - first[:-1]
-    sums = np.empty(prob.shape[:-1] + counts.shape)
-    for k in set(counts.tolist()):
-        rows = np.flatnonzero(counts == k)
-        sums[..., rows] = prob[..., first[rows, None] + np.arange(k)].sum(axis=-1)
-    return sums
-
-
 def _by_node(owner, slots, rows):
     """Per-child ``rows`` (c, ...) of a level as (m, width, ...): node k's
     children in branch order, then zero rows up to the widest node.
@@ -247,8 +232,9 @@ def _check_values(tree, prob, prices, rets):
     would pass alone.  Otherwise the first failing member raises the error it
     would raise alone, naming its first offending node, after the
     renormalization warnings of the members before it and, when its failure
-    comes after them, its own.  A probability sum or edge return that
-    overflows raises its check's error, not a floating-point warning.
+    comes after them, its own; branch sums are each level's ``sums``.  A
+    probability sum or edge return that overflows raises its check's error,
+    not a floating-point warning.
     """
     ids, parent = tree.ids, tree.parent
     prob[:, 0] = 1.0  # the root has no incoming branch
@@ -256,7 +242,9 @@ def _check_values(tree, prob, prices, rets):
     bad_prob = ~(prob > 0.0)
     # returns of checked prices only; an overflow fails the sum or MAX_AMOUNT check
     with np.errstate(over="ignore"):
-        sums = _branch_sums(prob, tree.first)
+        sums = np.empty((len(prob), tree.n_internal))
+        for here, kids, add, _ in tree.levels:
+            sums[:, here] = add(prob[:, kids], axis=-1)
         gap = np.abs(sums - 1.0)
         bad_sums = ~(gap <= _PROB_SUM_TOL)
         ok = _first_member(len(prob), bad_prices, bad_prob, bad_sums)
@@ -306,14 +294,6 @@ def _check_values(tree, prob, prices, rets):
         )
 
 
-# What the structure step of FiniteTreeModel lays out; trees that differ only
-# in their values share it.
-_STRUCTURE = (
-    "root", "horizon", "terminal_ids", "n_internal", "ids", "index", "parent",
-    "time", "first", "levels", "slots",
-)
-
-
 class FiniteTreeModel:
     """Finite-state event tree with per-node prices and branch probabilities.
 
@@ -324,15 +304,15 @@ class FiniteTreeModel:
     positions are the non-terminal nodes; ``parent``, ``prob`` (the branch
     probability into the node; 1 at the root), ``time``, ``prices`` and
     ``rets`` (the simple returns over the edge from the parent; zero at the
-    root) are arrays in node order; the children of non-terminal node i sit at
-    ``first[i]:first[i + 1]``.  ``levels`` holds one ``(nodes, children,
+    root) are arrays in node order.  ``levels`` holds one ``(nodes, children,
     sums, owner)`` tuple per non-terminal time, root first: the position
     slices of the level and of its children, ``sums(x)`` adding per-child rows
     ``x`` over each node's children (``np.add.reduceat``), and each child's
     parent relative to ``nodes.start``; ``slots`` holds per level each child's
-    branch position and the largest branch count.  Every tree pass runs level
-    by level over these.  ``nodes``, the :class:`TreeNode` records by id, is a
-    read-only view built from the arrays on request; no computation reads it.
+    branch position and the largest branch count.  Every tree pass, the value
+    step's branch sums included, runs level by level over these.  ``nodes``,
+    the :class:`TreeNode` records by id, is a read-only view built from the
+    arrays on request; no computation reads it.
 
     The records given to the constructor, like the node mappings of a config
     (:func:`model_from_dict`), are checked in two steps.  The structure step
@@ -345,7 +325,7 @@ class FiniteTreeModel:
     warning), no edge return exceeds ``MAX_AMOUNT`` in magnitude, at least
     one asset is strictly positive on every node (a numeraire candidate) and
     the payoff, when given, covers every terminal node.
-    :func:`discount_tree` shares the structure and runs only the value step.
+    :func:`discount_tree` copies the tree and runs only the value step.
     """
 
     def __init__(self, nodes, root, payoff=None):
@@ -447,7 +427,7 @@ class FiniteTreeModel:
         self.horizon = int(time[-1])
         self.parent, self.time = parent, time
         lb = np.searchsorted(time, np.arange(time[0], self.horizon + 2))
-        first = self.first = np.searchsorted(parent, np.arange(self.n_internal + 1))
+        first = np.searchsorted(parent, np.arange(self.n_internal + 1))
         self.levels = tuple(
             (slice(a, b), slice(b, c), partial(np.add.reduceat, indices=first[a:b] - b),
              parent[b:c] - a)
@@ -599,11 +579,12 @@ def discount_tree(tree, numeraire_index):
     is divided by X_T.
 
     This is the one-asset case of :func:`_discount`, which the numeraire
-    check runs on every asset at once.  The discounted tree shares ``tree``'s
-    structure (ids, parents, times and levels): no records are built and only
-    the value step of :class:`FiniteTreeModel` runs on the new arrays, so
-    every value check still applies (a discounted edge return can exceed
-    ``MAX_AMOUNT`` where no undiscounted one does).
+    check runs on every asset at once.  The discounted tree is ``tree``
+    copied, sharing its layout but not its cached ``nodes``, with new
+    ``prob``, ``prices``, ``rets`` and ``payoff``: only the value step of
+    :class:`FiniteTreeModel` runs on them, so every value check still applies
+    (a discounted edge return can exceed ``MAX_AMOUNT`` where no undiscounted
+    one does).
 
     Returns the discounted tree and E[X_T^2 | node] for every node, in node
     order.
@@ -611,8 +592,8 @@ def discount_tree(tree, numeraire_index):
     (j,) = _numeraires(tree, [numeraire_index])
     prob, rets = np.empty((1, len(tree.ids))), np.empty((1,) + tree.prices.shape)
     (prices,), (weights,) = _discount(tree, [j], prob, rets)
-    disc = object.__new__(FiniteTreeModel)
-    disc.__dict__.update((name, vars(tree)[name]) for name in _STRUCTURE)
+    disc = copy.copy(tree)
+    disc.__dict__.pop("nodes", None)  # the source's cached records
     disc.prob, disc.prices, disc.rets, disc.payoff = prob[0], prices, rets[0], None
     if tree.payoff is not None:
         values = np.array([tree.payoff[t] for t in tree.terminal_ids], dtype=float)

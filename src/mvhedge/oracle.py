@@ -292,26 +292,33 @@ def _simulate_steps(n_steps, law, v, n_paths, seed):
     ``unit``, 1 until one passes ``_FOLD_RANGE`` units, then the power of two
     at or below it, with the running mean and M2 rescaled each time it grows,
     so M2 never overflows.  With unit 1, one block's statistics are those of
-    ``np.mean`` and ``np.std(ddof=1)`` bit for bit.
+    ``np.mean`` and ``np.std(ddof=1)`` bit for bit.  As the roll squares
+    ``p w + q``, paths range to about 1.3e154: a block whose largest squared
+    error is not below inf raises InvalidInputError, not a float warning.
     """
     count, total, mean_sq, m2, unit = 0, 0.0, 0.0, 0.0, 1.0
-    for errors in _roll_affine(n_steps, law, v, n_paths, seed):
-        size = len(errors)
-        errors -= 1.0
-        total += float(errors.sum())
-        errors *= errors
-        top = float(errors.max())
-        if unit * _FOLD_RANGE < top < math.inf:
-            old, unit = unit, math.ldexp(1.0, math.frexp(top)[1] - 1)
-            mean_sq, m2 = mean_sq * (old / unit), m2 * (old / unit) ** 2
-        if unit > 1.0:
-            errors /= unit
-        block_mean = float(errors.mean())
-        errors -= block_mean
-        errors *= errors
-        delta, count = block_mean - mean_sq, count + size
-        mean_sq += delta * (size / count)
-        m2 += float(errors.sum()) + (count - size) * size / count * delta * delta
+    with np.errstate(over="ignore", invalid="ignore"):
+        for errors in _roll_affine(n_steps, law, v, n_paths, seed):
+            size = len(errors)
+            errors -= 1.0
+            total += float(errors.sum())
+            errors *= errors
+            top = float(errors.max())
+            if not top < math.inf:
+                raise InvalidInputError(
+                    "a simulated path leaves the float range, about 1.3e154"
+                )
+            if unit * _FOLD_RANGE < top:
+                old, unit = unit, math.ldexp(1.0, math.frexp(top)[1] - 1)
+                mean_sq, m2 = mean_sq * (old / unit), m2 * (old / unit) ** 2
+            if unit > 1.0:
+                errors /= unit
+            block_mean = float(errors.mean())
+            errors -= block_mean
+            errors *= errors
+            delta, count = block_mean - mean_sq, count + size
+            mean_sq += delta * (size / count)
+            m2 += float(errors.sum()) + (count - size) * size / count * delta * delta
     se = 0.0 if n_paths < 2 else math.sqrt(m2 / (n_paths - 1)) / math.sqrt(n_paths)
     return SimReport(
         n_paths=n_paths,
@@ -480,7 +487,8 @@ def mc_simulate(model, coeffs, values, claim, v, n_paths, seed, step=None):
     independent of wealth, so the new wealth is exactly normal given the old:
     one normal per path and step.  :func:`_simulate_steps` rolls one block of
     paths at a time to the horizon and folds it into running statistics, so
-    memory is bounded whatever ``n_paths`` and the horizon.
+    memory is bounded whatever ``n_paths`` and the horizon; a path past
+    about 1.3e154 in magnitude raises InvalidInputError.
     """
     if isinstance(model, FiniteTreeModel):
         if not isinstance(coeffs, TreeSolution):

@@ -321,6 +321,29 @@ def test_iid_long_horizon_stays_in_float_range(capsys):
     assert abs(analytic - reference) <= 1e-12 * reference
 
 
+@pytest.mark.parametrize(
+    "config, wealth, paths, seed",
+    [
+        ("iid_long_horizon.json", "0.3", "500", "1"),
+        ("iid_long_horizon_t10000.json", "1e150", "3000", "2"),
+    ],
+    ids=["t20000-0.3", "t10000-1e150"],
+)
+def test_path_out_of_float_range_exits_2(config, wealth, paths, seed, capsys):
+    # Some path's |p w + q| passes 1.3e154, so its square overflows in the
+    # roll: one named error, not a warning or a nan statistic.
+    argv = ["simulate", "--model", os.path.join(DATA, config), "--wealth", wealth,
+            "--paths", paths, "--seed", seed]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "a simulated path leaves the float range, about 1.3e154"
+    ]
+
+
 def test_iid_overflowed_l0_with_normal_v0(capsys):
     # At T = 10000, L0 = e^978 overflows but V0 = e^-603 is a normal float, so
     # (0 - V0)^2 underflows to 0 and L0 (0 - V0)^2 is formed from log L0.

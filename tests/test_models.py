@@ -528,6 +528,23 @@ class TestTreeLayout:
                 assert "nodes" not in vars(disc) and "nodes" not in vars(tree)
         assert calls == []
 
+    def test_discounted_copy_drops_the_cached_records(self):
+        # The source's records are built before it is discounted; the copy's
+        # records must be built from the discounted arrays, not be the
+        # source's cached view.
+        for tree in _layout_trees():
+            source = tree.nodes
+            for j in tree.positive_assets():
+                disc, _ = discount_tree(tree, j)
+                for i, nid in enumerate(tree.ids):
+                    expected = tree.prices[i] / tree.prices[i, j]
+                    assert np.array_equal(disc.nodes[nid].prices, expected)
+                    assert disc.nodes[nid].branches == tuple(
+                        (float(disc.prob[tree.index[ch]]), ch)
+                        for _, ch in source[nid].branches
+                    )
+            assert tree.nodes is source
+
     def test_discounted_edge_return_is_still_bounded(self):
         # Asset 0 falls by 1e-160 along one edge: every undiscounted return is
         # at most 1, but in units of asset 0 asset 1 rises by 1e160.

@@ -210,8 +210,8 @@ class TestNumeraireChange:
         # writes the members straight into the DP's inputs.  Each member must
         # be discount_tree's tree and the one-asset formulas below, bit for
         # bit, with the same warnings: on nodes with 4 to 12 branches (a
-        # ``sum`` over more than 8 terms adds pairwise), with a constant
-        # asset, and with branch sums off by about 5e-13.
+        # level's ``np.add.reduceat`` adds more than 8 terms at some node),
+        # with a constant asset, and with branch sums off by about 5e-13.
         stacked = []
         dp_pass, discount = oracle._dp_pass, oracle._discount
 
@@ -227,7 +227,7 @@ class TestNumeraireChange:
         monkeypatch.setattr(oracle, "_discount", spying)
         rng = np.random.default_rng(10)
         wide = make_tree(rng, n_assets=3, periods=3, max_branch=12)
-        assert np.diff(wide.first).max() > 8
+        assert np.bincount(wide.parent[1:]).max() > 8
         base = make_tree(rng, n_assets=3, periods=3)
         with pytest.warns(UserWarning, match="renormalizing"):
             off = models.FiniteTreeModel(  # every first branch 5e-13 too likely
@@ -567,6 +567,16 @@ class TestMonteCarlo:
         got = (report.error_second_moment, report.std_error)
         for got, want in zip(got, reference):
             assert abs(got - want) <= 1e-12 * want, (got, want)
+
+    def test_path_out_of_float_range_raises(self):
+        # At T = 20000 and wealth 0.3 some path passes the roll's range of
+        # about 1.3e154 (sqrt of the largest float): the report would be nan.
+        model = models.load_config(DATA / "iid_long_horizon.json")[0]
+        values, coeffs = closed_form_values(model)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(InvalidInputError, match="leaves the float range"):
+                mc_simulate(model, coeffs, values, None, 0.3, 500, 1)
 
     def test_ito_euler_converges(self, ito_benchmark):
         values, coeffs = closed_form_values(ito_benchmark)
