@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import qp
-from .linalg import InvalidInputError, in_span, pinv
+from .linalg import InvalidInputError
 from .models import Claim, FiniteTreeModel, IidDiscreteModel, PiiItoModel
 from .models import _by_node, _quad, _rowdot, _terminal_values
 
@@ -56,17 +56,18 @@ class LocalArbitrageError(Exception):
         super().__init__(message)
 
 
-def _solve_portfolio(c, target, cost, where=None):
+def _solve_portfolio(c, target, cost, where=None, solve=qp.solve):
     """Min-norm minimizers of pi c_i pi' - 2 pi target_i subject to pi . ones = cost.
 
     ``c`` and ``target`` are a :class:`qp.QpProblem`'s C and F, with a scalar
-    cost or one per target column.  ``where(i)`` names an unbounded matrix i.
+    cost or one per target column, for ``solve``.  ``where(i)`` names an
+    unbounded matrix i.
     """
     target = np.asarray(target, dtype=float)
     cost = np.reshape(cost, (1,) + target.shape[np.ndim(c) - 1 :])
     problem = qp.QpProblem(c, target, qp._ones(np.shape(c)[-1]), cost)
     try:
-        return qp.solve(problem)
+        return solve(problem)
     except qp.UnboundedBelowError as err:
         raise LocalArbitrageError(
             "local no-arbitrage condition fails: the mean return rate has a "
@@ -90,12 +91,14 @@ def adjustment(b, c):
 
 @dataclass(frozen=True)
 class ExplicitAdjustment:
-    """Adjustment portfolio in the rank-adapted explicit representation.
+    """Adjustment portfolio in the oblique-projector representation.
 
     ``branch`` is "spanned" when the fully invested direction lies in Ran(c)
-    (no instantaneously risk-free portfolio exists), "riskfree" otherwise, in
-    which case ``weight`` is the risk-free fully invested portfolio and
-    ``riskfree_rate`` its rate of return.
+    (no instantaneously risk-free portfolio exists), "riskfree" otherwise.
+    ``weight`` = P ones/d is the fully invested portfolio that the projector P
+    spans: c^+ ones / (ones'c^+ ones) when spanned, else the risk-free
+    portfolio, whose rate ``weight . b`` is ``riskfree_rate``.  ``c_pinv`` is
+    the projector's c^+.
     """
 
     a: np.ndarray
@@ -111,35 +114,22 @@ class ExplicitAdjustment:
 
 
 def adjustment_explicit(b, c):
-    """Adjustment portfolio via the two-branch explicit formulas.
+    """Adjustment portfolio via Theorem T:explicit's oblique projector.
 
-    Agrees with :func:`adjustment` whenever the local no-arbitrage condition
-    holds.  Branch "spanned" (ones in Ran(c)):
-    ``a = b'c+ - (1 + b'c+ ones) ones'c+ / (ones'c+ ones)``;
-    branch "riskfree" subtracts the risk-free rate r = alpha b first, with
-    alpha built from the projector onto Null(c).
+    :func:`qp.solve_alt` on the problem of :func:`adjustment`:
+    ``a = (I - P) c^+ (I - P') b - P ones/d``, where P projects along
+    Null(ones') onto a direction adapted to Ran(c); its branches "direct" and
+    "complement" are "spanned" and "riskfree" here.  Raises what
+    :func:`adjustment` raises: :class:`LocalArbitrageError` with a
+    certificate, or :class:`qp.InvalidProblemError` for a c that is not
+    symmetric positive semidefinite.
     """
     b = np.asarray(b, dtype=float).ravel()
-    c = np.asarray(c, dtype=float)
-    d = b.shape[0]
-    ones = np.ones(d)
-    ci = pinv(c)
-    if in_span(ones, c):
-        denom = ones @ ci @ ones
-        weight = (ci @ ones) / denom
-        a = b @ ci - (1.0 + b @ ci @ ones) * weight
-        return ExplicitAdjustment(
-            a=a, branch="spanned", weight=weight, riskfree_rate=None, c_pinv=ci
-        )
-    mbar = np.eye(d) - c @ ci
-    denom = ones @ mbar @ ones
-    alpha = (mbar @ ones) / denom
-    r = float(alpha @ b)
-    excess = b - r * ones
-    a = excess @ ci - (1.0 + excess @ ci @ ones) * alpha
-    return ExplicitAdjustment(
-        a=a, branch="riskfree", weight=alpha, riskfree_rate=r, c_pinv=ci
-    )
+    sol, P, c_pinv = _solve_portfolio(c, b, -1.0, solve=qp._solve_alt)
+    weight = P @ sol.problem.A_pinv[:, 0]
+    if sol.branch == "direct":
+        return ExplicitAdjustment(sol.x_hat, "spanned", weight, None, c_pinv)
+    return ExplicitAdjustment(sol.x_hat, "riskfree", weight, float(weight @ b), c_pinv)
 
 
 def myopic_minvar(b, c):

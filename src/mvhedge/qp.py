@@ -20,7 +20,6 @@ from .linalg import (
     _EPS,
     DEFAULT_CTX,
     InvalidInputError,
-    null_basis,
     pinv,
     range_basis,
     symmetric_psd,
@@ -281,19 +280,22 @@ def _lsq(B, Y, con, b):
     return x, Y - B @ x, V, keep
 
 
-def _oblique_constraint_projector(problem, C_pinv):
-    """Projector onto the complement of Null(A) adapted to Ran(C).
+def _oblique_constraint_projector(problem):
+    """Projector P onto the complement of Null(A) adapted to Ran(C), with C^+.
 
     The image space is (I - C C^+) Ran(A')  (+)  C^+ (Ran(A') & Ran(C)); when
     every row of A lies in Ran(C) the first part is empty and the projector
     reduces to C^+ A' (A C^+ A')^+ A (branch "direct", else "complement").
+    One SVD of C gives C^+ and a basis Z of Null(C) under one rank cutoff.
     Both parts are carved out of Ran(A') by one SVD of its component in
     Null(C), which keeps the two dimension decisions consistent and the total
     number of image directions equal to the row count of A.
     """
     C, A = problem.C, problem.A
     Q_A = range_basis(A.T)
-    Z = null_basis(C)
+    E, s, Et = np.linalg.svd(C)
+    r = int(np.sum(s > DEFAULT_CTX.cutoff(s, C.shape)))
+    C_pinv, Z = (Et[:r].T / s[:r]) @ E[:, :r].T, Et[r:].T
     if Z.shape[1]:
         # One SVD splits Ran(A') into its parts outside and inside Ran(C);
         # entries of coeff carry absolute noise ~ n*eps (orthonormal factors),
@@ -328,7 +330,17 @@ def _oblique_constraint_projector(problem, C_pinv):
             break
         rank_out -= 1
     branch = "direct" if rank_out == 0 else "complement"
-    return U @ pinv(A @ U) @ A, branch
+    return U @ pinv(A @ U) @ A, C_pinv, branch
+
+
+def _solve_alt(problem):
+    """:func:`solve_alt` with the projector P and the C^+ it was built from."""
+    problem._require_bounded()
+    P, C_pinv, branch = _oblique_constraint_projector(problem)
+    eye = np.eye(problem.n)
+    x_part = problem.A_pinv @ problem.b
+    x_hat = (eye - P) @ C_pinv @ (eye - P.T) @ problem.F + P @ x_part
+    return QpSolution(x_hat, problem.objective(x_hat), problem, branch), P, C_pinv
 
 
 def solve_alt(problem: QpProblem) -> QpSolution:
@@ -338,11 +350,7 @@ def solve_alt(problem: QpProblem) -> QpSolution:
     onto an image space adapted to Ran(C).  The branch taken ("direct" when
     every row of A lies in Ran(C), else "complement") is reported on the
     solution; boundedness, A^+ and the basis are shared with :func:`solve`.
+    This is Theorem T:explicit for both branches in one formula;
+    :func:`mvhedge.engine.adjustment_explicit` is it with A = ones'.
     """
-    problem._require_bounded()
-    C_pinv = pinv(problem.C)
-    P, branch = _oblique_constraint_projector(problem, C_pinv)
-    eye = np.eye(problem.n)
-    x_part = problem.A_pinv @ problem.b
-    x_hat = (eye - P) @ C_pinv @ (eye - P.T) @ problem.F + P @ x_part
-    return QpSolution(x_hat, problem.objective(x_hat), problem, branch)
+    return _solve_alt(problem)[0]

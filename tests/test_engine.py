@@ -123,6 +123,57 @@ class TestAdjustmentExplicit:
         xi = ex.pure_hedge(rng.normal(size=d) * 0.05, 0.7)
         assert abs(xi.sum() - 0.7) < 1e-10
 
+    def test_arbitrage_raises_like_adjustment(self):
+        b, c = np.array([0.1, 0.2]), np.zeros((2, 2))
+        with pytest.raises(LocalArbitrageError) as generic:
+            adjustment(b, c)
+        with pytest.raises(LocalArbitrageError) as err:
+            adjustment_explicit(b, c)
+        assert str(err.value) == str(generic.value)
+        y = err.value.certificate
+        assert np.array_equal(y, generic.value.certificate)
+        assert abs(y.sum()) < 1e-12
+        assert y @ b > 0
+
+    @pytest.mark.parametrize(
+        "c", [[[1.0, 2.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, -1.0]]]
+    )
+    def test_invalid_covariance_rejected(self, c):
+        with pytest.raises(qp.InvalidProblemError):
+            adjustment(np.array([0.1, 0.2]), c)
+        with pytest.raises(qp.InvalidProblemError):
+            adjustment_explicit(np.array([0.1, 0.2]), c)
+
+    @staticmethod
+    def _degenerate_market(rng, kind):
+        """A market whose risky eigenvalues lie in [0.1, 2], plus a riskless
+        asset 0, rounding-level null directions, or a c[0, 0] in 1e-16..1e-8."""
+        d = int(rng.integers(2, 6))
+        if kind == "rank-deficient":
+            k = int(rng.integers(1, d))
+            Q, _ = np.linalg.qr(rng.normal(size=(d, k)))
+            c = (Q * rng.uniform(0.1, 2.0, size=k)) @ Q.T
+            return c @ rng.normal(size=d) * 0.1 + rng.normal() * 0.05, c
+        Q, _ = np.linalg.qr(rng.normal(size=(d - 1, d - 1)))
+        c = np.zeros((d, d))
+        c[1:, 1:] = (Q * rng.uniform(0.1, 2.0, size=d - 1)) @ Q.T
+        if kind == "near-riskless":
+            c[0, 0] = 10.0 ** rng.uniform(-16, -8)
+        return rng.normal(size=d) * 0.1, c
+
+    def test_degenerate_markets_match_generic(self):
+        # Worst measured gaps relative to 1 + max|a|, 40 markets of each kind:
+        # 1.4e-15 riskless, 1.3e-13 rank-deficient, 7.2e-15 near-riskless
+        # (margin 775).  Risky eigenvalues stay in [0.1, 2], because the gap
+        # between two stable solvers grows with the conditioning of c.
+        rng = np.random.default_rng(23)
+        for kind in ["riskless", "rank-deficient", "near-riskless"] * 40:
+            b, c = self._degenerate_market(rng, kind)
+            a, _ = adjustment(b, c)
+            ex = adjustment_explicit(b, c)
+            assert np.abs(ex.a - a).max() <= 1e-10 * (1.0 + np.abs(a).max())
+            assert abs(ex.weight.sum() - 1.0) < 1e-10
+
 
 class TestMyopicMinVar:
     def test_ito_benchmark(self, ito_benchmark):
@@ -312,6 +363,22 @@ class TestClosedFormIto:
         assert abs(values.L0 - np.exp(8.0 * r)) < 1e-12
         assert values.eps2_0 == 0.0
         assert np.allclose(coeffs.a[0], [-1.0])
+
+    def test_riskless_asset_at_rate_zero(self):
+        # Asset 0 has b = 0 and a zero row and column in every segment; the
+        # measured rates are exactly 0.
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            d = int(rng.integers(2, 5))
+            segments = []
+            for _ in range(3):
+                G = rng.normal(size=(d - 1, d - 1))
+                c = np.zeros((d, d))
+                c[1:, 1:] = 0.1 * G @ G.T
+                b = np.concatenate([[0.0], 0.1 * rng.normal(size=d - 1)])
+                segments.append((float(rng.uniform(0.2, 2.0)), b, c))
+            coeffs = closed_form_values(models.PiiItoModel(segments)).coeffs
+            assert np.abs(coeffs.riskfree_rate).max() <= 1e-15
 
     def test_arbitrage_names_segment(self):
         # all segments are one stacked QP; the error names the unbounded one
