@@ -126,10 +126,16 @@ def adjustment_explicit(b, c):
     """
     b = np.asarray(b, dtype=float).ravel()
     sol, P, c_pinv = _solve_portfolio(c, b, -1.0, solve=qp._solve_alt)
-    weight = P @ sol.problem.A_pinv[:, 0]
-    if sol.branch == "direct":
-        return ExplicitAdjustment(sol.x_hat, "spanned", weight, None, c_pinv)
-    return ExplicitAdjustment(sol.x_hat, "riskfree", weight, float(weight @ b), c_pinv)
+    weight, rate = _riskfree(P, sol.branch, b)
+    branch = "spanned" if rate is None else "riskfree"
+    return ExplicitAdjustment(sol.x_hat, branch, weight, rate, c_pinv)
+
+
+def _riskfree(P, branch, b):
+    """The portfolio ``P ones/d`` spanned by the adjustment problem's oblique
+    projector P, and its rate ``weight . b`` on "complement" (else None)."""
+    weight = P @ qp._ones(len(b)).A_pinv[:, 0]
+    return weight, float(weight @ b) if branch == "complement" else None
 
 
 def myopic_minvar(b, c):
@@ -200,7 +206,6 @@ def _iid_closed_form(model):
     a, zeta, pb = x[:, 0], x[:, 1], x[:, 2]
     ab = float(a @ b)
     aca = float(a @ c @ a)
-    bpb = float(b @ pb)
     growth = 1.0 - 2.0 * ab + aca
     if growth <= _POSITIVITY_TOL:
         raise LocalArbitrageError(
@@ -215,10 +220,12 @@ def _iid_closed_form(model):
         L = growth**steps
         V = ((1.0 - ab) / growth) ** steps
     ratio = (1.0 - ab) ** 2 / growth
-    kappa = 1.0 - bpb - ratio
+    xi = (V[1:] - V[:-1])[:, None] * pb + V[:-1, None] * zeta
+    # The last period's error E[(1 - V[-2] - xi[-1] R)^2] as squared mean plus
+    # variance, so that no cancellation makes it negative.
+    kappa = (1.0 - V[-2] - xi[-1] @ b) ** 2 + xi[-1] @ model.sigma @ xi[-1]
     contrib = ratio ** steps[1:] * kappa
     eps2 = np.concatenate([np.cumsum(contrib[::-1])[::-1], [0.0]])
-    xi = (V[1:] - V[:-1])[:, None] * pb + V[:-1, None] * zeta
     # Every period shares a and zeta, so both are read-only views of one row.
     coeffs = HedgeCoefficients(
         a=np.broadcast_to(a, (T, a.shape[0])),
@@ -236,12 +243,14 @@ def _tail_sums(x):
 
 
 def _pii_closed_form(model):
+    """Closed form of a piecewise-constant Ito model: one stacked QP solves a
+    and zeta for every segment, and each segment's risk-free rate is read from
+    the oblique projector of that problem's validated c_i (NaN on "direct")."""
     segs = model.segments
     b, c = np.array([seg.b for seg in segs]), np.array([seg.c for seg in segs])
-    # One stacked QP solves a and zeta for every segment.
     targets = np.stack([b, np.zeros_like(b)], axis=-1)
-    x = _solve_portfolio(c, targets, [-1.0, 1.0], lambda i: f"segment {i}").x_hat
-    a, zeta = x[..., 0], x[..., 1]
+    sol = _solve_portfolio(c, targets, [-1.0, 1.0], lambda i: f"segment {i}")
+    a, zeta = sol.x_hat[..., 0], sol.x_hat[..., 1]
     ab, w = _rowdot(a, b), _quad(a, c, a)
     t = np.concatenate([[0.0], np.cumsum([seg.duration for seg in segs])])
     dt = np.diff(t)
@@ -253,8 +262,11 @@ def _pii_closed_form(model):
             f"the value processes overflow over the horizon {model.horizon:g}: "
             "exp(log L) or exp(log V) exceeds the float range"
         )
-    riskfree = [adjustment_explicit(seg.b, seg.c).riskfree_rate for seg in segs]
-    riskfree = np.array([np.nan if r is None else r for r in riskfree])
+    riskfree = []
+    for c_i, b_i in zip(sol.problem.C, b):
+        P, _, branch = qp._oblique_constraint_projector(c_i, sol.problem.A)
+        riskfree.append(_riskfree(P, branch, b_i)[1])
+    riskfree = np.array(riskfree, dtype=float)  # None reads NaN
     int_err = _tail_sums(w * dt)  # error integral from each boundary to the horizon
     piece = np.divide(
         1.0 - np.exp(-w * dt), w, out=dt.copy(), where=np.abs(w * dt) >= 1e-14

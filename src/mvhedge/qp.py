@@ -20,7 +20,6 @@ from .linalg import (
     _EPS,
     DEFAULT_CTX,
     InvalidInputError,
-    pinv,
     range_basis,
     symmetric_psd,
 )
@@ -280,63 +279,52 @@ def _lsq(B, Y, con, b):
     return x, Y - B @ x, V, keep
 
 
-def _oblique_constraint_projector(problem):
+def _oblique_constraint_projector(C, A):
     """Projector P onto the complement of Null(A) adapted to Ran(C), with C^+.
 
+    C is a validated symmetric PSD matrix and A the full-row-rank constraint.
     The image space is (I - C C^+) Ran(A')  (+)  C^+ (Ran(A') & Ran(C)); when
     every row of A lies in Ran(C) the first part is empty and the projector
     reduces to C^+ A' (A C^+ A')^+ A (branch "direct", else "complement").
     One SVD of C gives C^+ and a basis Z of Null(C) under one rank cutoff.
-    Both parts are carved out of Ran(A') by one SVD of its component in
-    Null(C), which keeps the two dimension decisions consistent and the total
-    number of image directions equal to the row count of A.
+    Both parts are carved out of Ran(A') by one SVD of its component Z'Q_A in
+    Null(C) (0 x k, with V = I, for an invertible C), which keeps the two
+    dimension decisions consistent and the total number of image directions
+    equal to the row count of A.  One SVD of A U per demotion turn both tests
+    the image's conditioning and gives (A U)^+ under the rank cutoff.
     """
-    C, A = problem.C, problem.A
     Q_A = range_basis(A.T)
     E, s, Et = np.linalg.svd(C)
     r = int(np.sum(s > DEFAULT_CTX.cutoff(s, C.shape)))
     C_pinv, Z = (Et[:r].T / s[:r]) @ E[:, :r].T, Et[r:].T
-    if Z.shape[1]:
-        # One SVD splits Ran(A') into its parts outside and inside Ran(C);
-        # entries of coeff carry absolute noise ~ n*eps (orthonormal factors),
-        # so the rank cutoff needs an absolute floor, not just a relative one.
-        coeff = Z.T @ Q_A
-        Uc, sc, Vch = np.linalg.svd(coeff)
-        floor = 8.0 * problem.n * _EPS
-        cut = max(DEFAULT_CTX.cutoff(sc, coeff.shape), floor)
-        rank_out = int(np.sum(sc > cut))
-    else:
-        coeff = Uc = Vch = None
-        rank_out = 0
-
-    def assemble(r_out):
-        blocks = []
-        if r_out:
-            blocks.append(Z @ Uc[:, :r_out])
-        inside = Vch[r_out:].T if coeff is not None else np.eye(Q_A.shape[1])
-        if inside.shape[1]:
-            blocks.append(C_pinv @ (Q_A @ inside))
-        U = np.hstack(blocks)
-        # Column scaling leaves the projector invariant; normalize it away.
-        norms = np.linalg.norm(U, axis=0)
-        return U / np.where(norms > 0, norms, 1.0)
-
+    # Entries of coeff carry absolute noise ~ n*eps (orthonormal factors), so
+    # the rank cutoff needs an absolute floor, not just a relative one.
+    coeff = Z.T @ Q_A
+    Uc, sc, Vch = np.linalg.svd(coeff)
+    cut = max(DEFAULT_CTX.cutoff(sc, coeff.shape), 8.0 * len(C) * _EPS)
+    rank_out = int(np.sum(sc > cut))
     # A spurious "outside" direction (pure roundoff in Null(C)) makes A U
     # nearly singular; demote directions until the image is well-conditioned.
     while True:
-        U = assemble(rank_out)
-        sv = np.linalg.svd(A @ U, compute_uv=False)
+        U = np.hstack([Z @ Uc[:, :rank_out], C_pinv @ (Q_A @ Vch[rank_out:].T)])
+        # Column scaling leaves the projector invariant; normalize it away,
+        # first by an exact power of two so that the norm stays in range.
+        U = np.ldexp(U, -np.frexp(np.abs(U).max(axis=0))[1])
+        norms = np.linalg.norm(U, axis=0)
+        U = U / np.where(norms > 0, norms, 1.0)
+        W, sv, Xh = np.linalg.svd(A @ U, full_matrices=False)
         if rank_out == 0 or sv[-1] > 1e-8 * sv[0]:
             break
         rank_out -= 1
+    k = int(np.sum(sv > DEFAULT_CTX.cutoff(sv, (len(A), U.shape[1]))))
     branch = "direct" if rank_out == 0 else "complement"
-    return U @ pinv(A @ U) @ A, C_pinv, branch
+    return U @ ((Xh[:k].T / sv[:k]) @ W[:, :k].T) @ A, C_pinv, branch
 
 
 def _solve_alt(problem):
-    """:func:`solve_alt` with the projector P and the C^+ it was built from."""
+    """:func:`solve_alt` with P and C^+ from the projector of its validated C and A."""
     problem._require_bounded()
-    P, C_pinv, branch = _oblique_constraint_projector(problem)
+    P, C_pinv, branch = _oblique_constraint_projector(problem.C, problem.A)
     eye = np.eye(problem.n)
     x_part = problem.A_pinv @ problem.b
     x_hat = (eye - P) @ C_pinv @ (eye - P.T) @ problem.F + P @ x_part

@@ -57,6 +57,14 @@ class TestFrontierCommand:
         assert "1.20696210704" in out
         assert "0.28028620465" in out
 
+    def test_iid_market_with_cash_exits_0(self, capsys):
+        # A riskless asset replicates the claim; the error's rounding residue
+        # must not be negative, or the frontier's check makes it exit 2.
+        assert main(["frontier", "--model", os.path.join(DATA, "iid_cash.json")]) == 0
+        out = capsys.readouterr().out
+        eps2 = float(re.search(r"^eps2_0\(1\) = (\S+)$", out, re.M).group(1))
+        assert 0.0 <= eps2 <= 1e-30
+
     def test_arbitrage_config_exits_2(self, capsys):
         code = main(["frontier", "--model", cfg("pii_arbitrage.json")])
         err = capsys.readouterr().err
@@ -702,6 +710,13 @@ class TestSolveQpCommand:
         assert code == 0
         assert "x_hat" in out and "value" in out
         assert "agrees to" in out
+
+    def test_singular_quadratic_takes_complement_branch(self, capsys):
+        path = os.path.join(DATA, "qp_singular.json")
+        assert main(["solve-qp", "--model", path]) == 0
+        out = capsys.readouterr().out
+        assert "x_hat = [-0.2, -0.2, 1.4]\nvalue = -0.68\n" in out
+        assert "alternative representation (complement) agrees to" in out
 
     def test_unbounded_reports_direction(self, tmp_path, capsys):
         path = tmp_path / "unbounded.json"

@@ -145,10 +145,11 @@ class TestAdjustmentExplicit:
             adjustment_explicit(np.array([0.1, 0.2]), c)
 
     @staticmethod
-    def _degenerate_market(rng, kind):
-        """A market whose risky eigenvalues lie in [0.1, 2], plus a riskless
-        asset 0, rounding-level null directions, or a c[0, 0] in 1e-16..1e-8."""
-        d = int(rng.integers(2, 6))
+    def _degenerate_market(rng, kind, d=None):
+        """A market of d assets (drawn from 2..5 if None) whose risky
+        eigenvalues lie in [0.1, 2], plus a riskless asset 0, rounding-level
+        null directions, or a c[0, 0] in 1e-16..1e-8."""
+        d = int(rng.integers(2, 6)) if d is None else d
         if kind == "rank-deficient":
             k = int(rng.integers(1, d))
             Q, _ = np.linalg.qr(rng.normal(size=(d, k)))
@@ -173,6 +174,16 @@ class TestAdjustmentExplicit:
             ex = adjustment_explicit(b, c)
             assert np.abs(ex.a - a).max() <= 1e-10 * (1.0 + np.abs(a).max())
             assert abs(ex.weight.sum() - 1.0) < 1e-10
+
+    def test_small_and_large_scales_match_generic(self):
+        # a does not depend on a common scale of (b, c), also below 1e-154,
+        # where the projector's column norms would overflow unscaled.
+        b, c = np.array([1.0, 2.0]), np.array([[1.0, 0.2], [0.2, 1.0]])
+        for scale in 10.0 ** np.arange(-300, 151, 25):
+            a, _ = adjustment(scale * b, scale * c)
+            ex = adjustment_explicit(scale * b, scale * c)
+            assert np.abs(ex.a - a).max() <= 1e-14
+            assert abs(ex.a.sum() + 1.0) <= 1e-14
 
 
 class TestMyopicMinVar:
@@ -234,6 +245,23 @@ class TestClosedFormDiscrete:
         assert abs(values.L0 - (1 + r) ** 6) < 1e-12
         assert abs(values.V0 - (1 + r) ** -3) < 1e-12
         assert abs(values.eps2_0) < 1e-14
+
+    def test_riskless_asset_error_is_never_negative(self):
+        # The claim 1 is replicated with a riskless asset, so eps2 is 0 up to
+        # rounding, which must not make it negative (1 - b'pb - ratio reached
+        # -2.8e-14 on these markets).  Largest measured: 9.2e-26.
+        rng = np.random.default_rng(24)
+        for _ in range(200):
+            d = int(rng.integers(2, 5))
+            G = 0.1 * rng.normal(size=(d - 1, d - 1))
+            sigma = np.zeros((d, d))
+            sigma[1:, 1:] = G @ G.T
+            r = rng.uniform(0.0, 0.05)
+            mu = np.concatenate([[r], 0.1 * rng.normal(size=d - 1)])
+            model = models.IidDiscreteModel(mu, sigma, int(rng.integers(1, 6)))
+            eps2 = closed_form_values(model).values.eps2
+            assert eps2.min() >= 0.0
+            assert eps2.max() <= 1e-20
 
     def test_deterministic_arbitrage_rejected(self):
         model = models.IidDiscreteModel(
@@ -379,6 +407,50 @@ class TestClosedFormIto:
                 segments.append((float(rng.uniform(0.2, 2.0)), b, c))
             coeffs = closed_form_values(models.PiiItoModel(segments)).coeffs
             assert np.abs(coeffs.riskfree_rate).max() <= 1e-15
+
+    def test_riskfree_rates_match_adjustment_explicit(self):
+        # Each rate comes from the projector of the stacked problem's c_i: bit
+        # for bit adjustment_explicit's, and NaN where that is None.
+        rng = np.random.default_rng(24)
+        kinds = ["generic", "riskless", "rank-deficient", "near-riskless"]
+        for _ in range(20):
+            d = int(rng.integers(2, 6))
+            segments = []
+            for kind in rng.permutation(kinds):
+                if kind == "generic":
+                    G = rng.normal(size=(d, d))
+                    b, c = 0.1 * rng.normal(size=d), G @ G.T / d
+                else:
+                    b, c = TestAdjustmentExplicit._degenerate_market(rng, kind, d)
+                segments.append((float(rng.uniform(0.2, 2.0)), b, c))
+            model = models.PiiItoModel(segments)
+            rates = closed_form_values(model).coeffs.riskfree_rate
+            explicit = [adjustment_explicit(g.b, g.c) for g in model.segments]
+            expected = np.array([e.riskfree_rate for e in explicit], dtype=float)
+            assert rates.tobytes() == expected.tobytes()
+
+    def test_one_eigh_and_one_eigvalsh(self, ito_benchmark, monkeypatch):
+        # The stacked QP validates (eigvalsh) and factors (eigh) every
+        # segment's c at once; the rates reuse its validated matrices.
+        rng = np.random.default_rng(5)
+        segments = []
+        for _ in range(3):
+            G = rng.normal(size=(3, 3))
+            segments.append((1.0, 0.1 * rng.normal(size=3), 0.1 * G @ G.T))
+        segments.append((1.0, [0.0, 0.1, 0.2], np.diag([0.0, 0.1, 0.2])))
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def counting(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        for model in (ito_benchmark, models.PiiItoModel(segments)):
+            calls.clear()
+            closed_form_values(model)
+            assert sorted(calls) == ["eigh", "eigvalsh"], calls
 
     def test_arbitrage_names_segment(self):
         # all segments are one stacked QP; the error names the unbounded one

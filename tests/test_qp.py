@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mvhedge import qp
-from mvhedge.linalg import null_basis
+from mvhedge.linalg import null_basis, range_basis
 
 
 def kkt_value(C, F, A, b):
@@ -380,6 +380,42 @@ class TestSolveAlt:
             assert np.abs(s1.x_hat - s2.x_hat).max() < 1e-10
             hits += s2.branch == "complement"
         assert hits > 25  # a random row is almost never inside a rank-3 range
+
+    def test_spurious_outside_direction_is_demoted(self):
+        # A rank-3 C with both constraint rows in Ran(C), then row 0 moved off
+        # Ran(C) by 1e-13..1e-11 relative: Z'Q_A has a singular value above
+        # the 8 n eps floor, the image A U is then nearly singular, and the
+        # loop demotes that direction to the "direct" branch.  Worst measured
+        # gap to solve: 4.0e-11 relative to 1 + max|x|.
+        rng = np.random.default_rng(24)
+        n = 4
+        for _ in range(150):
+            G = rng.normal(size=(n, 3))
+            C = G @ G.T
+            A = (G @ rng.normal(size=(3, 2))).T
+            z = null_basis(C)[:, 0]
+            A[0] += 10.0 ** rng.uniform(-13, -11) * np.abs(A[0]).max() * z
+            F = C @ rng.normal(size=n) + A.T @ rng.normal(size=2)
+            prob = qp.QpProblem(C=C, F=F, A=A, b=rng.normal(size=2))
+            outside = np.linalg.svd(null_basis(prob.C).T @ range_basis(A.T))[1]
+            assert outside.max() > 8 * n * np.finfo(float).eps
+            sol, ref = qp.solve_alt(prob), qp.solve(prob).x_hat
+            assert sol.branch == "direct"
+            assert np.abs(sol.x_hat - ref).max() <= 1e-10 * (1.0 + np.abs(ref).max())
+
+    @pytest.mark.parametrize("C", [np.diag([1.0, 2.0, 0.5]), np.diag([1.0, 1.0, 0.0])])
+    def test_projector_is_free_of_the_scale_of_c(self, C):
+        # With F = 0 the minimizer P A^+ b does not depend on the scale of C.
+        # The column norms of U = C^+ Q_A overflow below a scale of about
+        # 1e-154 unless an exact power of two is divided out first.
+        A = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]])
+        ref = qp.solve_alt(qp.QpProblem(C=C, F=np.zeros(3), A=A, b=[1.0, 0.0]))
+        for scale in 10.0 ** np.arange(-300, 301, 25):
+            prob = qp.QpProblem(C=scale * C, F=np.zeros(3), A=A, b=[1.0, 0.0])
+            sol = qp.solve_alt(prob)
+            assert sol.branch == ref.branch
+            assert np.abs(sol.x_hat - ref.x_hat).max() <= 1e-14
+            assert np.abs(sol.x_hat - qp.solve(prob).x_hat).max() <= 1e-14
 
     def test_unbounded_raises_like_solve(self):
         rng = np.random.default_rng(8)
