@@ -32,7 +32,6 @@ __all__ = [
     "check_local_na",
     "discount_tree",
     "model_from_dict",
-    "model_to_dict",
     "load_config",
 ]
 
@@ -756,45 +755,6 @@ def model_from_dict(data):
     except KeyError as err:
         raise InvalidModelError(f"{kind} model config lacks the key {err}") from None
     raise InvalidModelError(f"unknown model kind {kind!r}")
-
-
-def model_to_dict(model):
-    """Inverse of :func:`model_from_dict` (round-trips all three kinds)."""
-    if isinstance(model, IidDiscreteModel):
-        return {
-            "kind": "iid",
-            "mu": model.mu.tolist(),
-            "sigma": model.sigma.tolist(),
-            "T": model.n_periods,
-        }
-    if isinstance(model, PiiItoModel):
-        return {
-            "kind": "pii",
-            "segments": [
-                {"duration": s.duration, "b": s.b.tolist(), "c": s.c.tolist()}
-                for s in model.segments
-            ],
-        }
-    if isinstance(model, FiniteTreeModel):
-        out = {
-            "kind": "tree",
-            "root": model.root,
-            "nodes": [
-                {
-                    "id": n.id,
-                    "time": n.time,
-                    "prices": n.prices.tolist(),
-                    "branches": [
-                        {"prob": p, "child": ch} for p, ch in n.branches
-                    ],
-                }
-                for n in (model.nodes[nid] for nid in model.ids)
-            ],
-        }
-        if model.payoff is not None:
-            out["payoff"] = dict(model.payoff)
-        return out
-    raise InvalidModelError(f"unsupported model type {type(model).__name__}")
 
 
 def _amount(x, what):

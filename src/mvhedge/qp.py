@@ -19,6 +19,7 @@ import numpy as np
 from .linalg import (
     _EPS,
     DEFAULT_CTX,
+    RESIDUAL_TOL,
     InvalidInputError,
     range_basis,
     symmetric_psd,
@@ -195,8 +196,13 @@ class QpProblem:
         _, F, _ = self._stack()
         flat = self.N @ (self.V * ~self.keep[:, None])
         directions = flat @ (flat.transpose(0, 2, 1) @ F)
-        tol = DEFAULT_CTX.residual_tol * (1.0 + np.linalg.norm(F, axis=1))
-        bad = np.argwhere(np.linalg.norm(directions, axis=1) > tol)
+        # The norms square F's entries: a column past 2^500 is divided by an
+        # exact power of two first, and the tolerance's floor of 1 with it;
+        # every other column keeps the scale 1 and its bits.
+        e = np.frexp(np.abs(F).max(axis=1))[1]
+        scale = np.ldexp(1.0, -np.where(e > 500, e, 0))
+        tol = RESIDUAL_TOL * (scale + np.linalg.norm(F * scale[:, None], axis=1))
+        bad = np.argwhere(np.linalg.norm(directions * scale[:, None], axis=1) > tol)
         if bad.size:
             i, j = bad[0]
             raise UnboundedBelowError(directions[i, :, j], int(i))

@@ -1,0 +1,84 @@
+"""Subspace arithmetic on orthonormal bases, for the tests.
+
+The library decides ranks only through ``range_basis`` and ``null_basis``;
+these helpers combine their bases so that tests can compare subspaces under
+the same singular-value cutoff.
+"""
+
+import numpy as np
+
+from mvhedge.linalg import (
+    DEFAULT_CTX,
+    InvalidInputError,
+    _as_matrix,
+    null_basis,
+    range_basis,
+)
+
+
+def matrix_rank(M, ctx=DEFAULT_CTX):
+    """Numerical rank under the shared singular-value cutoff."""
+    A = _as_matrix(M)
+    s = np.linalg.svd(A, compute_uv=False)
+    return int(np.sum(s > ctx.cutoff(s, A.shape)))
+
+
+def _check_ambient(bases):
+    dims = {b.shape[0] for b in bases}
+    if len(dims) > 1:
+        raise InvalidInputError(f"mismatched ambient dimensions: {sorted(dims)}")
+    return dims.pop()
+
+
+def subspace_sum(*bases, ctx=DEFAULT_CTX):
+    """Orthonormal basis of the sum of the spanned subspaces."""
+    mats = [_as_matrix(b, "basis", allow_empty=True) for b in bases]
+    n = _check_ambient(mats)
+    stacked = np.hstack(mats) if mats else np.zeros((n, 0))
+    if stacked.shape[1] == 0:
+        return np.zeros((n, 0))
+    return range_basis(stacked, ctx)
+
+
+def subspace_intersection(B1, B2, ctx=DEFAULT_CTX):
+    """Orthonormal basis of the intersection of two spanned subspaces.
+
+    A vector lies in both subspaces iff it is orthogonal to both orthogonal
+    complements, so the intersection is the kernel of the stacked complement
+    bases (which keeps every entry at unit scale).
+    """
+    M1 = _as_matrix(B1, "basis", allow_empty=True)
+    M2 = _as_matrix(B2, "basis", allow_empty=True)
+    n = _check_ambient([M1, M2])
+    if M1.shape[1] == 0 or M2.shape[1] == 0:
+        return np.zeros((n, 0))
+    comp1 = subspace_complement(M1, ctx)
+    comp2 = subspace_complement(M2, ctx)
+    if comp1.shape[1] + comp2.shape[1] == 0:
+        return np.eye(n)
+    return null_basis(np.hstack([comp1, comp2]).T, ctx)
+
+
+def subspace_complement(B, ctx=DEFAULT_CTX):
+    """Orthonormal basis of the orthogonal complement of span(B)."""
+    M = _as_matrix(B, "basis", allow_empty=True)
+    if M.shape[1] == 0:
+        return np.eye(M.shape[0])
+    return null_basis(M.T, ctx)
+
+
+def subspace_contains(outer, inner, ctx=DEFAULT_CTX):
+    """True iff span(inner) is contained in span(outer) under the rank cutoff."""
+    Mo = _as_matrix(outer, "outer basis", allow_empty=True)
+    Mi = _as_matrix(inner, "inner basis", allow_empty=True)
+    _check_ambient([Mo, Mi])
+    if Mi.shape[1] == 0:
+        return True
+    if Mo.shape[1] == 0:
+        return matrix_rank(Mi, ctx) == 0
+    return matrix_rank(np.hstack([Mo, Mi]), ctx) == matrix_rank(Mo, ctx)
+
+
+def subspace_equal(B1, B2, ctx=DEFAULT_CTX):
+    """Subspace equality as mutual containment (basis-ordering independent)."""
+    return subspace_contains(B1, B2, ctx) and subspace_contains(B2, B1, ctx)

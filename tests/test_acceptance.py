@@ -18,9 +18,9 @@ from mvhedge.linalg import (
     orth_projector,
     pinv,
     range_basis,
-    subspace_equal,
 )
 from mvhedge.models import Claim
+from subspaces import subspace_equal
 
 RANK_TEST_CTX = NumericContext(rank_rtol=1e-10)
 

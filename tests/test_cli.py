@@ -153,6 +153,8 @@ class TestFrontierCommand:
         }
         bad_prob = json.loads(json.dumps(tree))
         bad_prob["nodes"][0]["branches"][0]["prob"] = "x"
+        seg = {"duration": 1.0, "b": [0.1], "c": [[0.04]]}
+        wide = dict(seg, b=[0.1, 0.2], c=[[0.04, 0.0], [0.0, 0.09]])
         cases = [
             ({"model": []}, "the 'model' section must be a mapping"),
             (
@@ -180,6 +182,21 @@ class TestFrontierCommand:
                 "got [[0.04, 0.0], [0.0]]",
             ),
             ({"model": bad_prob}, "branch prob must be a number, got 'x'"),
+            ({"model": dict(model, mu=[math.inf])}, "mu contains non-finite entries"),
+            ({"model": dict(model, mu=[0.1, 0.2])}, "mu and sigma dimensions differ"),
+            ({"model": dict(model, T=0)}, "n_periods must be at least 1"),
+            (
+                {"model": {"kind": "pii", "segments": []}},
+                "at least one segment is required",
+            ),
+            (
+                {"model": {"kind": "pii", "segments": [dict(seg, b=[math.inf])]}},
+                "segment 0 drift has non-finite entries",
+            ),
+            (
+                {"model": {"kind": "pii", "segments": [seg, wide]}},
+                "segments have inconsistent dimensions",
+            ),
         ]
         for data, message in cases:
             path = tmp_path / "bad.json"
@@ -494,6 +511,40 @@ class TestHedgeCommand:
     def test_tree_required(self, capsys):
         assert main(["hedge", "--model", cfg("iid_3assets_t4.json")]) == 2
 
+    def test_claim_from_flag_or_config_mapping(self, tmp_path, capsys):
+        # --claim replaces the config's payoff; a config "claim" mapping is a
+        # payoff on the terminal nodes.
+        tree = models.load_config(cfg("tree_call_binomial.json"))[0]
+        with open(cfg("tree_call_binomial.json"), encoding="utf-8") as fh:
+            data = json.load(fh)
+        payoff = {"nuu": 0.25, "nud": 1.0, "ndu": 1.0, "ndd": 2.0}
+        data["claim"] = payoff
+        path = tmp_path / "claim_map.json"
+        path.write_text(json.dumps(data))
+        flag = ["--model", cfg("tree_call_binomial.json"), "--claim", "1"]
+        for argv, claim in (
+            (flag, models.Claim(1.0)),
+            (["--model", str(path)], models.Claim(payoff=payoff)),
+        ):
+            solution = engine.tree_backward(tree, claim)
+            assert main(["hedge"] + argv) == 0
+            assert capsys.readouterr().out.splitlines()[:3] == [
+                f"L0 = {cli._fmt(solution.L0)}",
+                f"V0 = {cli._fmt(solution.V0)}",
+                f"eps2_0 = {cli._fmt(solution.eps2_0)}",
+            ]
+
+    def test_claim_required_on_a_tree(self, tmp_path, capsys):
+        with open(cfg("tree_call_binomial.json"), encoding="utf-8") as fh:
+            data = json.load(fh)
+        del data["model"]["payoff"]
+        path = tmp_path / "no_claim.json"
+        path.write_text(json.dumps(data))
+        assert main(["hedge", "--model", str(path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "a claim is required: give --claim or a payoff map in the config"
+        ]
+
     def test_hedging_error_never_negative(self, tmp_path, capsys):
         # The market is complete, so the true error is 0; at the 1e300 scale
         # of the squared payoff, rounding used to leave eps2_0 at -5.9e284.
@@ -519,6 +570,31 @@ class TestOracleCommand:
         assert code == 0
         assert out.count("PASS") == 2
         assert "FAIL" not in out
+
+    def test_degenerate_value_function_names_its_node(self, tmp_path, capsys):
+        # Two riskless assets of returns 0 and 1 are an exact arbitrage: at the
+        # root of the shipped tree, and here only at "d", the second node of
+        # period 1.
+        records = [
+            ("r", 0, [1.0, 1.0], [(0.5, "u"), (0.5, "d")]),
+            ("u", 1, [1.0, 1.2], [(0.5, "uu"), (0.5, "ud")]),
+            ("d", 1, [1.0, 0.9], [(0.5, "du"), (0.5, "dd")]),
+            ("uu", 2, [1.0, 1.3], []),
+            ("ud", 2, [1.0, 1.1], []),
+            ("du", 2, [1.0, 1.8], []),
+            ("dd", 2, [1.0, 1.8], []),
+        ]
+        payoff = dict.fromkeys(["uu", "ud", "du", "dd"], 1.0)
+        path = tmp_path / "arbitrage_at_d.json"
+        path.write_text(json.dumps({"model": tree_dict(records, "r", payoff)}))
+        shipped = os.path.join(DATA, "tree_arbitrage.json")
+        for config, node in ((shipped, "r"), (path, "d")):
+            assert main(["oracle", "--model", str(config)]) == 2
+            assert capsys.readouterr().err.splitlines() == [
+                "value function degenerates: wealth has no quadratic cost, so a "
+                "fully invested portfolio attains zero conditional second moment "
+                f"(at node {node!r})"
+            ]
 
     def test_negative_tolerance_exits_2(self, capsys):
         argv = ["oracle", "--model", cfg("tree_call_binomial.json"), "--tol", "-0.001"]
@@ -636,6 +712,33 @@ class TestSimulateCommand:
         assert main(["simulate", "--model", str(path), "--paths", "10"]) == 2
         err = capsys.readouterr().err
         assert err.splitlines() == ["step must be a number, got 'x'"]
+
+    def test_non_positive_step_exits_2(self, tmp_path, capsys):
+        with open(cfg("pii_4assets_t5.json"), encoding="utf-8") as fh:
+            data = json.load(fh)
+        for step in (0.0, -0.05):
+            data["step"] = step
+            path = tmp_path / "bad_step.json"
+            path.write_text(json.dumps(data))
+            assert main(["simulate", "--model", str(path), "--paths", "10"]) == 2
+            err = capsys.readouterr().err
+            assert err.splitlines() == [f"step must be positive, got {step}"]
+
+    def test_euler_step_defaults_to_a_hundredth_of_the_shortest_segment(
+        self, tmp_path, capsys
+    ):
+        # the shipped config's step 0.05 is the default for its one 5-year segment
+        with open(cfg("pii_4assets_t5.json"), encoding="utf-8") as fh:
+            data = json.load(fh)
+        assert data.pop("step") == 0.05
+        path = tmp_path / "no_step.json"
+        path.write_text(json.dumps(data))
+        outputs = []
+        for config in (cfg("pii_4assets_t5.json"), str(path)):
+            argv = ["simulate", "--model", config, "--paths", "500", "--seed", "2"]
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
     def test_path_count_below_one_exits_2(self, capsys):
         for config in ("iid_3assets_t4.json", "pii_4assets_t5.json"):

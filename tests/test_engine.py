@@ -89,7 +89,7 @@ class TestAdjustmentExplicit:
             assert np.abs(ex.a - a).max() < 1e-10
 
     def test_riskfree_branch_matches_generic(self):
-        from mvhedge.linalg import subspace_complement
+        from subspaces import subspace_complement
 
         rng = np.random.default_rng(2)
         for _ in range(25):
@@ -364,7 +364,7 @@ class TestClosedFormIto:
 
     def test_riskfree_special_case(self):
         # ones outside Ran(c): exact risk-free rate, zero hedging error.
-        from mvhedge.linalg import subspace_complement
+        from subspaces import subspace_complement
 
         rng = np.random.default_rng(6)
         d = 3

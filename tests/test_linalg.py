@@ -5,12 +5,14 @@ from mvhedge import linalg
 from mvhedge.linalg import (
     InvalidInputError,
     in_span,
-    matrix_rank,
     null_basis,
     oblique_projector,
     orth_projector,
     pinv,
     range_basis,
+)
+from subspaces import (
+    matrix_rank,
     subspace_complement,
     subspace_contains,
     subspace_equal,

@@ -18,7 +18,6 @@ from mvhedge.models import (
     discount_tree,
     load_config,
     model_from_dict,
-    model_to_dict,
 )
 
 
@@ -331,7 +330,8 @@ class TestLocalNoArbitrage:
         # b in Ran(c) + span(ones), tested directly by projection residual;
         # a zero row (riskless asset) or a repeated row (duplicated asset)
         # makes c singular.
-        from mvhedge.linalg import in_span, subspace_sum
+        from mvhedge.linalg import in_span
+        from subspaces import subspace_sum
 
         rng = np.random.default_rng(12)
         verdicts = set()
@@ -497,7 +497,9 @@ class TestTreeLayout:
             payoff = {t: float(rng.normal()) for t in terminals}
             trees.append(FiniteTreeModel(nodes, root, payoff=payoff))
         for tree in trees:
-            data = json.loads(json.dumps(model_to_dict(tree)))
+            payoff = None if tree.payoff is None else dict(tree.payoff)
+            data = tree_dict(tree.nodes.values(), tree.root, payoff)
+            data = json.loads(json.dumps(data))
             assert _layout(model_from_dict(data)) == _layout(tree)
             data["nodes"].reverse()  # the input order of the nodes does not matter
             assert _layout(model_from_dict(data)) == _layout(tree)
@@ -614,13 +616,30 @@ class TestTreeLayout:
 
 
 class TestConfigIO:
-    def test_round_trip_all_kinds(self, discrete_benchmark, ito_benchmark, tmp_path):
-        rng = np.random.default_rng(8)
-        tree = make_tree(rng, n_assets=2, periods=2)
-        for model in (discrete_benchmark, ito_benchmark, tree):
-            data = model_to_dict(model)
-            rebuilt = model_from_dict(json.loads(json.dumps(data)))
-            assert model_to_dict(rebuilt) == data
+    def test_config_reproduces_each_kinds_arrays(
+        self, discrete_benchmark, ito_benchmark
+    ):
+        iid, pii = discrete_benchmark, ito_benchmark
+        tree = make_tree(np.random.default_rng(8), n_assets=2, periods=2)
+        configs = [
+            {"kind": "iid", "mu": iid.mu.tolist(), "sigma": iid.sigma.tolist(),
+             "T": iid.n_periods},
+            {"kind": "pii", "segments": [
+                {"duration": s.duration, "b": s.b.tolist(), "c": s.c.tolist()}
+                for s in pii.segments
+            ]},
+            tree_dict(tree.nodes.values(), tree.root),
+        ]
+        iid2, pii2, tree2 = (
+            model_from_dict(json.loads(json.dumps(c))) for c in configs
+        )
+        assert np.array_equal(iid2.mu, iid.mu) and np.array_equal(iid2.sigma, iid.sigma)
+        assert iid2.n_periods == iid.n_periods
+        assert len(pii2.segments) == len(pii.segments)
+        for got, want in zip(pii2.segments, pii.segments):
+            assert got.duration == want.duration
+            assert np.array_equal(got.b, want.b) and np.array_equal(got.c, want.c)
+        assert _layout(tree2) == _layout(tree)
 
     def test_load_config_file(self, tmp_path):
         cfg = {

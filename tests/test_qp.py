@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -41,7 +43,7 @@ def well_posed_instance(rng, n, k, rank):
 
 def unbounded_instance(rng, n, k):
     """Instance with the linear term poking outside Ran(A') + Ran(C)."""
-    from mvhedge.linalg import subspace_complement, subspace_sum
+    from subspaces import subspace_complement, subspace_sum
 
     while True:
         rank = int(rng.integers(0, max(1, n - k)))
@@ -102,6 +104,34 @@ class TestBoundedness:
         A = np.array([[1.0, 0.0]])
         assert not qp.check_bounded(C, np.array([0.0, 1.0]), A)
         assert qp.check_bounded(C, np.array([1.0, 0.0]), A)
+
+    def test_decision_is_free_of_the_scale_of_f(self):
+        # The test's norms square F; past about 1e154 the squares overflowed.
+        # Null(C) & Null(A) is span([0, 1, -1]), which `descent` leans into.
+        C, A, b = np.diag([1.0, 0.0, 0.0]), np.ones((1, 3)), [1.0]
+        bounded, descent = np.array([2.0, 1.0, 1.0]), np.array([1.0, 1.0, -1.0])
+
+        def certificate(F):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                try:
+                    qp.solve(qp.QpProblem(C=C, F=F, A=A, b=b))
+                except qp.UnboundedBelowError as err:
+                    return err.direction
+            return None
+
+        unit = certificate(descent)
+        assert np.allclose(unit, [0.0, 1.0, -1.0], atol=1e-15)
+        for t in 10.0 ** np.arange(-300, 301, 20):
+            assert certificate(t * bounded) is None
+            # Below 1e-10 the residual tolerance's floor of 1 decides instead.
+            if t >= 1e-8:
+                got = certificate(t * descent) / t
+                assert np.allclose(got, unit, rtol=1e-14, atol=1e-14)
+        both = np.column_stack([1e300 * bounded, descent])
+        with pytest.raises(qp.UnboundedBelowError) as err:
+            qp.solve(qp.QpProblem(C=C, F=both, A=A, b=[[1.0, 1.0]]))
+        assert np.array_equal(err.value.direction, unit)
 
     def test_constructed_membership(self):
         rng = np.random.default_rng(1)
@@ -287,7 +317,7 @@ class TestSolve:
         assert kinds == {0, 1, 2}
 
     def test_unbounded_stack_member_raises_with_index_and_certificate(self):
-        from mvhedge.linalg import subspace_complement, subspace_sum
+        from subspaces import subspace_complement, subspace_sum
 
         rng = np.random.default_rng(14)
         for _ in range(20):
