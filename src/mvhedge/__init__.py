@@ -11,13 +11,11 @@ from .engine import (
     ClosedFormResult,
     HedgeCoefficients,
     LocalArbitrageError,
-    StrategyPath,
     TreeSolution,
     ValueProcesses,
     adjustment,
     adjustment_explicit,
     closed_form_values,
-    feedback_strategy,
     hedging_error,
     myopic_minvar,
     tree_backward,
@@ -28,7 +26,6 @@ from .frontier import (
     FrontierTriple,
     efficient_threshold,
     frontier_coeffs,
-    sample_frontier,
 )
 from .linalg import (
     DEFAULT_CTX,
@@ -45,7 +42,6 @@ from .models import (
     InvalidModelError,
     InvalidNumeraireError,
     PiiItoModel,
-    check_local_na,
     discount_tree,
     load_config,
 )
@@ -62,7 +58,6 @@ from .qp import (
     QpProblem,
     QpSolution,
     UnboundedBelowError,
-    check_bounded,
     solve,
     solve_alt,
 )

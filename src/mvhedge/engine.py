@@ -26,13 +26,11 @@ __all__ = [
     "HedgeCoefficients",
     "ClosedFormResult",
     "TreeSolution",
-    "StrategyPath",
     "adjustment",
     "adjustment_explicit",
     "myopic_minvar",
     "closed_form_values",
     "tree_backward",
-    "feedback_strategy",
     "hedging_error",
 ]
 
@@ -97,20 +95,13 @@ class ExplicitAdjustment:
     (no instantaneously risk-free portfolio exists), "riskfree" otherwise.
     ``weight`` = P ones/d is the fully invested portfolio that the projector P
     spans: c^+ ones / (ones'c^+ ones) when spanned, else the risk-free
-    portfolio, whose rate ``weight . b`` is ``riskfree_rate``.  ``c_pinv`` is
-    the projector's c^+.
+    portfolio, whose rate ``weight . b`` is ``riskfree_rate``.
     """
 
     a: np.ndarray
     branch: str
     weight: np.ndarray
     riskfree_rate: float | None
-    c_pinv: np.ndarray = field(repr=False)
-
-    def pure_hedge(self, cross, v_prev):
-        """xi = cross c^+ + (v_prev - cross c^+ . ones) * weight."""
-        base = np.asarray(cross, dtype=float).ravel() @ self.c_pinv
-        return base + (v_prev - base.sum()) * self.weight
 
 
 def adjustment_explicit(b, c):
@@ -125,10 +116,10 @@ def adjustment_explicit(b, c):
     symmetric positive semidefinite.
     """
     b = np.asarray(b, dtype=float).ravel()
-    sol, P, c_pinv = _solve_portfolio(c, b, -1.0, solve=qp._solve_alt)
+    sol, P = _solve_portfolio(c, b, -1.0, solve=qp._solve_alt)
     weight, rate = _riskfree(P, sol.branch, b)
     branch = "spanned" if rate is None else "riskfree"
-    return ExplicitAdjustment(sol.x_hat, branch, weight, rate, c_pinv)
+    return ExplicitAdjustment(sol.x_hat, branch, weight, rate)
 
 
 def _riskfree(P, branch, b):
@@ -386,76 +377,6 @@ def tree_backward(tree, claim, adjustment_override=None):
         miss = V_next - V_here[owner] - _rowdot(R, xi_here[owner])
         eps2[here] = sums(p * eps2[kids]) + mean_L * sums(q * miss**2)
     return TreeSolution(tree, claim, L, V, eps2, a, xi, flats[::-1])
-
-
-@dataclass(frozen=True)
-class StrategyPath:
-    """Realized holdings (dollar amounts) and wealth along one scenario.
-
-    ``wealth`` has one more entry than ``holdings``; the path is
-    self-financing: wealth[t+1] = wealth[t] + holdings[t] . returns[t], and
-    holdings[t] . ones = wealth[t].
-    """
-
-    holdings: np.ndarray
-    wealth: np.ndarray
-
-
-def _roll_steps(xi, a, V, v, rets):
-    """Roll pi = xi[t] + (V[t] - wealth[t]) a[t] over the step returns rets[t]."""
-    wealth = np.empty(len(a) + 1)
-    wealth[0] = float(v)
-    holdings = np.empty_like(a)
-    for t in range(len(a)):
-        pi = holdings[t] = xi[t] + (V[t] - wealth[t]) * a[t]
-        wealth[t + 1] = wealth[t] + pi @ rets[t]
-    return StrategyPath(holdings=holdings, wealth=wealth)
-
-
-def _tree_feedback(solution, v, node_path):
-    tree = solution.tree
-    path = [str(n) for n in node_path]
-    if not path:
-        raise InvalidInputError("a tree path needs at least one node id")
-    unknown = [n for n in path if n not in tree.index]
-    if unknown:
-        raise InvalidInputError(f"unknown node id {unknown[0]!r}")
-    pos = np.array([tree.index[n] for n in path])
-    if pos[0] != 0:
-        raise InvalidInputError(
-            f"a tree path starts at the root {tree.root!r}, not at {path[0]!r}"
-        )
-    bad = np.flatnonzero(tree.parent[pos[1:]] != pos[:-1])
-    if len(bad):
-        k = bad[0]
-        raise InvalidInputError(f"{path[k + 1]!r} is not a child of {path[k]!r}")
-    if pos[-1] < tree.n_internal:
-        raise InvalidInputError(
-            f"a tree path ends at a terminal node, not at {path[-1]!r}"
-        )
-    here = pos[:-1]
-    return _roll_steps(
-        solution.xi[here], solution.a[here], solution.V[here], v, tree.rets[pos[1:]]
-    )
-
-
-def feedback_strategy(coeffs, values, v, path):
-    """Roll the feedback rule pi = xi + (V_prev - wealth_prev) a along a path.
-
-    For tree solutions ``coeffs`` is the :class:`TreeSolution` and ``path`` a
-    non-empty root-to-terminal node id sequence; for closed-form models
-    ``coeffs`` and ``values`` are the step arrays and ``path`` the per-step
-    simple returns.  Both roll one step loop, so a tree path rounds exactly
-    like the solution's :meth:`FiniteTreeModel.roll_wealth` along it.
-    """
-    if isinstance(coeffs, TreeSolution):
-        return _tree_feedback(coeffs, v, path)
-    rets = np.atleast_2d(np.asarray(path, dtype=float))
-    if rets.shape != coeffs.a.shape:
-        raise InvalidInputError(
-            f"returns must have shape {coeffs.a.shape}, got {rets.shape}"
-        )
-    return _roll_steps(coeffs.xi, coeffs.a, values.V, v, rets)
 
 
 def hedging_error(values, v):

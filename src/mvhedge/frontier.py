@@ -22,7 +22,6 @@ __all__ = [
     "FrontierCurve",
     "frontier_coeffs",
     "efficient_threshold",
-    "sample_frontier",
     "write_frontier_csv",
 ]
 
@@ -156,20 +155,6 @@ def efficient_threshold(triple: FrontierTriple):
     lam = triple.L0 * triple.V0_1 / cost
     mean_min = triple.L0 * triple.V0_1 + lam * (1.0 - cost)
     return lam, mean_min
-
-
-def sample_frontier(curve: FrontierCurve, mean_lo, mean_hi, n):
-    """n frontier points with means equally spaced on [mean_lo, mean_hi].
-
-    Points satisfy the curve's quadratic exactly and are returned as an
-    (n, 2) array of (mean, value) rows, monotone in mean.
-    """
-    if n < 2:
-        raise InvalidInputError(f"need at least 2 sample points, got {n}")
-    if not mean_lo < mean_hi:
-        raise InvalidInputError(f"invalid mean range [{mean_lo}, {mean_hi}]")
-    means = np.linspace(float(mean_lo), float(mean_hi), int(n))
-    return np.column_stack([means, curve.value_at(means)])
 
 
 def write_frontier_csv(path, second_moment_curve, variance_curve, means):

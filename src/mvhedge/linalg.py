@@ -19,16 +19,14 @@ __all__ = [
     "oblique_projector",
     "range_basis",
     "null_basis",
-    "in_span",
-    "projection_residual",
     "symmetric_psd",
 ]
 
 _EPS = np.finfo(float).eps
 
-# A residual (symmetry, span membership, QP boundedness) counts as zero up to
-# RESIDUAL_TOL times the size of its data, floored at 1; an eigenvalue counts
-# as non-negative down to -PSD_TOL * max(trace, 1).
+# A residual counts as zero up to RESIDUAL_TOL times the size of its data: the
+# symmetry test floors that size at 1, the QP boundedness test does not.  An
+# eigenvalue counts as non-negative down to -PSD_TOL * max(trace, 1).
 RESIDUAL_TOL = 1e-10
 PSD_TOL = 1e-10
 
@@ -158,22 +156,3 @@ def oblique_projector(U, V):
             "need U of shape (n, p) and V of shape (q, n)"
         )
     return Um @ pinv(Vm @ Um) @ Vm
-
-
-def projection_residual(v, basis):
-    """Norm of the part of v orthogonal to span(basis)."""
-    x = np.asarray(v, dtype=float).ravel()
-    B = _as_matrix(basis, "basis", allow_empty=True)
-    if B.shape[0] != x.shape[0]:
-        raise InvalidInputError("vector and basis ambient dimensions differ")
-    if B.shape[1] == 0:
-        return float(np.linalg.norm(x))
-    Q = range_basis(B)
-    return float(np.linalg.norm(x - Q @ (Q.T @ x)))
-
-
-def in_span(v, basis):
-    """Membership test ``v in span(basis)`` up to the residual tolerance."""
-    x = np.asarray(v, dtype=float).ravel()
-    res = projection_residual(x, basis)
-    return res <= RESIDUAL_TOL * (1.0 + float(np.linalg.norm(x)))

@@ -1,9 +1,11 @@
 """Market model classes: discrete IID, piecewise-constant Ito, finite event tree.
 
-All models expose local characteristics (b, c) of per-asset simple returns in
-the dollar-amount parametrization: b is the conditional mean return rate and c
-the conditional second-moment rate.  Models are immutable after construction
-and validated eagerly.
+The IID and piecewise-constant models expose local characteristics (b, c) of
+per-asset simple returns in the dollar-amount parametrization: b is the
+conditional mean return rate and c the conditional second-moment rate.  Trees
+expose no (b, c); they hold each edge's simple returns and branch probability,
+from which the tree passes form every node's one-step problem in square-root
+form.  Models are immutable after construction and validated eagerly.
 """
 
 import copy
@@ -17,7 +19,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import qp
 from .linalg import InvalidInputError, symmetric_psd
 
 __all__ = [
@@ -29,7 +30,6 @@ __all__ = [
     "TreeNode",
     "FiniteTreeModel",
     "Claim",
-    "check_local_na",
     "discount_tree",
     "model_from_dict",
     "load_config",
@@ -511,16 +511,6 @@ class FiniteTreeModel:
         """Indices of assets with strictly positive prices on every node."""
         return np.flatnonzero((self.prices > 0).all(axis=0)).tolist()
 
-    def log_characteristics(self, nid):
-        """Conditional (b, c) of simple returns at a non-terminal node."""
-        lo, hi = np.searchsorted(self.parent, self.index[str(nid)] + np.arange(2))
-        if lo == hi:
-            raise InvalidModelError(f"node {nid!r} is terminal")
-        rets, probs = self.rets[lo:hi], self.prob[lo:hi]
-        b = probs @ rets
-        c = rets.T @ (rets * probs[:, None])
-        return b, 0.5 * (c + c.T)
-
 
 @dataclass(frozen=True)
 class Claim:
@@ -537,34 +527,9 @@ class Claim:
         values = [self.constant] if self.payoff is None else self.payoff.values()
         _amount(np.fromiter(values, float, len(values)), "a claim value")
 
-    def value_at(self, terminal_id):
-        if self.constant is not None:
-            return float(self.constant)
-        try:
-            return float(self.payoff[str(terminal_id)])
-        except KeyError:
-            raise InvalidModelError(
-                f"claim payoff undefined at terminal node {terminal_id!r}"
-            ) from None
-
     @staticmethod
     def constant_one():
         return Claim(constant=1.0)
-
-
-def check_local_na(b, c):
-    """Local no-arbitrage test: the drift must lie in Ran(c) + Ran(ones).
-
-    The same range condition applies in discrete and continuous time.  Failure
-    means the one-step mean-variance problem is unbounded: some costless
-    exposure has positive drift and no second moment.  This is
-    :func:`qp.check_bounded` with ``A = ones'``.
-    """
-    b = np.asarray(b, dtype=float).ravel()
-    try:
-        return qp.check_bounded(c, b, np.ones((1, b.shape[0])))
-    except qp.InvalidProblemError as err:
-        raise InvalidModelError(str(err)) from None
 
 
 def discount_tree(tree, numeraire_index):

@@ -31,7 +31,6 @@ __all__ = [
     "Constraint",
     "QpProblem",
     "QpSolution",
-    "check_bounded",
     "solve",
     "solve_alt",
 ]
@@ -192,17 +191,17 @@ class QpProblem:
     def _require_bounded(self):
         """Raise :class:`UnboundedBelowError` for the first matrix with a column
         of F whose component in Null(C_i) & Null(A) (a descent direction)
-        exceeds the tolerance."""
+        exceeds ``RESIDUAL_TOL`` times the column's norm, with no floor in
+        F's units."""
         _, F, _ = self._stack()
         flat = self.N @ (self.V * ~self.keep[:, None])
         directions = flat @ (flat.transpose(0, 2, 1) @ F)
-        # The norms square F's entries: a column past 2^500 is divided by an
-        # exact power of two first, and the tolerance's floor of 1 with it;
-        # every other column keeps the scale 1 and its bits.
-        e = np.frexp(np.abs(F).max(axis=1))[1]
-        scale = np.ldexp(1.0, -np.where(e > 500, e, 0))
-        tol = RESIDUAL_TOL * (scale + np.linalg.norm(F * scale[:, None], axis=1))
-        bad = np.argwhere(np.linalg.norm(directions * scale[:, None], axis=1) > tol)
+        # The norms square F's entries, so every column is first divided by the
+        # exact power of two of its largest entry: that keeps them in range and
+        # changes no decision.
+        e = -np.frexp(np.abs(F).max(axis=1))[1][:, None]
+        tol = RESIDUAL_TOL * np.linalg.norm(np.ldexp(F, e), axis=1)
+        bad = np.argwhere(np.linalg.norm(np.ldexp(directions, e), axis=1) > tol)
         if bad.size:
             i, j = bad[0]
             raise UnboundedBelowError(directions[i, :, j], int(i))
@@ -227,19 +226,6 @@ class QpSolution:
         """Basis of Null(C) & Null(A); for a stack, a list of one per matrix."""
         flats = [self.problem.flat(i) for i in range(len(self.problem.keep))]
         return flats if self.problem.C.ndim == 3 else flats[0]
-
-
-def check_bounded(C, F, A):
-    """True iff x'C_ix - 2x'F_i is bounded below on every {x : Ax = b}.
-
-    The criterion is F_i in Ran(A') + Ran(C_i) for every column, as in solve.
-    """
-    b = np.zeros(np.shape(np.atleast_2d(A))[:1] + np.shape(F)[np.ndim(C) - 1 :])
-    try:
-        QpProblem(C=C, F=F, A=A, b=b)._require_bounded()
-    except UnboundedBelowError:
-        return False
-    return True
 
 
 def solve(problem: QpProblem) -> QpSolution:
@@ -328,13 +314,13 @@ def _oblique_constraint_projector(C, A):
 
 
 def _solve_alt(problem):
-    """:func:`solve_alt` with P and C^+ from the projector of its validated C and A."""
+    """:func:`solve_alt` and the projector P of its validated C and A."""
     problem._require_bounded()
     P, C_pinv, branch = _oblique_constraint_projector(problem.C, problem.A)
     eye = np.eye(problem.n)
     x_part = problem.A_pinv @ problem.b
     x_hat = (eye - P) @ C_pinv @ (eye - P.T) @ problem.F + P @ x_part
-    return QpSolution(x_hat, problem.objective(x_hat), problem, branch), P, C_pinv
+    return QpSolution(x_hat, problem.objective(x_hat), problem, branch), P
 
 
 def solve_alt(problem: QpProblem) -> QpSolution:

@@ -85,7 +85,9 @@ def exact_dp(tree, claim, w0):
     v = [Fraction(0)] * n
     e = [Fraction(0)] * n
     for i, t in enumerate(tree.terminal_ids):
-        v[n_int + i] = Fraction(claim.value_at(t))
+        v[n_int + i] = Fraction(
+            float(claim.constant if claim.payoff is None else claim.payoff[t])
+        )
     policy = [None] * n_int
     for i in reversed(range(n_int)):
         kids = range(first[i], first[i + 1])

@@ -2,13 +2,15 @@
 
 The library decides ranks only through ``range_basis`` and ``null_basis``;
 these helpers combine their bases so that tests can compare subspaces under
-the same singular-value cutoff.
+the same singular-value cutoff.  ``in_span`` is the independent membership
+test behind the local no-arbitrage test.
 """
 
 import numpy as np
 
 from mvhedge.linalg import (
     DEFAULT_CTX,
+    RESIDUAL_TOL,
     InvalidInputError,
     _as_matrix,
     null_basis,
@@ -82,3 +84,22 @@ def subspace_contains(outer, inner, ctx=DEFAULT_CTX):
 def subspace_equal(B1, B2, ctx=DEFAULT_CTX):
     """Subspace equality as mutual containment (basis-ordering independent)."""
     return subspace_contains(B1, B2, ctx) and subspace_contains(B2, B1, ctx)
+
+
+def projection_residual(v, basis):
+    """Norm of the part of v orthogonal to span(basis)."""
+    x = np.asarray(v, dtype=float).ravel()
+    B = _as_matrix(basis, "basis", allow_empty=True)
+    if B.shape[0] != x.shape[0]:
+        raise InvalidInputError("vector and basis ambient dimensions differ")
+    if B.shape[1] == 0:
+        return float(np.linalg.norm(x))
+    Q = range_basis(B)
+    return float(np.linalg.norm(x - Q @ (Q.T @ x)))
+
+
+def in_span(v, basis):
+    """Membership test ``v in span(basis)`` up to the residual tolerance."""
+    x = np.asarray(v, dtype=float).ravel()
+    res = projection_residual(x, basis)
+    return res <= RESIDUAL_TOL * (1.0 + float(np.linalg.norm(x)))

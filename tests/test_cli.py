@@ -839,6 +839,17 @@ class TestSolveQpCommand:
         assert "unbounded below" in out
         assert "descent direction" in out
 
+    def test_small_descent_is_unbounded(self, capsys):
+        # F = 1e-12 [1, 1, -1] leans into Null(C) & Null(A) = span([0, 1, -1]);
+        # the boundedness test's tolerance has no floor in F's units.
+        path = os.path.join(DATA, "qp_small_descent.json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["solve-qp", "--model", path]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "unbounded below on the constraint set"
+        assert out[1].startswith("descent direction = [") and len(out) == 2
+
     def test_bad_field_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"C": [[1.0]]}))

@@ -14,12 +14,11 @@ from mvhedge.engine import (
     adjustment,
     adjustment_explicit,
     closed_form_values,
-    feedback_strategy,
     hedging_error,
     myopic_minvar,
     tree_backward,
 )
-from mvhedge.linalg import InvalidInputError, pinv
+from mvhedge.linalg import pinv
 from mvhedge.models import Claim
 from perfbench.workloads import random_tree
 
@@ -113,15 +112,6 @@ class TestAdjustmentExplicit:
         assert ex.branch == "riskfree"
         assert abs(ex.riskfree_rate - r) < 1e-14
         assert abs(ex.a.sum() + 1.0) < 1e-14
-
-    def test_pure_hedge_costs_tracking_value(self):
-        rng = np.random.default_rng(3)
-        d = 3
-        G = rng.normal(size=(d, d))
-        c = G @ G.T
-        ex = adjustment_explicit(rng.normal(size=d) * 0.1, c)
-        xi = ex.pure_hedge(rng.normal(size=d) * 0.05, 0.7)
-        assert abs(xi.sum() - 0.7) < 1e-10
 
     def test_arbitrage_raises_like_adjustment(self):
         b, c = np.array([0.1, 0.2]), np.zeros((2, 2))
@@ -478,11 +468,10 @@ class TestTreeBackward:
             for t in tree.terminal_ids
         )
         assert abs(sol.V0 - price) < 1e-12
-        # exact replication from the tracking value
-        path = [tree.root, tree.nodes[tree.root].branches[0][1]]
-        path.append(tree.nodes[path[-1]].branches[1][1])
-        strat = feedback_strategy(sol, None, sol.V0, path)
-        assert abs(strat.wealth[-1] - payoff[path[-1]]) < 1e-12
+        # exact replication from the tracking value, at every terminal node
+        _, wealth = tree.roll_wealth(sol.feedback, sol.V0)
+        for i, t in enumerate(tree.terminal_ids, start=tree.n_internal):
+            assert abs(wealth[i] - payoff[t]) < 1e-12
 
     def test_opportunity_bounded_by_one_with_constant_asset(self):
         rng = np.random.default_rng(7)
@@ -696,30 +685,6 @@ def _ups(tree, terminal):
 
 
 class TestFeedbackStrategy:
-    def test_self_financing_and_budget(self, discrete_benchmark):
-        values, coeffs = closed_form_values(discrete_benchmark)
-        rng = np.random.default_rng(10)
-        rets = rng.normal(0.1, 0.2, size=(4, 3))
-        strat = feedback_strategy(coeffs, values, 0.4, rets)
-        for t in range(4):
-            assert abs(strat.holdings[t].sum() - strat.wealth[t]) < 1e-10
-            assert (
-                abs(strat.wealth[t + 1] - strat.wealth[t] - strat.holdings[t] @ rets[t])
-                < 1e-12
-            )
-
-    def test_manual_recursion_at_mean_returns(self, discrete_benchmark):
-        # Hand-rolled recursion with returns pinned at the mean.
-        values, coeffs = closed_form_values(discrete_benchmark)
-        mu = discrete_benchmark.mu
-        v = 0.2
-        strat = feedback_strategy(coeffs, values, v, np.tile(mu, (4, 1)))
-        wealth = v
-        for t in range(4):
-            pi = coeffs.xi[t] + (values.V[t] - wealth) * coeffs.a[t]
-            wealth = wealth + float(pi @ mu)
-        assert abs(strat.wealth[-1] - wealth) < 1e-12
-
     def test_zero_claim_terminal_second_moment(self):
         # Hedging H = 0 from wealth v: E[wealth_T^2] = L0 v^2 by enumeration.
         rng = np.random.default_rng(11)
@@ -730,65 +695,6 @@ class TestFeedbackStrategy:
         for v in (1.0, -0.3):
             probs, wealth, _ = enumerate_terminal_wealth(tree, sol, v)
             assert abs(probs @ wealth**2 - sol.L0 * v**2) < 1e-10
-
-    def test_shape_mismatch_rejected(self, discrete_benchmark):
-        values, coeffs = closed_form_values(discrete_benchmark)
-        with pytest.raises(ValueError):
-            feedback_strategy(coeffs, values, 0.0, np.zeros((2, 3)))
-
-    def test_non_child_tree_path_rejected(self):
-        tree = complete_binomial_tree(periods=2)
-        sol = tree_backward(tree, Claim(constant=1.0))
-        terminals = list(tree.terminal_ids)
-        with pytest.raises(ValueError):
-            feedback_strategy(sol, None, 0.0, [tree.root, terminals[0]])
-        child = tree.nodes[tree.root].branches[0][1]
-        with pytest.raises(InvalidInputError, match="at least one node id"):
-            feedback_strategy(sol, None, 0.0, [])
-        with pytest.raises(InvalidInputError, match="unknown node id 'nope'"):
-            feedback_strategy(sol, None, 0.0, ["nope", child])
-        with pytest.raises(InvalidInputError, match="unknown node id 'nope'"):
-            feedback_strategy(sol, None, 0.0, [tree.root, "nope"])
-
-    def test_one_node_tree_path(self):
-        # On a one-node tree the root is terminal: the path rolls no step.
-        tree = models.FiniteTreeModel([("r", 0, np.array([1.0, 2.0]), [])], "r")
-        sol = tree_backward(tree, Claim(constant=1.0))
-        strat = feedback_strategy(sol, None, 0.3, [tree.root])
-        assert strat.holdings.shape == (0, tree.d)
-        assert strat.wealth.tolist() == [0.3]
-
-    def test_partial_tree_path_rejected(self):
-        tree = complete_binomial_tree(periods=2)
-        sol = tree_backward(tree, Claim(constant=1.0))
-        child = tree.nodes[tree.root].branches[0][1]
-        grandchild = tree.nodes[child].branches[0][1]
-        with pytest.raises(InvalidInputError, match=f"starts at the root.*{child!r}"):
-            feedback_strategy(sol, None, 0.0, [child, grandchild])
-        with pytest.raises(InvalidInputError, match=f"ends at a terminal.*{child!r}"):
-            feedback_strategy(sol, None, 0.0, [tree.root, child])
-        with pytest.raises(InvalidInputError, match="ends at a terminal"):
-            feedback_strategy(sol, None, 0.0, [tree.root])
-
-    @pytest.mark.parametrize("shape", ["generic", "riskless", "duplicated", "mixed"])
-    def test_path_roll_matches_tree_roll(self, shape):
-        # Every root-to-terminal path rolls bit for bit like the whole tree.
-        rng = np.random.default_rng(41)
-        if shape == "mixed":
-            tree = mixed_tree(rng)
-        else:
-            tree = models.FiniteTreeModel(*random_tree(rng, 3, 3, shape)[:2])
-        sol = tree_backward(tree, random_claim(rng, tree))
-        v = float(rng.uniform(-1, 1))
-        holdings, wealth = tree.roll_wealth(sol.feedback, v)
-        for terminal in range(tree.n_internal, len(tree.ids)):
-            pos = [terminal]
-            while pos[-1] != 0:
-                pos.append(int(tree.parent[pos[-1]]))
-            pos = pos[::-1]
-            strat = feedback_strategy(sol, None, v, [tree.ids[i] for i in pos])
-            assert np.array_equal(strat.wealth, wealth[pos])
-            assert np.array_equal(strat.holdings, holdings[pos[:-1]])
 
 
 class TestHedgingError:

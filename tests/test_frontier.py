@@ -8,7 +8,6 @@ from mvhedge.frontier import (
     ThresholdNotApplicableError,
     efficient_threshold,
     frontier_coeffs,
-    sample_frontier,
     write_frontier_csv,
 )
 
@@ -103,28 +102,8 @@ class TestEfficientThreshold:
 class TestSampling:
     def test_vertex_value(self, discrete_triple):
         _, var = frontier_coeffs(discrete_triple)
-        pts = sample_frontier(var, var.center - 1e-9, var.center + 1e-9, 3)
-        assert abs(pts[1, 1] - var.intercept) < 1e-12
+        assert abs(var.value_at(var.center) - var.intercept) < 1e-12
         assert abs(var.value_at(1.6466) - 0.075446) < 5e-6
-
-    def test_points_satisfy_curve(self, ito_triple):
-        sm, var = frontier_coeffs(ito_triple)
-        pts = sample_frontier(var, 0.0, 3.0, 2)
-        for mean, value in pts:
-            assert abs(value - var.value_at(mean)) < 1e-12
-        assert pts[0, 0] == 0.0 and pts[-1, 0] == 3.0
-
-    def test_monotone_means(self, discrete_triple):
-        _, var = frontier_coeffs(discrete_triple)
-        pts = sample_frontier(var, -1.0, 4.0, 37)
-        assert np.all(np.diff(pts[:, 0]) > 0)
-
-    def test_invalid_ranges_rejected(self, discrete_triple):
-        _, var = frontier_coeffs(discrete_triple)
-        with pytest.raises(ValueError):
-            sample_frontier(var, 1.0, 0.0, 10)
-        with pytest.raises(ValueError):
-            sample_frontier(var, 0.0, 1.0, 1)
 
 
 class TestCsv:

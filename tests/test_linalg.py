@@ -4,7 +4,6 @@ import pytest
 from mvhedge import linalg
 from mvhedge.linalg import (
     InvalidInputError,
-    in_span,
     null_basis,
     oblique_projector,
     orth_projector,
@@ -12,6 +11,7 @@ from mvhedge.linalg import (
     range_basis,
 )
 from subspaces import (
+    in_span,
     matrix_rank,
     subspace_complement,
     subspace_contains,

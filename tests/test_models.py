@@ -1,11 +1,14 @@
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import complete_binomial_tree, make_tree, moment_matched_tree, tree_dict
-from mvhedge import models, oracle
+from mvhedge import models, oracle, qp
+from mvhedge.cli import main
+from mvhedge.engine import LocalArbitrageError, adjustment
 from mvhedge.linalg import InvalidInputError
 from mvhedge.models import (
     Claim,
@@ -14,11 +17,12 @@ from mvhedge.models import (
     InvalidModelError,
     InvalidNumeraireError,
     PiiItoModel,
-    check_local_na,
     discount_tree,
     load_config,
     model_from_dict,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestIidModel:
@@ -112,29 +116,6 @@ class TestTreeModel:
             terminal = tree.node_probabilities()[tree.n_internal :]
             assert abs(terminal.sum() - 1.0) < 1e-12
 
-    def test_two_point_single_asset(self):
-        u = 0.3
-        tree = FiniteTreeModel(
-            [
-                ("r", 0, [1.0], [(0.5, "up"), (0.5, "dn")]),
-                ("up", 1, [1.0 + u], []),
-                ("dn", 1, [1.0 - u], []),
-            ],
-            "r",
-        )
-        b, c = tree.log_characteristics("r")
-        assert abs(b[0]) < 1e-15
-        assert abs(c[0, 0] - u**2) < 1e-15
-
-    def test_conditional_covariance_psd(self):
-        rng = np.random.default_rng(11)
-        tree = make_tree(rng, n_assets=3, periods=2)
-        for nid, node in tree.nodes.items():
-            if not node.branches:
-                continue
-            b, c = tree.log_characteristics(nid)
-            assert np.linalg.eigvalsh(c - np.outer(b, b)).min() > -1e-12
-
     def test_probabilities_renormalized_with_warning(self):
         eps = 5e-13
         with pytest.warns(UserWarning, match="renormalizing"):
@@ -182,11 +163,14 @@ class TestTreeModel:
                 "r",
             )
 
-    def test_claim_requires_all_terminals(self):
-        tree = complete_binomial_tree(periods=1)
-        claim = Claim(payoff={tree.terminal_ids[0]: 1.0})
-        with pytest.raises(InvalidModelError):
-            claim.value_at(tree.terminal_ids[1])
+    def test_claim_requires_all_terminals(self, capsys):
+        # A config's claim map is checked where the tree commands read it:
+        # each exits 2 with one line naming the terminal node it lacks.
+        path = str(DATA / "tree_claim_missing_terminal.json")
+        for command in ("hedge", "oracle", "simulate"):
+            assert main([command, "--model", path]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert err == ["claim payoff undefined at terminal node 'd'"]
 
     def test_claim_spec_exclusivity(self):
         with pytest.raises(InvalidModelError):
@@ -295,43 +279,30 @@ class TestTreeValidation:
 
 
 class TestLocalNoArbitrage:
+    # Local no-arbitrage is the boundedness of the adjustment problem:
+    # engine.adjustment raises LocalArbitrageError exactly when the drift
+    # leaves Ran(c) + span(ones).
     def test_full_rank_always_passes(self):
-        assert check_local_na(np.array([5.0, -3.0]), np.eye(2))
+        adjustment(np.array([5.0, -3.0]), np.eye(2))
 
     def test_riskless_drift_absorbed(self):
         d = 3
-        assert check_local_na(0.07 * np.ones(d), np.zeros((d, d)))
+        adjustment(0.07 * np.ones(d), np.zeros((d, d)))
 
     def test_unspanned_drift_fails(self):
-        assert not check_local_na(np.array([0.1, 0.2]), np.zeros((2, 2)))
+        with pytest.raises(LocalArbitrageError):
+            adjustment(np.array([0.1, 0.2]), np.zeros((2, 2)))
 
     def test_malformed_second_characteristic_rejected(self):
         for c in (np.ones((2, 3)), [[1.0, 0.5], [0.0, 1.0]], [[1.0, 0.0], [0.0, -1.0]]):
-            with pytest.raises(InvalidModelError):
-                check_local_na(np.zeros(2), c)
-
-    def test_one_psd_validation_per_call(self, monkeypatch):
-        # The QpProblem behind check_bounded validates c (eigvalsh), then one
-        # SVD of ones' and one eigh of the restricted quadratic decide.
-        calls = []
-        for name in ("svd", "eigh", "eigvalsh"):
-            original = getattr(np.linalg, name)
-
-            def counting(*args, _original=original, _name=name, **kwargs):
-                calls.append(_name)
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counting)
-        c = np.array([[0.04, 0.01, 0.0], [0.01, 0.09, 0.02], [0.0, 0.02, 0.16]])
-        assert check_local_na(np.array([0.05, 0.08, 0.1]), c)
-        assert calls.count("eigvalsh") == 1 and len(calls) <= 3, calls
+            with pytest.raises(qp.InvalidProblemError):
+                adjustment(np.zeros(2), c)
 
     def test_agrees_with_range_membership(self):
         # b in Ran(c) + span(ones), tested directly by projection residual;
         # a zero row (riskless asset) or a repeated row (duplicated asset)
         # makes c singular.
-        from mvhedge.linalg import in_span
-        from subspaces import subspace_sum
+        from subspaces import in_span, subspace_sum
 
         rng = np.random.default_rng(12)
         verdicts = set()
@@ -345,7 +316,12 @@ class TestLocalNoArbitrage:
             c = G @ G.T
             b = rng.normal(size=d) if trial % 2 else c @ rng.normal(size=d) + 0.03
             expected = in_span(b, subspace_sum(c, np.ones((d, 1))))
-            assert check_local_na(b, c) == expected
+            try:
+                adjustment(b, c)
+            except LocalArbitrageError:
+                assert not expected
+            else:
+                assert expected
             verdicts.add(expected)
         assert verdicts == {True, False}
 
@@ -685,7 +661,7 @@ class TestConfigIO:
         path.write_text(json.dumps(cfg))
         model, claim, wealth, step = load_config(path)
         assert isinstance(model, FiniteTreeModel)
-        assert claim.value_at("u") == 0.6
+        assert claim.constant is None and claim.payoff == {"u": 0.6, "d": 0.0}
         assert wealth is None
         assert step is None
 

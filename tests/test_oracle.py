@@ -189,7 +189,7 @@ class TestNumeraireChange:
             base, reports = oracle._numeraire_reports(tree, claim, assets, v)
             (stacked,) = members
             assert len(stacked) == 1 + len(assets) and stacked[0] is base
-            h = np.array([claim.value_at(t) for t in tree.terminal_ids])
+            h = np.array([claim.payoff[t] for t in tree.terminal_ids])
             separate = [dp_solve(tree, claim, v)]
             for j in assets:
                 values = h / tree.prices[tree.n_internal :, j]
