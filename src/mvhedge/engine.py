@@ -16,7 +16,7 @@ import numpy as np
 
 from . import qp
 from .linalg import InvalidInputError
-from .models import Claim, FiniteTreeModel, IidDiscreteModel, PiiItoModel
+from .models import Claim, IidDiscreteModel, PiiItoModel
 from .models import _by_node, _quad, _rowdot, _terminal_values
 
 __all__ = [
@@ -91,15 +91,13 @@ def adjustment(b, c):
 class ExplicitAdjustment:
     """Adjustment portfolio in the oblique-projector representation.
 
-    ``branch`` is "spanned" when the fully invested direction lies in Ran(c)
-    (no instantaneously risk-free portfolio exists), "riskfree" otherwise.
     ``weight`` = P ones/d is the fully invested portfolio that the projector P
-    spans: c^+ ones / (ones'c^+ ones) when spanned, else the risk-free
-    portfolio, whose rate ``weight . b`` is ``riskfree_rate``.
+    spans: c^+ ones / (ones'c^+ ones) when the fully invested direction lies
+    in Ran(c), else the instantaneously risk-free portfolio, whose rate
+    ``weight . b`` is ``riskfree_rate`` (None when no such portfolio exists).
     """
 
     a: np.ndarray
-    branch: str
     weight: np.ndarray
     riskfree_rate: float | None
 
@@ -109,24 +107,17 @@ def adjustment_explicit(b, c):
 
     :func:`qp.solve_alt` on the problem of :func:`adjustment`:
     ``a = (I - P) c^+ (I - P') b - P ones/d``, where P projects along
-    Null(ones') onto a direction adapted to Ran(c); its branches "direct" and
-    "complement" are "spanned" and "riskfree" here.  Raises what
-    :func:`adjustment` raises: :class:`LocalArbitrageError` with a
-    certificate, or :class:`qp.InvalidProblemError` for a c that is not
-    symmetric positive semidefinite.
+    Null(ones') onto a direction adapted to Ran(c); its "complement" branch
+    carries the risk-free rate.  Raises what :func:`adjustment` raises:
+    :class:`LocalArbitrageError` with a certificate, or
+    :class:`qp.InvalidProblemError` for a c that is not symmetric positive
+    semidefinite.
     """
     b = np.asarray(b, dtype=float).ravel()
     sol, P = _solve_portfolio(c, b, -1.0, solve=qp._solve_alt)
-    weight, rate = _riskfree(P, sol.branch, b)
-    branch = "spanned" if rate is None else "riskfree"
-    return ExplicitAdjustment(sol.x_hat, branch, weight, rate)
-
-
-def _riskfree(P, branch, b):
-    """The portfolio ``P ones/d`` spanned by the adjustment problem's oblique
-    projector P, and its rate ``weight . b`` on "complement" (else None)."""
     weight = P @ qp._ones(len(b)).A_pinv[:, 0]
-    return weight, float(weight @ b) if branch == "complement" else None
+    rate = float(weight @ b) if sol.branch == "complement" else None
+    return ExplicitAdjustment(sol.x_hat, weight, rate)
 
 
 def myopic_minvar(b, c):
@@ -173,14 +164,11 @@ class HedgeCoefficients:
 
     Row t of each array applies over the step from times[t] to times[t+1]:
     ``a`` costs -1, ``xi`` costs V at the step start, ``zeta`` costs 1.
-    ``riskfree_rate`` is per-step and NaN where no instantaneously risk-free
-    portfolio exists (None when the model admits none at all).
     """
 
     a: np.ndarray
     xi: np.ndarray
     zeta: np.ndarray
-    riskfree_rate: np.ndarray | None = None
 
 
 class ClosedFormResult(NamedTuple):
@@ -222,7 +210,6 @@ def _iid_closed_form(model):
         a=np.broadcast_to(a, (T, a.shape[0])),
         xi=xi,
         zeta=np.broadcast_to(zeta, (T, zeta.shape[0])),
-        riskfree_rate=None,
     )
     values = ValueProcesses(np.arange(T + 1.0), L, V, eps2, steps * np.log(growth))
     return ClosedFormResult(values, coeffs)
@@ -235,37 +222,34 @@ def _tail_sums(x):
 
 def _pii_closed_form(model):
     """Closed form of a piecewise-constant Ito model: one stacked QP solves a
-    and zeta for every segment, and each segment's risk-free rate is read from
-    the oblique projector of that problem's validated c_i (NaN on "direct")."""
+    and zeta for every segment, and L, V and eps2 are exact segment sums."""
     segs = model.segments
     b, c = np.array([seg.b for seg in segs]), np.array([seg.c for seg in segs])
     targets = np.stack([b, np.zeros_like(b)], axis=-1)
     sol = _solve_portfolio(c, targets, [-1.0, 1.0], lambda i: f"segment {i}")
     a, zeta = sol.x_hat[..., 0], sol.x_hat[..., 1]
-    ab, w = _rowdot(a, b), _quad(a, c, a)
     t = np.concatenate([[0.0], np.cumsum([seg.duration for seg in segs])])
     dt = np.diff(t)
     # Backward integrals of d log L / dt and d log(L V) / dt from each boundary
-    # to the horizon: L = exp(int_L) and V = exp(int_LV - int_L) there.
-    int_L, int_LV = _tail_sums((-2.0 * ab + w) * dt), _tail_sums(-ab * dt)
-    if not np.all(np.maximum(int_L, int_LV - int_L) <= np.log(np.finfo(float).max)):
+    # to the horizon: L = exp(int_L) and V = exp(int_LV - int_L) there.  A
+    # drift near the float range overflows them to inf or nan, which the
+    # range check below rejects in one error.
+    with np.errstate(over="ignore", invalid="ignore"):
+        ab, w = _rowdot(a, b), _quad(a, c, a)
+        int_L, int_LV = _tail_sums((-2.0 * ab + w) * dt), _tail_sums(-ab * dt)
+        log_max = np.maximum(int_L, int_LV - int_L)
+    if not np.all(log_max <= np.log(np.finfo(float).max)):
         raise InvalidInputError(
             f"the value processes overflow over the horizon {model.horizon:g}: "
             "exp(log L) or exp(log V) exceeds the float range"
         )
-    riskfree = []
-    for c_i, b_i in zip(sol.problem.C, b):
-        P, _, branch = qp._oblique_constraint_projector(c_i, sol.problem.A)
-        riskfree.append(_riskfree(P, branch, b_i)[1])
-    riskfree = np.array(riskfree, dtype=float)  # None reads NaN
     int_err = _tail_sums(w * dt)  # error integral from each boundary to the horizon
     piece = np.divide(
         1.0 - np.exp(-w * dt), w, out=dt.copy(), where=np.abs(w * dt) >= 1e-14
     )
     eps2 = _tail_sums(_quad(zeta, c, zeta) * np.exp(-int_err[1:]) * piece)
     L, V = np.exp(int_L), np.exp(int_LV - int_L)
-    rates = None if np.all(np.isnan(riskfree)) else riskfree
-    coeffs = HedgeCoefficients(a, V[:-1, None] * zeta, zeta, rates)
+    coeffs = HedgeCoefficients(a, V[:-1, None] * zeta, zeta)
     return ClosedFormResult(ValueProcesses(t, L, V, eps2, int_L), coeffs)
 
 
@@ -295,11 +279,10 @@ class TreeSolution(_RootValues):
     (internal, d) dollar portfolios of the non-terminal nodes, which come
     first in node order; ``levels`` holds, per non-terminal level root first,
     the stacked least-squares kernel's N V and ``keep``, from which
-    :attr:`null_basis` reads each node's flat directions.
-    ``tree.index[nid]`` is the position of node ``nid``.
+    :attr:`null_basis` reads each node's flat directions.  Callers keep the
+    solved tree: its ``tree.index[nid]`` is the position of node ``nid``.
     """
 
-    tree: FiniteTreeModel
     claim: Claim
     L: np.ndarray
     V: np.ndarray
@@ -376,7 +359,7 @@ def tree_backward(tree, claim, adjustment_override=None):
         xi_here = xi[here] = x[:, :, 1] - V_here[:, None] * x[:, :, 0]
         miss = V_next - V_here[owner] - _rowdot(R, xi_here[owner])
         eps2[here] = sums(p * eps2[kids]) + mean_L * sums(q * miss**2)
-    return TreeSolution(tree, claim, L, V, eps2, a, xi, flats[::-1])
+    return TreeSolution(claim, L, V, eps2, a, xi, flats[::-1])
 
 
 def hedging_error(values, v):

@@ -74,17 +74,12 @@ class FrontierTriple:
 
 @dataclass(frozen=True)
 class FrontierCurve:
-    """One parabola value = intercept + slope * (mean - center)^2.
+    """One parabola value = intercept + slope * (mean - center)^2, in the
+    second-moment or the variance form of :func:`frontier_coeffs`."""
 
-    ``parametrization`` is "second_moment" or "variance"; the generating
-    triple travels with the curve for provenance.
-    """
-
-    parametrization: str
     intercept: float
     slope: float
     center: float
-    triple: FrontierTriple
 
     def value_at(self, mean):
         mean = np.asarray(mean, dtype=float)
@@ -116,20 +111,8 @@ def frontier_coeffs(triple: FrontierTriple):
             "L0 V0^2 + eps2 vanishes: the payoff 1 is orthogonal to all "
             "attainable wealth",
         )
-    second_moment = FrontierCurve(
-        parametrization="second_moment",
-        intercept=L0,
-        slope=1.0 / slope_den,
-        center=L0 * V0,
-        triple=triple,
-    )
-    variance = FrontierCurve(
-        parametrization="variance",
-        intercept=L0 * eps2 / cost,
-        slope=1.0 / slope_den - 1.0,
-        center=L0 * V0 / cost,
-        triple=triple,
-    )
+    second_moment = FrontierCurve(L0, 1.0 / slope_den, L0 * V0)
+    variance = FrontierCurve(L0 * eps2 / cost, 1.0 / slope_den - 1.0, L0 * V0 / cost)
     return second_moment, variance
 
 

@@ -60,12 +60,11 @@ class NumericContext:
 DEFAULT_CTX = NumericContext()
 
 
-def _as_matrix(M, name="matrix", allow_empty=False):
+def _as_matrix(M, name="matrix"):
     A = np.asarray(M, dtype=float)
     if A.ndim == 1:
         A = A.reshape(-1, 1)
-    min_cols = 0 if allow_empty else 1
-    if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < min_cols:
+    if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
         raise InvalidInputError(f"{name} must be a 2-d array, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise InvalidInputError(f"{name} contains non-finite entries")

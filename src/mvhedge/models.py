@@ -116,11 +116,7 @@ class PiiItoModel:
             raise InvalidModelError("at least one segment is required")
         cleaned = []
         d = None
-        for i, seg in enumerate(segments):
-            if isinstance(seg, PiiSegment):
-                duration, b, c = seg.duration, seg.b, seg.c
-            else:
-                duration, b, c = seg
+        for i, (duration, b, c) in enumerate(segments):
             duration = float(duration)
             if not duration > 0:
                 raise InvalidModelError(f"segment {i} has non-positive duration")

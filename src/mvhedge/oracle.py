@@ -426,7 +426,8 @@ def _pii_law(model, coeffs, values, step):
     if step is None or not step > 0:
         raise InvalidInputError(f"a positive Euler step is required, got {step}")
     bounds = values.times
-    n_subs = np.ceil(np.diff(bounds) / step - 1e-12)
+    with np.errstate(over="ignore"):  # an infinite count fails the check below
+        n_subs = np.ceil(np.diff(bounds) / step - 1e-12)
     if n_subs.sum() > MAX_STEPS:
         raise InvalidInputError(
             f"an Euler step of {step:g} needs {n_subs.sum():.3g} steps; "

@@ -12,15 +12,27 @@ from mvhedge.linalg import (
     DEFAULT_CTX,
     RESIDUAL_TOL,
     InvalidInputError,
-    _as_matrix,
     null_basis,
     range_basis,
 )
 
 
+def _as_basis(M, name="basis"):
+    """Finite 2-d float array of at least one row; a 1-D input is one column
+    and zero columns (the empty basis) are allowed."""
+    A = np.asarray(M, dtype=float)
+    if A.ndim == 1:
+        A = A.reshape(-1, 1)
+    if A.ndim != 2 or A.shape[0] < 1:
+        raise InvalidInputError(f"{name} must be a 2-d array, got shape {A.shape}")
+    if not np.all(np.isfinite(A)):
+        raise InvalidInputError(f"{name} contains non-finite entries")
+    return A
+
+
 def matrix_rank(M, ctx=DEFAULT_CTX):
     """Numerical rank under the shared singular-value cutoff."""
-    A = _as_matrix(M)
+    A = _as_basis(M, "matrix")
     s = np.linalg.svd(A, compute_uv=False)
     return int(np.sum(s > ctx.cutoff(s, A.shape)))
 
@@ -34,7 +46,7 @@ def _check_ambient(bases):
 
 def subspace_sum(*bases, ctx=DEFAULT_CTX):
     """Orthonormal basis of the sum of the spanned subspaces."""
-    mats = [_as_matrix(b, "basis", allow_empty=True) for b in bases]
+    mats = [_as_basis(b) for b in bases]
     n = _check_ambient(mats)
     stacked = np.hstack(mats) if mats else np.zeros((n, 0))
     if stacked.shape[1] == 0:
@@ -49,8 +61,8 @@ def subspace_intersection(B1, B2, ctx=DEFAULT_CTX):
     complements, so the intersection is the kernel of the stacked complement
     bases (which keeps every entry at unit scale).
     """
-    M1 = _as_matrix(B1, "basis", allow_empty=True)
-    M2 = _as_matrix(B2, "basis", allow_empty=True)
+    M1 = _as_basis(B1)
+    M2 = _as_basis(B2)
     n = _check_ambient([M1, M2])
     if M1.shape[1] == 0 or M2.shape[1] == 0:
         return np.zeros((n, 0))
@@ -63,7 +75,7 @@ def subspace_intersection(B1, B2, ctx=DEFAULT_CTX):
 
 def subspace_complement(B, ctx=DEFAULT_CTX):
     """Orthonormal basis of the orthogonal complement of span(B)."""
-    M = _as_matrix(B, "basis", allow_empty=True)
+    M = _as_basis(B)
     if M.shape[1] == 0:
         return np.eye(M.shape[0])
     return null_basis(M.T, ctx)
@@ -71,8 +83,8 @@ def subspace_complement(B, ctx=DEFAULT_CTX):
 
 def subspace_contains(outer, inner, ctx=DEFAULT_CTX):
     """True iff span(inner) is contained in span(outer) under the rank cutoff."""
-    Mo = _as_matrix(outer, "outer basis", allow_empty=True)
-    Mi = _as_matrix(inner, "inner basis", allow_empty=True)
+    Mo = _as_basis(outer, "outer basis")
+    Mi = _as_basis(inner, "inner basis")
     _check_ambient([Mo, Mi])
     if Mi.shape[1] == 0:
         return True
@@ -89,7 +101,7 @@ def subspace_equal(B1, B2, ctx=DEFAULT_CTX):
 def projection_residual(v, basis):
     """Norm of the part of v orthogonal to span(basis)."""
     x = np.asarray(v, dtype=float).ravel()
-    B = _as_matrix(basis, "basis", allow_empty=True)
+    B = _as_basis(basis)
     if B.shape[0] != x.shape[0]:
         raise InvalidInputError("vector and basis ambient dimensions differ")
     if B.shape[1] == 0:

@@ -303,12 +303,25 @@ def test_unread_flag_exits_2(command, flag, capsys):
             "numeraire asset 0 reweights the branch probability of node 'd' to "
             "0.0, outside the positive float range",
         ),
+        (
+            "simulate",
+            "pii_tiny_step.json",
+            "an Euler step of 1e-310 needs inf steps; at most 1000000 are allowed",
+        ),
+        (
+            "frontier",
+            "pii_huge_drift.json",
+            "the value processes overflow over the horizon 5: exp(log L) or "
+            "exp(log V) exceeds the float range",
+        ),
     ],
     ids=[
         "edge-return-overflow",
         "tiny-numeraire",
         "tiny-terminal-numeraire",
         "underflowed-branch-probability",
+        "ito-tiny-step",
+        "ito-huge-drift",
     ],
 )
 def test_float_range_failures_exit_2_without_warnings(command, config, error, capsys):
@@ -316,7 +329,9 @@ def test_float_range_failures_exit_2_without_warnings(command, config, error, ca
     # numeraire's second moment; asset 0's 1e-160 at node 'd' overflows the
     # root's reweighting ratio and asset 1's discounted edge return; asset 0
     # priced 1, 1e5 and 1e-160 reweights node 'd' by 0.5e-320 / 0.5e10, which
-    # underflows to 0.  Each is one named error, not a warning.
+    # underflows to 0.  On the Ito path, a step of 1e-310 overflows the
+    # segment's step count to inf, and a drift of 1e300 overflows a b and
+    # a c a'.  Each is one named error, not a warning.
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert main([command, "--model", os.path.join(DATA, config)]) == 2

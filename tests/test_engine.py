@@ -82,7 +82,6 @@ class TestAdjustmentExplicit:
             c = G @ G.T  # full rank: ones always spanned
             b = rng.normal(size=d) * 0.1
             ex = adjustment_explicit(b, c)
-            assert ex.branch == "spanned"
             assert ex.riskfree_rate is None
             a, _ = adjustment(b, c)
             assert np.abs(ex.a - a).max() < 1e-10
@@ -98,7 +97,7 @@ class TestAdjustmentExplicit:
             c = basis @ np.diag([1.3, 0.6]) @ basis.T
             b = c @ rng.normal(size=d) + 0.02 * np.ones(d)
             ex = adjustment_explicit(b, c)
-            assert ex.branch == "riskfree"
+            assert ex.riskfree_rate is not None
             assert abs(ex.weight.sum() - 1.0) < 1e-10
             assert abs(ex.riskfree_rate - ex.weight @ b) < 1e-12
             a, _ = adjustment(b, c)
@@ -109,7 +108,7 @@ class TestAdjustmentExplicit:
         d = 3
         r = 0.04
         ex = adjustment_explicit(r * np.ones(d), np.zeros((d, d)))
-        assert ex.branch == "riskfree"
+        assert ex.riskfree_rate is not None
         assert abs(ex.riskfree_rate - r) < 1e-14
         assert abs(ex.a.sum() + 1.0) < 1e-14
 
@@ -267,7 +266,6 @@ class TestClosedFormIto:
         assert abs(values.L0 - 2.21772301) < 1e-8
         assert abs(values.L0 * values.V0 - 1.20696211) < 1e-8
         assert abs(values.eps2_0 - 0.28028620) < 1e-8
-        assert coeffs.riskfree_rate is None
         # pure hedge is the tracking value times the myopic portfolio
         b, c = ito_benchmark.log_characteristics(0.0)
         zeta = myopic_minvar(b, c)
@@ -362,11 +360,8 @@ class TestClosedFormIto:
         c = basis @ np.diag([0.8, 0.5]) @ basis.T
         b = c @ rng.normal(size=d) + 0.04 * np.ones(d)
         model = models.PiiItoModel([(2.0, b, c)])
-        values, coeffs = closed_form_values(model)
-        ex = adjustment_explicit(b, c)
-        r = ex.riskfree_rate
-        assert coeffs.riskfree_rate is not None
-        assert abs(coeffs.riskfree_rate[0] - r) < 1e-12
+        values, _ = closed_form_values(model)
+        r = adjustment_explicit(b, c).riskfree_rate
         assert abs(values.eps2_0) < 1e-12
         assert abs(values.V0 - np.exp(-2.0 * r)) < 1e-12
         ci = pinv(c)
@@ -383,8 +378,8 @@ class TestClosedFormIto:
         assert np.allclose(coeffs.a[0], [-1.0])
 
     def test_riskless_asset_at_rate_zero(self):
-        # Asset 0 has b = 0 and a zero row and column in every segment; the
-        # measured rates are exactly 0.
+        # Asset 0 has b = 0 and a zero row and column in every segment; each
+        # segment's risk-free rate is exactly 0.
         rng = np.random.default_rng(7)
         for _ in range(20):
             d = int(rng.integers(2, 5))
@@ -395,33 +390,12 @@ class TestClosedFormIto:
                 c[1:, 1:] = 0.1 * G @ G.T
                 b = np.concatenate([[0.0], 0.1 * rng.normal(size=d - 1)])
                 segments.append((float(rng.uniform(0.2, 2.0)), b, c))
-            coeffs = closed_form_values(models.PiiItoModel(segments)).coeffs
-            assert np.abs(coeffs.riskfree_rate).max() <= 1e-15
-
-    def test_riskfree_rates_match_adjustment_explicit(self):
-        # Each rate comes from the projector of the stacked problem's c_i: bit
-        # for bit adjustment_explicit's, and NaN where that is None.
-        rng = np.random.default_rng(24)
-        kinds = ["generic", "riskless", "rank-deficient", "near-riskless"]
-        for _ in range(20):
-            d = int(rng.integers(2, 6))
-            segments = []
-            for kind in rng.permutation(kinds):
-                if kind == "generic":
-                    G = rng.normal(size=(d, d))
-                    b, c = 0.1 * rng.normal(size=d), G @ G.T / d
-                else:
-                    b, c = TestAdjustmentExplicit._degenerate_market(rng, kind, d)
-                segments.append((float(rng.uniform(0.2, 2.0)), b, c))
-            model = models.PiiItoModel(segments)
-            rates = closed_form_values(model).coeffs.riskfree_rate
-            explicit = [adjustment_explicit(g.b, g.c) for g in model.segments]
-            expected = np.array([e.riskfree_rate for e in explicit], dtype=float)
-            assert rates.tobytes() == expected.tobytes()
+            for seg in models.PiiItoModel(segments).segments:
+                assert abs(adjustment_explicit(seg.b, seg.c).riskfree_rate) <= 1e-15
 
     def test_one_eigh_and_one_eigvalsh(self, ito_benchmark, monkeypatch):
         # The stacked QP validates (eigvalsh) and factors (eigh) every
-        # segment's c at once; the rates reuse its validated matrices.
+        # segment's c at once; once ones' is factored, no SVD runs at all.
         rng = np.random.default_rng(5)
         segments = []
         for _ in range(3):
@@ -429,7 +403,7 @@ class TestClosedFormIto:
             segments.append((1.0, 0.1 * rng.normal(size=3), 0.1 * G @ G.T))
         segments.append((1.0, [0.0, 0.1, 0.2], np.diag([0.0, 0.1, 0.2])))
         calls = []
-        for name in ("eigh", "eigvalsh"):
+        for name in ("eigh", "eigvalsh", "svd"):
             original = getattr(np.linalg, name)
 
             def counting(*args, _original=original, _name=name, **kwargs):
@@ -438,6 +412,7 @@ class TestClosedFormIto:
 
             monkeypatch.setattr(np.linalg, name, counting)
         for model in (ito_benchmark, models.PiiItoModel(segments)):
+            qp._ones(model.d)
             calls.clear()
             closed_form_values(model)
             assert sorted(calls) == ["eigh", "eigvalsh"], calls

@@ -54,11 +54,6 @@ class TestCoefficients:
         sm, var = frontier_coeffs(discrete_triple)
         assert abs(var.slope - (sm.slope - 1.0)) < 1e-14
 
-    def test_provenance_carried(self, discrete_triple):
-        sm, var = frontier_coeffs(discrete_triple)
-        assert sm.triple is discrete_triple
-        assert var.triple is discrete_triple
-
     def test_riskless_market_degenerates(self):
         # A single riskless asset: unit wealth replicates the payoff 1 exactly
         # and the variance frontier collapses to the point (e^{rT}, 0).
@@ -95,8 +90,13 @@ class TestEfficientThreshold:
             efficient_threshold(FrontierTriple(L0=1.0, V0_1=-0.5, eps2_0_1=0.1))
 
     def test_vanishing_denominator_rejected(self):
-        with pytest.raises((ThresholdNotApplicableError, DegenerateFrontierError)):
-            efficient_threshold(FrontierTriple(L0=1.0, V0_1=0.0, eps2_0_1=0.0))
+        # V0(1) > 0 passes the threshold's own check, and the cost of one,
+        # L0 V0^2 + eps2 = 1e-16, is the vanishing center denominator of both.
+        triple = FrontierTriple(L0=1.0, V0_1=1e-8, eps2_0_1=0.0)
+        for compute in (efficient_threshold, frontier_coeffs):
+            with pytest.raises(DegenerateFrontierError) as err:
+                compute(triple)
+            assert err.value.which == "center_denominator"
 
 
 class TestSampling:
