@@ -161,14 +161,7 @@ def cmd_simulate(args):
         if isinstance(model, models.PiiItoModel) and step is None:
             step = min(s.duration for s in model.segments) / 100.0
         report = oracle.mc_simulate(
-            model,
-            result.coeffs,
-            result.values,
-            claim,
-            wealth,
-            n_paths,
-            seed,
-            step=step,
+            model, result.coeffs, result.values, claim, wealth, n_paths, seed, step=step
         )
         analytic = engine.hedging_error(result.values, wealth)
     print(f"paths = {report.n_paths}")

@@ -220,6 +220,15 @@ def _tail_sums(x):
     return np.append(np.cumsum(x[::-1])[::-1], 0.0)
 
 
+def _log_values(a, b, c, dt):
+    """For Ito segments (a, b, c) of lengths dt: a c a' and the slope a c a' - a.b
+    of log V per segment, and at every boundary log L and log V, the sums of
+    (a c a' - 2 a.b) dt and of -slope dt back to the horizon."""
+    ab, w = _rowdot(a, b), _quad(a, c, a)
+    slope = w - ab
+    return w, slope, _tail_sums((-2.0 * ab + w) * dt), -_tail_sums(slope * dt)
+
+
 def _pii_closed_form(model):
     """Closed form of a piecewise-constant Ito model: one stacked QP solves a
     and zeta for every segment, and L, V and eps2 are exact segment sums."""
@@ -230,15 +239,11 @@ def _pii_closed_form(model):
     a, zeta = sol.x_hat[..., 0], sol.x_hat[..., 1]
     t = np.concatenate([[0.0], np.cumsum([seg.duration for seg in segs])])
     dt = np.diff(t)
-    # Backward integrals of d log L / dt and d log(L V) / dt from each boundary
-    # to the horizon: L = exp(int_L) and V = exp(int_LV - int_L) there.  A
-    # drift near the float range overflows them to inf or nan, which the
-    # range check below rejects in one error.
+    # A drift near the float range overflows log L or log V to inf or nan,
+    # which the range check below rejects in one error.
     with np.errstate(over="ignore", invalid="ignore"):
-        ab, w = _rowdot(a, b), _quad(a, c, a)
-        int_L, int_LV = _tail_sums((-2.0 * ab + w) * dt), _tail_sums(-ab * dt)
-        log_max = np.maximum(int_L, int_LV - int_L)
-    if not np.all(log_max <= np.log(np.finfo(float).max)):
+        w, _, log_L, log_V = _log_values(a, b, c, dt)
+    if not np.all(np.maximum(log_L, log_V) <= np.log(np.finfo(float).max)):
         raise InvalidInputError(
             f"the value processes overflow over the horizon {model.horizon:g}: "
             "exp(log L) or exp(log V) exceeds the float range"
@@ -248,9 +253,9 @@ def _pii_closed_form(model):
         1.0 - np.exp(-w * dt), w, out=dt.copy(), where=np.abs(w * dt) >= 1e-14
     )
     eps2 = _tail_sums(_quad(zeta, c, zeta) * np.exp(-int_err[1:]) * piece)
-    L, V = np.exp(int_L), np.exp(int_LV - int_L)
+    L, V = np.exp(log_L), np.exp(log_V)
     coeffs = HedgeCoefficients(a, V[:-1, None] * zeta, zeta)
-    return ClosedFormResult(ValueProcesses(t, L, V, eps2, int_L), coeffs)
+    return ClosedFormResult(ValueProcesses(t, L, V, eps2, log_L), coeffs)
 
 
 def closed_form_values(model):

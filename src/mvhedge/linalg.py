@@ -89,7 +89,7 @@ def symmetric_psd(M, name, error):
     scale = np.abs(M).max(axis=axes, initial=1.0)
     if np.any(np.abs(M - Mt).max(axis=axes, initial=0.0) > RESIDUAL_TOL * scale):
         raise error(f"{name} is not symmetric")
-    M = 0.5 * (M + Mt)
+    M = 0.5 * M + 0.5 * Mt  # (M + Mt) / 2 without overflow
     w = np.linalg.eigvalsh(M)
     if np.any(w[..., 0] < -PSD_TOL * np.maximum(np.trace(M, 0, *axes), 1.0)):
         raise error(

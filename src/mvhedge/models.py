@@ -317,22 +317,20 @@ class FiniteTreeModel:
     terminal nodes share the same time.  The value step checks the arrays:
     prices are finite and non-zero, branch probabilities at a node are
     positive and sum to one (sums within 1e-12 are renormalized with a
-    warning), no edge return exceeds ``MAX_AMOUNT`` in magnitude, at least
-    one asset is strictly positive on every node (a numeraire candidate) and
-    the payoff, when given, covers every terminal node.
-    :func:`discount_tree` copies the tree and runs only the value step.
+    warning), no edge return exceeds ``MAX_AMOUNT`` in magnitude and at
+    least one asset is strictly positive on every node (a numeraire
+    candidate).  The tree holds no claim.  :func:`discount_tree` copies the
+    tree and runs only the value step.
     """
 
-    def __init__(self, nodes, root, payoff=None):
+    def __init__(self, nodes, root):
         nodes = list(nodes)
         ids, time, prices, branches = ([r[k] for r in nodes] for k in range(4))
         flat = [br for b in branches for br in b]
         counts = [len(b) for b in branches]
         children, prob = [ch for _, ch in flat], [p for p, _ in flat]
         columns = self._lay_out(ids, time, prices, counts, children, prob, root)
-        if payoff is not None:
-            payoff = {str(k): float(v) for k, v in payoff.items()}
-        self._set_values(*columns, payoff)
+        self._set_values(*columns)
 
     def _lay_out(self, ids, time, prices, counts, children, prob, root):
         """The structure step: check the node columns and lay them out.
@@ -432,23 +430,15 @@ class FiniteTreeModel:
         self.slots = tuple((pos[k], pos[k].max() + 1) for _, k, _, _ in self.levels)
         return np.concatenate(([1.0], prob[np.concatenate(edges)])), rows[order]
 
-    def _set_values(self, prob, prices, payoff):
-        """The value step: check and store ``prob``, ``prices`` and ``payoff``.
+    def _set_values(self, prob, prices):
+        """The value step: check and store ``prob`` and ``prices``.
 
         The checks (:func:`_check_values` on a stack of one) run over whole
         arrays in node order; a failure names the first offending node.
-        ``payoff`` maps ids to floats.
         """
         rets = np.empty_like(prices)
         _check_values(self, prob[None], prices[None], rets[None])
         self.prob, self.prices, self.rets = prob, prices, rets
-        self.payoff = payoff
-        if payoff is not None:
-            missing = [t for t in self.terminal_ids if t not in payoff]
-            if missing:
-                raise InvalidModelError(
-                    f"payoff missing for terminal nodes {missing[:5]}"
-                )
 
     @cached_property
     def nodes(self):
@@ -535,13 +525,13 @@ def discount_tree(tree, numeraire_index):
     becomes identically 1.  Branch probabilities are reweighted by the ratio of
     conditional terminal second moments of the numeraire,
     ``p_hat = p * E[X_T^2 | child] / E[X_T^2 | node]``, which realizes the
-    change of measure with density X_T^2 / E[X_T^2], and the payoff (if any)
-    is divided by X_T.
+    change of measure with density X_T^2 / E[X_T^2].  A claim is divided by
+    X_T where it is read (:func:`mvhedge.oracle.numeraire_change_check`).
 
     This is the one-asset case of :func:`_discount`, which the numeraire
     check runs on every asset at once.  The discounted tree is ``tree``
     copied, sharing its layout but not its cached ``nodes``, with new
-    ``prob``, ``prices``, ``rets`` and ``payoff``: only the value step of
+    ``prob``, ``prices`` and ``rets``: only the value step of
     :class:`FiniteTreeModel` runs on them, so every value check still applies
     (a discounted edge return can exceed ``MAX_AMOUNT`` where no undiscounted
     one does).
@@ -554,11 +544,7 @@ def discount_tree(tree, numeraire_index):
     (prices,), (weights,) = _discount(tree, [j], prob, rets)
     disc = copy.copy(tree)
     disc.__dict__.pop("nodes", None)  # the source's cached records
-    disc.prob, disc.prices, disc.rets, disc.payoff = prob[0], prices, rets[0], None
-    if tree.payoff is not None:
-        values = np.array([tree.payoff[t] for t in tree.terminal_ids], dtype=float)
-        values = values / tree.prices[tree.n_internal :, j]
-        disc.payoff = dict(zip(tree.terminal_ids, values.tolist()))
+    disc.prob, disc.prices, disc.rets = prob[0], prices, rets[0]
     return disc, weights
 
 
@@ -702,16 +688,8 @@ def model_from_dict(data):
                 [br["prob"] for br in flat],
                 data["root"],
             )
-            payoff = data.get("payoff")
-            if payoff is not None:
-                payoff = _typed(payoff, dict, "'payoff'")
-                try:
-                    payoff = dict(zip(payoff, map(float, payoff.values())))
-                except (TypeError, ValueError, OverflowError):
-                    for k, v in payoff.items():  # name the first offender
-                        _number(float, v, f"payoff at {k!r}")
             tree = object.__new__(FiniteTreeModel)
-            tree._set_values(*tree._lay_out(*columns), payoff)
+            tree._set_values(*tree._lay_out(*columns))
             return tree
     except KeyError as err:
         raise InvalidModelError(f"{kind} model config lacks the key {err}") from None
@@ -743,30 +721,32 @@ def load_config(path):
     """Load a config file: {"model": {...}, "claim": ..., "wealth": ..., "step": ...}.
 
     Returns (model, claim_or_None, wealth_or_None, step_or_None).  ``claim``
-    may be a number (constant payoff) or omitted when the tree model carries
-    its own payoff; ``step`` is the Euler step of the piecewise-constant
-    simulator and must be positive.
+    may be a number (constant payoff) or a map; a tree model's own ``payoff``
+    map, always parsed, is the claim when ``claim`` is omitted.  A map's
+    terminal nodes are checked where a command reads it (:func:`_terminal_values`).
+    ``step`` is the Euler step of the simulator and must be positive.
     """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict) or "model" not in data:
         raise InvalidModelError("config file lacks a 'model' section")
     model = model_from_dict(data["model"])
-    claim = None
-    raw = data.get("claim")
-    if raw is not None:
+    payoff = data["model"].get("payoff") if isinstance(model, FiniteTreeModel) else None
+    if payoff is not None:
+        payoff = _typed(payoff, dict, "'payoff'")
+        payoff = {k: _number(float, v, f"payoff at {k!r}") for k, v in payoff.items()}
+    constant, raw = None, data.get("claim")
+    if raw is not None:  # the top-level claim takes precedence
         try:
             if isinstance(raw, dict):
                 payoff = {str(k): float(v) for k, v in raw.items()}
             else:
-                constant = float(raw)
+                constant, payoff = float(raw), None
         except (TypeError, ValueError):
             raise InvalidModelError(
                 f"claim must be a number or a mapping of numbers, got {raw!r}"
             ) from None
-        claim = Claim(payoff=payoff) if isinstance(raw, dict) else Claim(constant)
-    elif isinstance(model, FiniteTreeModel) and model.payoff is not None:
-        claim = Claim(payoff=dict(model.payoff))
+    claim = None if constant is None and payoff is None else Claim(constant, payoff)
     wealth = _config_number(data, "wealth")
     if wealth is not None:
         _amount(wealth, "wealth")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qp
-from .engine import LocalArbitrageError, TreeSolution, _tail_sums
+from .engine import LocalArbitrageError, TreeSolution, _log_values
 from .linalg import InvalidInputError
 from .models import (
     MAX_STEPS,
@@ -28,8 +28,6 @@ from .models import (
     _by_node,
     _discount,
     _numeraires,
-    _quad,
-    _rowdot,
     _terminal_values,
 )
 
@@ -417,10 +415,10 @@ def _pii_law(model, coeffs, values, step):
     a_i] under N(b_i, c_i) is built once for all segments.  A substep of
     length dt from V has means 1 + dt m0 and dt V m1 and the triangle
     (sqrt(dt) p, sqrt(dt) V q, dt V^2 r^2), exactly, as the triangle of D C D
-    is D times that of C for D = diag(sqrt(dt), sqrt(dt) V).  log V is 0 at
-    the horizon and has slope a_i c_i a_i' - a_i b_i on segment i, so its
-    boundary values are sums back from the horizon, finite where V
-    underflows; a chunk of steps is one lookup in the :func:`_euler_steps`
+    is D times that of C for D = diag(sqrt(dt), sqrt(dt) V).  log V has
+    slope a_i c_i a_i' - a_i b_i on segment i, and its boundary values come
+    from the closed form's :func:`mvhedge.engine._log_values`, finite where
+    V underflows; a chunk of steps is one lookup in the :func:`_euler_steps`
     table.  The step count is checked against ``MAX_STEPS`` first.
     """
     if step is None or not step > 0:
@@ -437,8 +435,7 @@ def _pii_law(model, coeffs, values, step):
     starts = np.concatenate([[0], np.cumsum(counts)])
     b, c = (np.array([getattr(seg, k) for seg in model.segments]) for k in "bc")
     a = coeffs.a
-    slopes = _quad(a, c, a) - _rowdot(a, b)
-    log_v = -_tail_sums(slopes * np.diff(bounds))
+    _, slopes, _, log_v = _log_values(a, b, c, np.diff(bounds))
     m0, m1, p, q, r2 = _pair_law(np.stack([-a, coeffs.zeta + a], axis=1), b, c)
 
     def law(k0, k1):

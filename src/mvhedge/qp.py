@@ -182,10 +182,15 @@ class QpProblem:
         return self.N @ self.V[i][:, ~self.keep[i]]
 
     def objective(self, x):
-        """q_i(x) for x shaped like F: one value per matrix and column."""
+        """q_i(x), one per matrix and column of x shaped like F, formed on (x, F)
+        over the power of two of their largest entry: inf or -inf out of range."""
         C, F, _ = self._stack()
         x = np.asarray(x, dtype=float).reshape(F.shape)
-        q = np.einsum("kij,kij->kj", x, C @ x - 2.0 * F)
+        e = np.frexp(np.maximum(np.abs(x), np.abs(F)).max(axis=1, keepdims=True))[1]
+        u = np.ldexp(x, -e)
+        q = np.einsum("kij,kij->kj", u, C @ u - np.ldexp(F, 1 - e))
+        with np.errstate(over="ignore"):
+            q = np.ldexp(q, 2 * e[:, 0])
         return q.reshape(np.delete(self.F.shape, self.C.ndim - 2))[()]
 
     def _require_bounded(self):
@@ -209,17 +214,20 @@ class QpProblem:
 
 @dataclass(frozen=True)
 class QpSolution:
-    """Minimum-norm minimizers, optimal values, and the solution-set geometry.
+    """Minimum-norm minimizers and the solution-set geometry.
 
-    ``x_hat`` has the shape of F and ``value`` one entry per matrix and column
-    (a float for one of each).  The solution set of matrix i is
+    ``x_hat`` has the shape of F.  The solution set of matrix i is
     ``x_hat[i] + span(problem.flat(i))``, and ``x_hat[i]`` is orthogonal to it.
     """
 
     x_hat: np.ndarray
-    value: float | np.ndarray
     problem: QpProblem = field(repr=False)
     branch: str | None = None
+
+    @property
+    def value(self):
+        """q_i(x_hat_i), formed when read: one per matrix and column."""
+        return self.problem.objective(self.x_hat)
 
     @property
     def null_basis(self):
@@ -237,14 +245,21 @@ def solve(problem: QpProblem) -> QpSolution:
     the whole stack at once.  x_hat_i is the minimum-norm element of its
     solution set, one column per right-hand side; raises
     :class:`UnboundedBelowError` with a descent certificate for the first
-    unbounded matrix.
+    unbounded matrix.  (F, b) enter over the power of two of their largest
+    entry, so C A^+ b stays in range wherever x_hat does; an x_hat out of
+    range raises InvalidInputError.
     """
     problem._require_bounded()
     C, F, b = problem._stack()
     N = problem.N
-    x_part = problem.A_pinv @ b
-    x = x_part + N @ (problem.J @ (N.T @ (F - C @ x_part)))
-    return QpSolution(x.reshape(problem.F.shape), problem.objective(x), problem)
+    e = np.frexp(max(np.abs(F).max(), np.abs(b).max()))[1]
+    x_part = problem.A_pinv @ np.ldexp(b, -e)
+    x = x_part + N @ (problem.J @ (N.T @ (np.ldexp(F, -e) - C @ x_part)))
+    with np.errstate(over="ignore"):
+        x = np.ldexp(x, e).reshape(problem.F.shape)
+    if not np.all(np.isfinite(x)):
+        raise InvalidInputError("the minimizer x_hat leaves the float range")
+    return QpSolution(x, problem)
 
 
 def _lsq(B, Y, con, b):
@@ -320,7 +335,7 @@ def _solve_alt(problem):
     eye = np.eye(problem.n)
     x_part = problem.A_pinv @ problem.b
     x_hat = (eye - P) @ C_pinv @ (eye - P.T) @ problem.F + P @ x_part
-    return QpSolution(x_hat, problem.objective(x_hat), problem, branch), P
+    return QpSolution(x_hat, problem, branch), P
 
 
 def solve_alt(problem: QpProblem) -> QpSolution:

@@ -314,6 +314,13 @@ def test_unread_flag_exits_2(command, flag, capsys):
             "the value processes overflow over the horizon 5: exp(log L) or "
             "exp(log V) exceeds the float range",
         ),
+        (
+            "frontier",
+            "pii_drift_1e308.json",
+            "the value processes overflow over the horizon 5: exp(log L) or "
+            "exp(log V) exceeds the float range",
+        ),
+        ("frontier", "iid_huge_mu.json", "L0 must be positive and finite, got inf"),
     ],
     ids=[
         "edge-return-overflow",
@@ -322,6 +329,8 @@ def test_unread_flag_exits_2(command, flag, capsys):
         "underflowed-branch-probability",
         "ito-tiny-step",
         "ito-huge-drift",
+        "ito-drift-1e308",
+        "iid-huge-mu",
     ],
 )
 def test_float_range_failures_exit_2_without_warnings(command, config, error, capsys):
@@ -330,8 +339,10 @@ def test_float_range_failures_exit_2_without_warnings(command, config, error, ca
     # root's reweighting ratio and asset 1's discounted edge return; asset 0
     # priced 1, 1e5 and 1e-160 reweights node 'd' by 0.5e-320 / 0.5e10, which
     # underflows to 0.  On the Ito path, a step of 1e-310 overflows the
-    # segment's step count to inf, and a drift of 1e300 overflows a b and
-    # a c a'.  Each is one named error, not a warning.
+    # segment's step count to inf, and a drift of 1e300 or 1e308 overflows
+    # a b and a c a'.  An IID mean of 1e154 puts 1e308 into c = sigma + mu mu',
+    # whose symmetric part stays finite, and L0 overflows.  Each is one named
+    # error, not a warning.
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert main([command, "--model", os.path.join(DATA, config)]) == 2
@@ -424,14 +435,13 @@ def _iid_error_at_zero_wealth(model):
     "case", ["duplicate id", "node reached twice", "inconsistent asset count"]
 )
 def test_malformed_tree_config_exits_2(case, tmp_path, capsys):
-    edit, payoff, error, _ = {c[0]: c[1:] for c in MALFORMED_TREES}[case]
+    edit, error, _ = {c[0]: c[1:] for c in MALFORMED_TREES}[case]
     records = list(VALID_TREE)
     edit(records)
-    payoff = payoff or TERMINAL_PAYOFF
     with pytest.raises(error) as expected:
-        models.FiniteTreeModel(records, "r", payoff=payoff)
+        models.FiniteTreeModel(records, "r")
     path = tmp_path / "malformed.json"
-    path.write_text(json.dumps({"model": tree_dict(records, "r", payoff)}))
+    path.write_text(json.dumps({"model": tree_dict(records, "r", TERMINAL_PAYOFF)}))
     assert main(["hedge", "--model", str(path)]) == 2
     assert capsys.readouterr().err.splitlines() == [str(expected.value)]
 
@@ -864,6 +874,24 @@ class TestSolveQpCommand:
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "unbounded below on the constraint set"
         assert out[1].startswith("descent direction = [") and len(out) == 2
+
+    @pytest.mark.parametrize(
+        "config, x_hat, value",
+        [
+            ("qp_value_overflow.json",
+             "[4.60251046025e+299, -2.51046025105e+299, -2.09205020921e+299]", "-inf"),
+            ("qp_huge_b.json", "[5e+299, 5e+299]", "inf"),
+        ],
+    )
+    def test_value_out_of_range_prints_inf(self, config, x_hat, value, capsys):
+        # The minimizers are in range, their values are not: x'Cx - 2F'x
+        # prints as a signed inf, never nan.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["solve-qp", "--model", os.path.join(DATA, config)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[:2] == [f"x_hat = {x_hat}", f"value = {value}"]
+        assert "nan" not in "".join(out)
 
     def test_bad_field_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

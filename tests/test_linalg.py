@@ -206,3 +206,11 @@ def test_context_override_tightens_rank():
     M = np.diag([1.0, 0.4])
     assert matrix_rank(M, ctx) == 1
     assert matrix_rank(M) == 2
+
+
+def test_symmetric_part_of_entries_near_the_float_max():
+    # M + M' overflows at 1.5e308; the halves are added instead, which is
+    # exact, so a symmetric M comes back bit for bit.
+    M = np.array([[1.5e308, 1e150], [1e150, 1.0]])
+    sym, norm = linalg.symmetric_psd(M, "M", ValueError)
+    assert np.array_equal(sym, M) and np.isfinite(norm)

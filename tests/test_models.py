@@ -164,13 +164,16 @@ class TestTreeModel:
             )
 
     def test_claim_requires_all_terminals(self, capsys):
-        # A config's claim map is checked where the tree commands read it:
-        # each exits 2 with one line naming the terminal node it lacks.
-        path = str(DATA / "tree_claim_missing_terminal.json")
-        for command in ("hedge", "oracle", "simulate"):
-            assert main([command, "--model", path]) == 2
-            err = capsys.readouterr().err.splitlines()
-            assert err == ["claim payoff undefined at terminal node 'd'"]
+        # A claim map, top-level or the model's payoff, is checked where the
+        # tree commands read it: each exits 2 with one line naming the
+        # terminal node it lacks.  frontier reads no claim and passes.
+        for config in ("tree_claim_missing_terminal", "tree_payoff_missing_terminal"):
+            path = str(DATA / f"{config}.json")
+            for command in ("hedge", "oracle", "simulate"):
+                assert main([command, "--model", path]) == 2
+                err = capsys.readouterr().err.splitlines()
+                assert err == ["claim payoff undefined at terminal node 'd'"]
+            assert main(["frontier", "--model", path]) == 0
 
     def test_claim_spec_exclusivity(self):
         with pytest.raises(InvalidModelError):
@@ -203,66 +206,63 @@ def _edit(nid, **fields):
 
 
 MALFORMED_TREES = [
-    ("duplicate id", lambda r: r.append(r[2]), None,
+    ("duplicate id", lambda r: r.append(r[2]),
      InvalidModelError, "duplicate node id 'b'"),
-    ("unknown child", _edit("b", branches=[(0.5, "ba"), (0.5, "bx")]), None,
+    ("unknown child", _edit("b", branches=[(0.5, "ba"), (0.5, "bx")]),
      InvalidModelError, "unknown child node 'bx'"),
-    ("node reached twice", _edit("b", branches=[(0.5, "ba"), (0.5, "ab")]), None,
+    ("node reached twice", _edit("b", branches=[(0.5, "ba"), (0.5, "ab")]),
      InvalidModelError, "node 'ab' reached twice; not a tree"),
-    ("unreachable node", lambda r: r.append(("z", 2, [1.0, 1.0], [])), None,
+    ("unreachable node", lambda r: r.append(("z", 2, [1.0, 1.0], [])),
      InvalidModelError, r"unreachable nodes: \['z'\]"),
-    ("wrong child time", _edit("ba", time=3), None,
+    ("wrong child time", _edit("ba", time=3),
      InvalidModelError, "child 'ba' time must be 2"),
-    ("inconsistent asset count", _edit("ab", prices=[1.1]), None,
+    ("inconsistent asset count", _edit("ab", prices=[1.1]),
      InvalidModelError, "node 'ab' has 1, the root 2"),
-    ("non-finite price", _edit("ba", prices=[0.8, np.inf]), None,
+    ("non-finite price", _edit("ba", prices=[0.8, np.inf]),
      InvalidModelError, "node 'ba' has non-finite prices"),
-    ("zero price", _edit("ab", prices=[0.0, 2.5]), None,
+    ("zero price", _edit("ab", prices=[0.0, 2.5]),
      InvalidModelError, "node 'ab' has a zero price"),
     ("non-positive branch probability", _edit("b", branches=[(1.0, "ba"), (0.0, "bb")]),
-     None, InvalidModelError, "node 'b' has a non-positive branch probability"),
-    ("bad probability sum", _edit("a", branches=[(0.4, "aa"), (0.5, "ab")]), None,
+     InvalidModelError, "node 'b' has a non-positive branch probability"),
+    ("bad probability sum", _edit("a", branches=[(0.4, "aa"), (0.5, "ab")]),
      InvalidModelError, "branch probabilities at node 'a' sum to 0.9"),
     ("overflowing probability sum", _edit("a", branches=[(1e308, "aa"), (1e308, "ab")]),
-     None, InvalidModelError, "branch probabilities at node 'a' sum to inf"),
+     InvalidModelError, "branch probabilities at node 'a' sum to inf"),
     # The CLI's exit-2 contract pins this message too (test_cli.py).
-    ("edge return above MAX_AMOUNT", _edit("bb", prices=[1.0, 1e151]), None,
+    ("edge return above MAX_AMOUNT", _edit("bb", prices=[1.0, 1e151]),
      InvalidInputError, r"every edge return must be at most 1e\+150 in magnitude, "
      r"got 5\.555555555555556e\+150 on the edge into node 'bb'"),
-    ("missing terminal payoff", lambda r: None, {"aa": 1.0, "ab": 0.0, "bb": 0.2},
-     InvalidModelError, r"payoff missing for terminal nodes \['ba'\]"),
 ]
 
 
 class TestTreeValidation:
     def test_valid_tree_passes(self):
-        tree = FiniteTreeModel(VALID_TREE, "r", payoff=TERMINAL_PAYOFF)
+        tree = FiniteTreeModel(VALID_TREE, "r")
         assert tree.ids == ("r", "a", "b", "aa", "ab", "ba", "bb")
 
     @pytest.mark.parametrize(
-        "edit, payoff, error, message",
+        "edit, error, message",
         [case[1:] for case in MALFORMED_TREES],
         ids=[case[0] for case in MALFORMED_TREES],
     )
-    def test_malformed_tree_names_the_offending_node(self, edit, payoff, error, message):
+    def test_malformed_tree_names_the_offending_node(self, edit, error, message):
         records = list(VALID_TREE)
         edit(records)
         with pytest.raises(error, match=message):
-            FiniteTreeModel(records, "r", payoff=payoff or TERMINAL_PAYOFF)
+            FiniteTreeModel(records, "r")
 
     @pytest.mark.parametrize(
-        "edit, payoff, error, message",
+        "edit, error, message",
         [case[1:] for case in MALFORMED_TREES],
         ids=[case[0] for case in MALFORMED_TREES],
     )
-    def test_config_loader_reports_the_same_fault(self, edit, payoff, error, message):
+    def test_config_loader_reports_the_same_fault(self, edit, error, message):
         records = list(VALID_TREE)
         edit(records)
-        payoff = payoff or TERMINAL_PAYOFF
         with pytest.raises(error, match=message) as from_records:
-            FiniteTreeModel(records, "r", payoff=payoff)
+            FiniteTreeModel(records, "r")
         with pytest.raises(error, match=message) as from_config:
-            model_from_dict(tree_dict(records, "r", payoff))
+            model_from_dict(tree_dict(records, "r"))
         assert type(from_config.value) is type(from_records.value)
         assert str(from_config.value) == str(from_records.value)
 
@@ -376,18 +376,6 @@ class TestDiscountTree:
             p2 = [p for p, _ in twice.nodes[nid].branches]
             assert np.allclose(p1, p2, atol=1e-13)
 
-    def test_payoff_discounted_with_prices(self):
-        rng = np.random.default_rng(9)
-        tree = make_tree(rng, n_assets=2, periods=2)
-        payoff = {t: float(rng.normal()) for t in tree.terminal_ids}
-        withpay = FiniteTreeModel(
-            [tree.nodes[nid] for nid in tree.ids], tree.root, payoff=payoff
-        )
-        disc, _ = discount_tree(withpay, 1)
-        for t in tree.terminal_ids:
-            expected = payoff[t] / tree.nodes[t].prices[1]
-            assert abs(disc.payoff[t] - expected) < 1e-14
-
     def test_nonpositive_numeraire_rejected(self):
         tree = FiniteTreeModel(
             [
@@ -409,7 +397,7 @@ def _layout(tree):
         arrays.append(owner)
         arrays.append(sums(np.arange(kids.stop - kids.start, dtype=float)))
     fields = (tree.root, tree.ids, tree.index, tree.n_internal, tree.terminal_ids,
-              tree.horizon, tree.payoff,
+              tree.horizon,
               [(here, kids) for here, kids, _, _ in tree.levels])
     return [(a.dtype, a.shape, a.tobytes()) for a in arrays], fields
 
@@ -424,7 +412,6 @@ def _layout_trees():
             [(n.id, n.time, np.append(n.prices, n.prices[-1]), n.branches)
              for n in base.nodes.values()],
             base.root,
-            payoff={t: float(rng.normal()) for t in base.terminal_ids},
         )
         base = make_tree(rng, n_assets=3, periods=2)
         with pytest.warns(UserWarning, match="renormalizing"):
@@ -453,7 +440,7 @@ class TestTreeLayout:
         for tree in _layout_trees():
             discounted = [discount_tree(tree, j)[0] for j in tree.positive_assets()]
             for t in [tree, *discounted]:
-                again = FiniteTreeModel(t.nodes.values(), t.root, payoff=t.payoff)
+                again = FiniteTreeModel(t.nodes.values(), t.root)
                 assert _layout(again) == _layout(t)
                 count += 1
         assert count >= 40
@@ -466,15 +453,13 @@ class TestTreeLayout:
         trees.append(complete_binomial_tree(periods=3))
         rng = np.random.default_rng(23)
         for k in range(12):
-            nodes, root, terminals = random_tree(
+            nodes, root, _ = random_tree(
                 rng, 1 + k % 4, int(rng.integers(2, 5)),
                 ("generic", "riskless", "duplicated")[k % 3],
             )
-            payoff = {t: float(rng.normal()) for t in terminals}
-            trees.append(FiniteTreeModel(nodes, root, payoff=payoff))
+            trees.append(FiniteTreeModel(nodes, root))
         for tree in trees:
-            payoff = None if tree.payoff is None else dict(tree.payoff)
-            data = tree_dict(tree.nodes.values(), tree.root, payoff)
+            data = tree_dict(tree.nodes.values(), tree.root)
             data = json.loads(json.dumps(data))
             assert _layout(model_from_dict(data)) == _layout(tree)
             data["nodes"].reverse()  # the input order of the nodes does not matter

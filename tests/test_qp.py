@@ -1,10 +1,13 @@
+import os
 import warnings
 
 import numpy as np
 import pytest
 
-from mvhedge import qp
-from mvhedge.linalg import null_basis, range_basis
+from mvhedge import engine, models, qp
+from mvhedge.linalg import InvalidInputError, null_basis, range_basis
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
 
 
 def kkt_value(C, F, A, b):
@@ -375,6 +378,49 @@ class TestSolve:
                 prob.objective(x0 + 2 * y),
             )
             assert q1 < q0 and q2 < q1
+
+    def test_closed_forms_never_form_the_optimal_value(self, monkeypatch):
+        calls = []
+        objective = qp.QpProblem.objective
+
+        def counting(self, x):
+            calls.append(1)
+            return objective(self, x)
+
+        monkeypatch.setattr(qp.QpProblem, "objective", counting)
+        for name in ("iid_3assets_t4.json", "pii_4assets_t5.json"):
+            model = models.load_config(os.path.join(ROOT, "configs", name))[0]
+            engine.closed_form_values(model)
+        b, c = model.log_characteristics(0)
+        engine.adjustment(b, c)
+        engine.adjustment_explicit(b, c)
+        assert calls == []
+
+
+class TestFloatRange:
+    def test_solve_is_exactly_homogeneous_in_F_and_b(self):
+        # x_hat is formed on (F, b) over the power of two of their largest
+        # entry, so scaling both by 2^k scales x_hat by 2^k bit for bit, and
+        # the value by 4^k.
+        rng = np.random.default_rng(31)
+        for trial in range(20):
+            C, F, A, b = well_posed_instance(rng, 5, 2, 2 + trial % 4)
+            base = qp.solve(qp.QpProblem(C=C, F=F, A=A, b=b))
+            for k in (-300, -7, 9, 300):
+                scaled = qp.QpProblem(C=C, F=np.ldexp(F, k), A=A, b=np.ldexp(b, k))
+                sol = qp.solve(scaled)
+                assert np.array_equal(sol.x_hat, np.ldexp(base.x_hat, k))
+                assert sol.value == np.ldexp(base.value, 2 * k)
+
+    def test_x_hat_out_of_range_is_an_input_error(self):
+        # x_hat = F / 1e-300 along the free direction: exactly out of range.
+        prob = qp.QpProblem(
+            C=[[1e-300, 0.0], [0.0, 1e-300]], F=[1e10, -1e10], A=[[1.0, 1.0]], b=[0.0]
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(InvalidInputError, match="leaves the float range"):
+                qp.solve(prob)
 
 
 class TestSolveAlt:
