@@ -55,6 +55,7 @@ def _require_tree(model, claim):
 
 
 def cmd_frontier(args):
+    """Opportunity/tracking/error triple and both frontier equations."""
     model = models.load_config(args.model)[0]
     if isinstance(model, models.FiniteTreeModel):
         values = engine.tree_backward(model, models.Claim.constant_one())
@@ -83,6 +84,7 @@ def cmd_frontier(args):
 
 
 def cmd_hedge(args):
+    """Per-node hedging table and total hedging error on a tree."""
     model, claim, wealth, _ = _load(args)
     _require_tree(model, claim)
     solution = engine.tree_backward(model, claim)
@@ -116,6 +118,7 @@ def cmd_hedge(args):
 
 
 def cmd_oracle(args):
+    """Dynamic-programming and numeraire-change consistency checks."""
     model, claim, wealth, _ = _load(args)
     _require_tree(model, claim)
     if wealth is None:
@@ -144,6 +147,7 @@ def cmd_oracle(args):
 
 
 def cmd_simulate(args):
+    """Seeded Monte Carlo of the optimal feedback strategy (exact on a tree)."""
     model, claim, wealth, step = _load(args)
     if wealth is None:
         wealth = 0.0
@@ -175,6 +179,7 @@ def cmd_simulate(args):
 
 
 def cmd_solve_qp(args):
+    """Raw access to the constrained quadratic solver."""
     with open(args.model, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):

@@ -346,13 +346,16 @@ class FiniteTreeModel:
         ids = [str(nid) for nid in ids]
         root, n = str(root), len(ids)
         try:
-            time = np.array([int(t) for t in time], dtype=np.int64)
+            ints = [int(t) for t in time]
+            if ints != time or bool in set(map(type, time)):  # 2.9, "2" or true
+                raise ValueError
+            time = np.array(ints, dtype=np.int64)
             prob = np.array([float(p) for p in prob])
         except (TypeError, ValueError, OverflowError):  # name the first bad value
             for nid, t in zip(ids, time):
-                _number(int, t, f"time of node {nid!r}")
+                _integer(t, f"time of node {nid!r}")
             for p in prob:
-                _number(float, p, "branch prob")
+                _number(p, "branch prob")
             raise InvalidModelError("node times must fit in 64-bit integers") from None
         index = dict(zip(ids, range(n)))
         if len(index) < n:  # name the first id met a second time
@@ -622,12 +625,23 @@ def _all_typed(values, kind, what):
     return values
 
 
-def _number(convert, value, what):
-    """``convert(value)`` for ``convert`` int or float; failure is InvalidModelError."""
+def _number(value, what):
+    """``float(value)``; failure is InvalidModelError."""
     try:
-        return convert(value)
+        return float(value)
     except (TypeError, ValueError, OverflowError):
         raise InvalidModelError(f"{what} must be a number, got {value!r}") from None
+
+
+def _integer(value, what):
+    """``int(value)`` when it equals ``value``: an integer or an integral float
+    such as 4.0 or 1e300, not 4.7, "4" or true; else InvalidModelError."""
+    try:
+        if int(value) == value and not isinstance(value, bool):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvalidModelError(f"{what} must be an integer, got {value!r}")
 
 
 def _array(value, what):
@@ -653,12 +667,12 @@ def model_from_dict(data):
             return IidDiscreteModel(
                 _array(data["mu"], "mu"),
                 _array(data["sigma"], "sigma"),
-                _number(int, data["T"], "T"),
+                _integer(data["T"], "T"),
             )
         if kind == "pii":
             segments = [
                 (
-                    _number(float, s["duration"], "segment duration"),
+                    _number(s["duration"], "segment duration"),
                     _array(s["b"], "segment b"),
                     _array(s["c"], "segment c"),
                 )
@@ -711,7 +725,7 @@ def _amount(x, what):
 def _config_number(data, key):
     """Finite float under ``key``, or None when the key is absent or null."""
     raw = data.get(key)
-    x = None if raw is None else _number(float, raw, key)
+    x = None if raw is None else _number(raw, key)
     if x is not None and not np.isfinite(x):
         raise InvalidInputError(f"{key} must be finite")
     return x
@@ -734,7 +748,7 @@ def load_config(path):
     payoff = data["model"].get("payoff") if isinstance(model, FiniteTreeModel) else None
     if payoff is not None:
         payoff = _typed(payoff, dict, "'payoff'")
-        payoff = {k: _number(float, v, f"payoff at {k!r}") for k, v in payoff.items()}
+        payoff = {k: _number(v, f"payoff at {k!r}") for k, v in payoff.items()}
     constant, raw = None, data.get("claim")
     if raw is not None:  # the top-level claim takes precedence
         try:

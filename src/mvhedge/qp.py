@@ -161,10 +161,13 @@ class QpProblem:
         restricted = con.N.T @ C.reshape(-1, n, n) @ con.N
         w, V = np.linalg.eigh(0.5 * (restricted + restricted.transpose(0, 2, 1)))
         keep = _split(w, np.reshape(norm_C, -1), n)
-        scaled = np.divide(V, w[:, None], out=np.zeros_like(V), where=keep[:, None])
+        # A kept subnormal eigenvalue puts inf into J; solve then rejects x_hat.
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaled = np.divide(V, w[:, None], out=np.zeros_like(V), where=keep[:, None])
+            J = scaled @ V.transpose(0, 2, 1)
         for name, value in zip(
             ("C", "A", "F", "b", "A_pinv", "N", "J", "V", "keep"),
-            (C, con.A, F, b, con.A_pinv, con.N, scaled @ V.transpose(0, 2, 1), V, keep),
+            (C, con.A, F, b, con.A_pinv, con.N, J, V, keep),
         ):
             object.__setattr__(self, name, value)
 
@@ -254,8 +257,8 @@ def solve(problem: QpProblem) -> QpSolution:
     N = problem.N
     e = np.frexp(max(np.abs(F).max(), np.abs(b).max()))[1]
     x_part = problem.A_pinv @ np.ldexp(b, -e)
-    x = x_part + N @ (problem.J @ (N.T @ (np.ldexp(F, -e) - C @ x_part)))
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        x = x_part + N @ (problem.J @ (N.T @ (np.ldexp(F, -e) - C @ x_part)))
         x = np.ldexp(x, e).reshape(problem.F.shape)
     if not np.all(np.isfinite(x)):
         raise InvalidInputError("the minimizer x_hat leaves the float range")

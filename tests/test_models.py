@@ -216,6 +216,12 @@ MALFORMED_TREES = [
      InvalidModelError, r"unreachable nodes: \['z'\]"),
     ("wrong child time", _edit("ba", time=3),
      InvalidModelError, "child 'ba' time must be 2"),
+    ("fractional time", _edit("ba", time=2.9),
+     InvalidModelError, "time of node 'ba' must be an integer, got 2.9"),
+    ("boolean time", _edit("a", time=True),
+     InvalidModelError, "time of node 'a' must be an integer, got True"),
+    ("string time", _edit("a", time="1"),
+     InvalidModelError, "time of node 'a' must be an integer, got '1'"),
     ("inconsistent asset count", _edit("ab", prices=[1.1]),
      InvalidModelError, "node 'ab' has 1, the root 2"),
     ("non-finite price", _edit("ba", prices=[0.8, np.inf]),
@@ -276,6 +282,16 @@ class TestTreeValidation:
         for records in (one, every):
             assert _layout(FiniteTreeModel(records, "r")) == flat
             assert _layout(model_from_dict(tree_dict(records, "r"))) == flat
+
+    def test_integral_floats_read_as_integers(self):
+        # JSON has one number type, so 2.0 is the integer 2; 2.9, "2" and true
+        # are not (MALFORMED_TREES and test_cli.py's malformed configs).
+        records = [(nid, float(t), prices, br) for nid, t, prices, br in VALID_TREE]
+        flat = _layout(FiniteTreeModel(VALID_TREE, "r"))
+        assert _layout(FiniteTreeModel(records, "r")) == flat
+        assert _layout(model_from_dict(tree_dict(records, "r"))) == flat
+        iid = {"kind": "iid", "mu": [0.1], "sigma": [[0.04]], "T": 4.0}
+        assert model_from_dict(iid).n_periods == 4
 
 
 class TestLocalNoArbitrage:
