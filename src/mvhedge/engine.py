@@ -285,7 +285,7 @@ class TreeSolution(_RootValues):
     first in node order; ``levels`` holds, per non-terminal level root first,
     the stacked least-squares kernel's N V and ``keep``, from which
     :attr:`null_basis` reads each node's flat directions.  Callers keep the
-    solved tree: its ``tree.index[nid]`` is the position of node ``nid``.
+    solved tree: its ``tree.nodes[nid]`` is the position of node ``nid``.
     """
 
     claim: Claim

@@ -12,10 +12,9 @@ import copy
 import json
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from itertools import repeat
 from types import MappingProxyType
-from typing import NamedTuple
 
 import numpy as np
 
@@ -27,7 +26,6 @@ __all__ = [
     "IidDiscreteModel",
     "PiiSegment",
     "PiiItoModel",
-    "TreeNode",
     "FiniteTreeModel",
     "Claim",
     "discount_tree",
@@ -157,20 +155,6 @@ class PiiItoModel:
         return seg.b.copy(), seg.c.copy()
 
 
-class TreeNode(NamedTuple):
-    """Event-tree node record: id, integer time, prices, branches (prob, child id).
-
-    The records are the input format of :class:`FiniteTreeModel`; the tree
-    keeps only its arrays, and ``FiniteTreeModel.nodes`` rebuilds the records
-    from them on request.
-    """
-
-    id: str
-    time: int
-    prices: np.ndarray
-    branches: tuple
-
-
 def _rowdot(x, y):
     """Row-wise x_i . y_i by stacked matmul, rounding exactly like ``x_i @ y_i``.
 
@@ -292,171 +276,85 @@ def _check_values(tree, prob, prices, rets):
 class FiniteTreeModel:
     """Finite-state event tree with per-node prices and branch probabilities.
 
-    The tree is a set of arrays in time-major node order: internal nodes come
-    first, the root is position 0 and each node's children sit next to each
-    other in branch order.  ``ids[i]`` is the id at position ``i`` and
-    ``index`` maps ids back to positions, and the first ``n_internal``
-    positions are the non-terminal nodes; ``parent``, ``prob`` (the branch
-    probability into the node; 1 at the root), ``time``, ``prices`` and
-    ``rets`` (the simple returns over the edge from the parent; zero at the
-    root) are arrays in node order.  ``levels`` holds one ``(nodes, children,
-    sums, owner)`` tuple per non-terminal time, root first: the position
-    slices of the level and of its children, ``sums(x)`` adding per-child rows
-    ``x`` over each node's children (``np.add.reduceat``), and each child's
-    parent relative to ``nodes.start``; ``slots`` holds per level each child's
-    branch position and the largest branch count.  Every tree pass, the value
-    step's branch sums included, runs level by level over these.  ``nodes``,
-    the :class:`TreeNode` records by id, is a read-only view built from the
-    arrays on request; no computation reads it.
+    The tree is a set of arrays in breadth-first node order: the root is
+    position 0, each level follows the one above it, each node's children
+    sit next to each other in branch order, and the first ``n_internal``
+    positions are the non-terminal nodes.  ``ids[i]`` is the id at position
+    ``i`` and ``nodes``, a read-only mapping, takes ids back to positions;
+    ``parent``, ``prob`` (the branch probability into the node; 1 at the
+    root), ``time`` (the level, root 0, unless a config gives other times),
+    ``prices`` and ``rets`` (the simple returns over the edge from the
+    parent; zero at the root) are arrays in node order.  ``levels`` holds
+    one ``(here, kids, sums, owner)`` tuple per non-terminal level, root
+    first: the position slices of the level and of its children, ``sums(x)``
+    adding per-child rows ``x`` over each node's children
+    (``np.add.reduceat``), and each child's parent relative to
+    ``here.start``; ``slots`` holds per level each child's branch position
+    and the largest branch count.  Every tree pass, the value step's branch
+    sums included, runs level by level over these.
 
-    The records given to the constructor, like the node mappings of a config
-    (:func:`model_from_dict`), are checked in two steps.  The structure step
-    lays their columns out with array operations: ids are unique, every child
-    exists and is reached once, every node is reachable from the root, every
-    node has the root's asset count, child times increase by one and all
-    terminal nodes share the same time.  The value step checks the arrays:
-    prices are finite and non-zero, branch probabilities at a node are
-    positive and sum to one (sums within 1e-12 are renormalized with a
-    warning), no edge return exceeds ``MAX_AMOUNT`` in magnitude and at
-    least one asset is strictly positive on every node (a numeraire
-    candidate).  The tree holds no claim.  :func:`discount_tree` copies the
-    tree and runs only the value step.
+    The constructor takes the arrays ``parent`` (n,) of integers, ``prob``
+    (n,) and ``prices`` (n, d), and ``ids``, by default "n0", "n1", ...  It
+    checks the layout with array operations: one entry per node, the root's
+    parent is -1, every other parent comes before its child and no parent
+    comes before the one of the node before (breadth first), ids are unique
+    and every terminal node is on the last level.  Then the value step
+    checks that prices are finite and non-zero, branch probabilities at a
+    node are positive and sum to one (sums within 1e-12 are renormalized
+    with a warning), no edge return exceeds ``MAX_AMOUNT`` in magnitude and
+    at least one asset is strictly positive on every node (a numeraire
+    candidate); a failure names the first offending node.  A config's node
+    mappings are laid out into these arrays by :func:`model_from_dict`.  The
+    tree holds no claim.  :func:`discount_tree` copies the tree and runs
+    only the value step.
     """
 
-    def __init__(self, nodes, root):
-        nodes = list(nodes)
-        ids, time, prices, branches = ([r[k] for r in nodes] for k in range(4))
-        flat = [br for b in branches for br in b]
-        counts = [len(b) for b in branches]
-        children, prob = [ch for _, ch in flat], [p for p, _ in flat]
-        columns = self._lay_out(ids, time, prices, counts, children, prob, root)
-        self._set_values(*columns)
-
-    def _lay_out(self, ids, time, prices, counts, children, prob, root):
-        """The structure step: check the node columns and lay them out.
-
-        ``ids``, ``time``, the price rows (each is raveled) and ``counts``,
-        each node's branch count, run over the nodes in input order;
-        ``children`` and ``prob`` run over all branches, grouped by node in
-        input order and by branch within a node.  Every rule is one array
-        check, and the layout is built breadth first, one level at a time.
-        Returns the branch probabilities and prices in node order for the
-        value step.
-        """
-        ids = [str(nid) for nid in ids]
-        root, n = str(root), len(ids)
-        try:
-            ints = [int(t) for t in time]
-            if ints != time or bool in set(map(type, time)):  # 2.9, "2" or true
-                raise ValueError
-            time = np.array(ints, dtype=np.int64)
-            prob = np.array([float(p) for p in prob])
-        except (TypeError, ValueError, OverflowError):  # name the first bad value
-            for nid, t in zip(ids, time):
-                _integer(t, f"time of node {nid!r}")
-            for p in prob:
-                _number(p, "branch prob")
-            raise InvalidModelError("node times must fit in 64-bit integers") from None
-        index = dict(zip(ids, range(n)))
-        if len(index) < n:  # name the first id met a second time
-            first = dict(zip(reversed(ids), range(n - 1, -1, -1)))
-            nid = next(nid for i, nid in enumerate(ids) if first[nid] < i)
-            raise InvalidModelError(f"duplicate node id {nid!r}")
-        if root not in index:
-            raise InvalidModelError(f"root node {root!r} not present")
-        try:
-            rows = np.array(prices, dtype=float).reshape(n, -1)
-        except (TypeError, ValueError):  # ragged or nested rows: ravel one by one
-            rows = [
-                _array(p, f"prices of node {nid!r}").ravel()
-                for nid, p in zip(ids, prices)
-            ]
-            d = len(rows[index[root]])
-            for nid, row in zip(ids, rows):
-                if len(row) != d:
-                    raise InvalidModelError(
-                        f"inconsistent asset count across nodes: node {nid!r} has "
-                        f"{len(row)}, the root {d}"
-                    )
-            rows = np.array(rows)
-        children = [str(ch) for ch in children]
-        try:
-            kid = np.fromiter(map(index.__getitem__, children), int, len(children))
-        except KeyError as err:
-            raise InvalidModelError(f"unknown child node {err.args[0]!r}") from None
-        incoming = np.bincount(kid, minlength=n)
-        incoming[index[root]] += 1  # nothing may lead back to the root
-        bad = incoming[kid] > 1
-        if bad.any():
-            child = children[int(np.argmax(bad))]
-            raise InvalidModelError(f"node {child!r} reached twice; not a tree")
-        # A level is the branches of the level above, in layout and branch
-        # order; no node is reached twice, so each is laid out at most once.
-        counts = np.array(counts, dtype=np.int64)
-        offset = np.cumsum(counts) - counts  # of each node's first branch
-        level = np.array([index[root]])
-        order, edges = [level], [np.zeros(0, dtype=np.int64)]
-        while (c := counts[level]).any():
-            ends = np.cumsum(c)
-            edges.append(np.repeat(offset[level] - ends + c, c) + np.arange(ends[-1]))
-            level = kid[edges[-1]]
-            order.append(level)
-        order = np.concatenate(order)
-        counts, time = counts[order], time[order]
-        parent = np.concatenate(([-1], np.repeat(np.arange(len(order)), counts)))
-        laid_out = tuple(map(ids.__getitem__, order.tolist()))
-        bad = time[1:] != time[parent[1:]] + 1
+    def __init__(self, parent, prob, prices, ids=None):
+        parent = np.array(parent)
+        if parent.ndim != 1 or not np.issubdtype(parent.dtype, np.integer):
+            raise InvalidModelError("parent must be a one-dimensional integer array")
+        n = len(parent)
+        ids = tuple(map("n{}".format, range(n))) if ids is None else tuple(ids)
+        prob, prices = np.array(prob, dtype=float), np.array(prices, dtype=float)
+        if prob.shape != (n,) or prices.ndim != 2 or len(prices) != n or len(ids) != n:
+            raise InvalidModelError(
+                f"parent, prob, prices and ids need one entry per node, got {n}, "
+                f"{len(prob)}, {len(prices)} and {len(ids)}"
+            )
+        if not n or parent[0] != -1:
+            raise InvalidModelError("position 0 must be the root, with parent -1")
+        bad = (parent[1:] < 0) | (parent[1:] >= np.arange(1, n)) | (np.diff(parent) < 0)
         if bad.any():
             i = int(np.argmax(bad)) + 1
             raise InvalidModelError(
-                f"child {laid_out[i]!r} time must be {time[parent[i]] + 1}"
+                f"parent is not a breadth-first layout: node {ids[i]!r} at position "
+                f"{i} has parent {parent[i]}"
             )
-        if len(order) < n:
-            unreachable = sorted(set(ids) - set(laid_out))
-            raise InvalidModelError(f"unreachable nodes: {unreachable[:5]}")
-        if np.ptp(time[counts == 0]):
+        first = np.searchsorted(parent, np.arange(n + 1))  # of each node's children
+        lb = [0]  # where each level starts; the next starts at its first child
+        while lb[-1] < n:
+            lb.append(int(first[lb[-1]]))
+        self.n_internal = lb[-2]
+        if (first[1 : self.n_internal + 1] == first[: self.n_internal]).any():
             raise InvalidModelError("terminal nodes must share a common time")
-        self.root, self.ids = root, laid_out
-        self.index = dict(zip(self.ids, range(n)))
-        self.n_internal = int(np.count_nonzero(counts))
-        self.terminal_ids = self.ids[self.n_internal :]
-        self.horizon = int(time[-1])
-        self.parent, self.time = parent, time
-        lb = np.searchsorted(time, np.arange(time[0], self.horizon + 2))
-        first = np.searchsorted(parent, np.arange(self.n_internal + 1))
+        self.nodes = MappingProxyType(_positions(ids))
+        self.root, self.ids, self.terminal_ids = ids[0], ids, ids[self.n_internal :]
+        self.parent = parent
+        self.time = np.repeat(np.arange(len(lb) - 1), np.diff(lb))
         self.levels = tuple(
             (slice(a, b), slice(b, c), partial(np.add.reduceat, indices=first[a:b] - b),
              parent[b:c] - a)
             for a, b, c in zip(lb, lb[1:], lb[2:])
         )
-        pos = np.arange(len(parent)) - first[parent]  # the root's is unused
+        pos = np.arange(n) - first[parent]  # the root's is unused
         self.slots = tuple((pos[k], pos[k].max() + 1) for _, k, _, _ in self.levels)
-        return np.concatenate(([1.0], prob[np.concatenate(edges)])), rows[order]
-
-    def _set_values(self, prob, prices):
-        """The value step: check and store ``prob`` and ``prices``.
-
-        The checks (:func:`_check_values` on a stack of one) run over whole
-        arrays in node order; a failure names the first offending node.
-        """
-        rets = np.empty_like(prices)
+        rets = np.empty_like(prices)  # the value step, on a stack of one
         _check_values(self, prob[None], prices[None], rets[None])
         self.prob, self.prices, self.rets = prob, prices, rets
 
-    @cached_property
-    def nodes(self):
-        """The :class:`TreeNode` records by id in node order, built on request."""
-        prices = self.prices.view()
-        prices.flags.writeable = False
-        first = np.searchsorted(self.parent, np.arange(len(self.ids) + 1)).tolist()
-        ids, time, prob = self.ids, self.time.tolist(), self.prob.tolist()
-        return MappingProxyType({
-            nid: TreeNode(
-                nid, time[i], prices[i],
-                tuple(zip(prob[first[i] : first[i + 1]], ids[first[i] : first[i + 1]])),
-            )
-            for i, nid in enumerate(ids)
-        })
+    @property
+    def horizon(self):
+        return int(self.time[-1])
 
     @property
     def d(self):
@@ -472,8 +370,8 @@ class FiniteTreeModel:
     def roll_wealth(self, holdings, v):
         """Roll self-financing wealth from ``v`` at the root over every node.
 
-        ``holdings(nodes, wealth)`` gives the dollar portfolios held at the
-        slice ``nodes`` of one non-terminal level from their wealth.  Returns
+        ``holdings(here, wealth)`` gives the dollar portfolios held at the
+        slice ``here`` of one non-terminal level from their wealth.  Returns
         the holdings of every non-terminal node and the wealth of every node,
         in node order.
         """
@@ -533,11 +431,10 @@ def discount_tree(tree, numeraire_index):
 
     This is the one-asset case of :func:`_discount`, which the numeraire
     check runs on every asset at once.  The discounted tree is ``tree``
-    copied, sharing its layout but not its cached ``nodes``, with new
-    ``prob``, ``prices`` and ``rets``: only the value step of
-    :class:`FiniteTreeModel` runs on them, so every value check still applies
-    (a discounted edge return can exceed ``MAX_AMOUNT`` where no undiscounted
-    one does).
+    copied, sharing its layout, with new ``prob``, ``prices`` and ``rets``:
+    only the value step of :class:`FiniteTreeModel` runs on them, so every
+    value check still applies (a discounted edge return can exceed
+    ``MAX_AMOUNT`` where no undiscounted one does).
 
     Returns the discounted tree and E[X_T^2 | node] for every node, in node
     order.
@@ -546,7 +443,6 @@ def discount_tree(tree, numeraire_index):
     prob, rets = np.empty((1, len(tree.ids))), np.empty((1,) + tree.prices.shape)
     (prices,), (weights,) = _discount(tree, [j], prob, rets)
     disc = copy.copy(tree)
-    disc.__dict__.pop("nodes", None)  # the source's cached records
     disc.prob, disc.prices, disc.rets = prob[0], prices, rets[0]
     return disc, weights
 
@@ -626,11 +522,25 @@ def _all_typed(values, kind, what):
 
 
 def _number(value, what):
-    """``float(value)``; failure is InvalidModelError."""
+    """``float(value)``, but not of true or false; else InvalidModelError."""
     try:
-        return float(value)
+        if not isinstance(value, bool):
+            return float(value)
     except (TypeError, ValueError, OverflowError):
-        raise InvalidModelError(f"{what} must be a number, got {value!r}") from None
+        pass
+    raise InvalidModelError(f"{what} must be a number, got {value!r}") from None
+
+
+def _numbers(mapping, what):
+    """``mapping`` with float values, converted in one pass; else
+    :func:`_number`'s error for the first entry, as ``what at 'key'``."""
+    try:
+        if bool not in set(map(type, mapping.values())):
+            return dict(zip(mapping, map(float, mapping.values())))
+    except (TypeError, ValueError, OverflowError):
+        pass
+    for k, v in mapping.items():
+        _number(v, f"{what} at {k!r}")
 
 
 def _integer(value, what):
@@ -652,6 +562,104 @@ def _array(value, what):
         raise InvalidModelError(
             f"{what} must be a rectangular array of numbers, got {value!r}"
         ) from None
+
+
+def _positions(ids):
+    """The mapping id -> position of ``ids``; InvalidModelError naming the
+    first id met a second time when they are not unique."""
+    n = len(ids)
+    positions = dict(zip(ids, range(n)))
+    if len(positions) < n:
+        first = dict(zip(reversed(ids), range(n - 1, -1, -1)))
+        nid = next(nid for i, nid in enumerate(ids) if first[nid] < i)
+        raise InvalidModelError(f"duplicate node id {nid!r}")
+    return positions
+
+
+def _lay_out(ids, time, prices, counts, children, prob, root):
+    """The structure step of a config tree: check its node columns and lay
+    them out breadth first, one level at a time.
+
+    ``ids``, ``time``, the price rows (each is raveled) and ``counts``,
+    each node's branch count, run over the nodes in input order;
+    ``children`` and ``prob`` run over all branches, grouped by node in
+    input order and by branch within a node.  Each rule is one array check:
+    ids are unique, every child exists and is reached once, every node is
+    reachable from the root and has the root's asset count, and child times
+    increase by one.  Returns :class:`FiniteTreeModel`'s ``parent``,
+    ``prob``, ``prices`` and ``ids``, and the root's time.
+    """
+    ids = [str(nid) for nid in ids]
+    root, n = str(root), len(ids)
+    try:
+        ints = [int(t) for t in time]
+        if ints != time or bool in set(map(type, time)):  # 2.9, "2" or true
+            raise ValueError
+        time = np.array(ints, dtype=np.int64)
+        if bool in set(map(type, prob)):
+            raise ValueError
+        prob = np.array([float(p) for p in prob])
+    except (TypeError, ValueError, OverflowError):  # name the first bad value
+        for nid, t in zip(ids, time):
+            _integer(t, f"time of node {nid!r}")
+        for p in prob:
+            _number(p, "branch prob")
+        raise InvalidModelError("node times must fit in 64-bit integers") from None
+    index = _positions(ids)
+    if root not in index:
+        raise InvalidModelError(f"root node {root!r} not present")
+    try:
+        rows = np.array(prices, dtype=float).reshape(n, -1)
+    except (TypeError, ValueError):  # ragged or nested rows: ravel one by one
+        rows = [
+            _array(p, f"prices of node {nid!r}").ravel()
+            for nid, p in zip(ids, prices)
+        ]
+        d = len(rows[index[root]])
+        for nid, row in zip(ids, rows):
+            if len(row) != d:
+                raise InvalidModelError(
+                    f"inconsistent asset count across nodes: node {nid!r} has "
+                    f"{len(row)}, the root {d}"
+                )
+        rows = np.array(rows)
+    children = [str(ch) for ch in children]
+    try:
+        kid = np.fromiter(map(index.__getitem__, children), int, len(children))
+    except KeyError as err:
+        raise InvalidModelError(f"unknown child node {err.args[0]!r}") from None
+    incoming = np.bincount(kid, minlength=n)
+    incoming[index[root]] += 1  # nothing may lead back to the root
+    bad = incoming[kid] > 1
+    if bad.any():
+        child = children[int(np.argmax(bad))]
+        raise InvalidModelError(f"node {child!r} reached twice; not a tree")
+    # A level is the branches of the level above, in layout and branch
+    # order; no node is reached twice, so each is laid out at most once.
+    counts = np.array(counts, dtype=np.int64)
+    offset = np.cumsum(counts) - counts  # of each node's first branch
+    level = np.array([index[root]])
+    order, edges = [level], [np.zeros(0, dtype=np.int64)]
+    while (c := counts[level]).any():
+        ends = np.cumsum(c)
+        edges.append(np.repeat(offset[level] - ends + c, c) + np.arange(ends[-1]))
+        level = kid[edges[-1]]
+        order.append(level)
+    order = np.concatenate(order)
+    time = time[order]
+    parent = np.concatenate(([-1], np.repeat(np.arange(len(order)), counts[order])))
+    laid_out = tuple(map(ids.__getitem__, order.tolist()))
+    bad = time[1:] != time[parent[1:]] + 1
+    if bad.any():
+        i = int(np.argmax(bad)) + 1
+        raise InvalidModelError(
+            f"child {laid_out[i]!r} time must be {time[parent[i]] + 1}"
+        )
+    if len(order) < n:
+        unreachable = sorted(set(ids) - set(laid_out))
+        raise InvalidModelError(f"unreachable nodes: {unreachable[:5]}")
+    prob = np.concatenate(([1.0], prob[np.concatenate(edges)]))
+    return parent, prob, rows[order], laid_out, int(time[0])
 
 
 def model_from_dict(data):
@@ -693,7 +701,7 @@ def model_from_dict(data):
                 for nid, b in zip(ids, branches):
                     _typed(b, list, f"branches of node {nid!r}")
             flat = _all_typed([br for b in branches for br in b], dict, "each branch")
-            columns = (
+            *arrays, start = _lay_out(
                 ids,
                 [n["time"] for n in nodes],
                 [n["prices"] for n in nodes],
@@ -702,8 +710,8 @@ def model_from_dict(data):
                 [br["prob"] for br in flat],
                 data["root"],
             )
-            tree = object.__new__(FiniteTreeModel)
-            tree._set_values(*tree._lay_out(*columns))
+            tree = FiniteTreeModel(*arrays)
+            tree.time += start  # the config's times, kept for hedge --out
             return tree
     except KeyError as err:
         raise InvalidModelError(f"{kind} model config lacks the key {err}") from None
@@ -747,16 +755,16 @@ def load_config(path):
     model = model_from_dict(data["model"])
     payoff = data["model"].get("payoff") if isinstance(model, FiniteTreeModel) else None
     if payoff is not None:
-        payoff = _typed(payoff, dict, "'payoff'")
-        payoff = {k: _number(v, f"payoff at {k!r}") for k, v in payoff.items()}
+        payoff = _numbers(_typed(payoff, dict, "'payoff'"), "payoff")
     constant, raw = None, data.get("claim")
-    if raw is not None:  # the top-level claim takes precedence
+    if isinstance(raw, dict):  # the top-level claim takes precedence
+        payoff = _numbers(raw, "claim")
+    elif raw is not None:
         try:
-            if isinstance(raw, dict):
-                payoff = {str(k): float(v) for k, v in raw.items()}
-            else:
-                constant, payoff = float(raw), None
-        except (TypeError, ValueError):
+            if isinstance(raw, bool):
+                raise TypeError
+            constant, payoff = float(raw), None
+        except (TypeError, ValueError, OverflowError):
             raise InvalidModelError(
                 f"claim must be a number or a mapping of numbers, got {raw!r}"
             ) from None

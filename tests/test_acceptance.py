@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_tree, random_claim
+from conftest import make_tree, random_claim, with_duplicated_asset
 from mvhedge import engine, frontier, models, oracle, qp
 from mvhedge.linalg import (
     NumericContext,
@@ -43,18 +43,7 @@ def tree_corpus():
         periods = int(rng.integers(1, 5))
         if i % 5 == 0:
             base = make_tree(rng, n_assets=max(1, min(d, 2)), periods=periods)
-            nodes = [
-                (
-                    nid,
-                    base.nodes[nid].time,
-                    np.concatenate(
-                        [base.nodes[nid].prices, base.nodes[nid].prices[-1:]]
-                    ),
-                    list(base.nodes[nid].branches),
-                )
-                for nid in base.ids
-            ]
-            tree = models.FiniteTreeModel(nodes, base.root)
+            tree = with_duplicated_asset(base)
         else:
             tree = make_tree(rng, n_assets=d, periods=periods)
         corpus.append((tree, random_claim(rng, tree)))
@@ -270,8 +259,7 @@ def test_criterion_6_engine_vs_dp_oracle(tree_corpus):
         solution = engine.tree_backward(tree, claim)
         v = float(rng.normal())
         result = oracle.dp_solve(tree, claim, v)
-        for nid in tree.nodes:
-            i = tree.index[nid]
+        for i in tree.nodes.values():
             assert abs(solution.L[i] - result.ell[i]) <= 1e-10
             assert abs(solution.V[i] - result.v[i]) <= 1e-10
             assert abs(solution.eps2[i] - result.e[i]) <= 1e-10
@@ -289,8 +277,7 @@ def test_criterion_6_engine_vs_dp_oracle(tree_corpus):
             shifted = engine.tree_backward(
                 tree, claim, adjustment_override=perturb
             )
-            for nid in tree.nodes:
-                i = tree.index[nid]
+            for i in tree.nodes.values():
                 assert abs(solution.L[i] - shifted.L[i]) <= 1e-10
                 assert abs(solution.V[i] - shifted.V[i]) <= 1e-10
                 assert abs(solution.eps2[i] - shifted.eps2[i]) <= 1e-10

@@ -131,6 +131,8 @@ class TestFrontierCommand:
         }
         bad_prob = json.loads(json.dumps(tree))
         bad_prob["nodes"][0]["branches"][0]["prob"] = "x"
+        true_prob = json.loads(json.dumps(tree))
+        true_prob["nodes"][0]["branches"][1]["prob"] = True
         seg = {"duration": 1.0, "b": [0.1], "c": [[0.04]]}
         wide = dict(seg, b=[0.1, 0.2], c=[[0.04, 0.0], [0.0, 0.09]])
         cases = [
@@ -163,6 +165,34 @@ class TestFrontierCommand:
                 "got [[0.04, 0.0], [0.0]]",
             ),
             ({"model": bad_prob}, "branch prob must be a number, got 'x'"),
+            # JSON true is not the number 1, in any scalar number field
+            ({"model": true_prob}, "branch prob must be a number, got True"),
+            ({"model": model, "wealth": True}, "wealth must be a number, got True"),
+            ({"model": model, "step": True}, "step must be a number, got True"),
+            (
+                {"model": model, "claim": True},
+                "claim must be a number or a mapping of numbers, got True",
+            ),
+            (  # a JSON integer past the float range
+                {"model": model, "claim": 10**400},
+                f"claim must be a number or a mapping of numbers, got {10**400}",
+            ),
+            (
+                {"model": tree, "claim": {"u": 1.0, "d": False}},
+                "claim at 'd' must be a number, got False",
+            ),
+            (
+                {"model": dict(tree, payoff={"u": True, "d": 0.0})},
+                "payoff at 'u' must be a number, got True",
+            ),
+            (
+                {"model": dict(tree, payoff={"u": 1.0, "d": "x"})},
+                "payoff at 'd' must be a number, got 'x'",
+            ),
+            (
+                {"model": {"kind": "pii", "segments": [dict(seg, duration=True)]}},
+                "segment duration must be a number, got True",
+            ),
             ({"model": dict(model, mu=[math.inf])}, "mu contains non-finite entries"),
             ({"model": dict(model, mu=[0.1, 0.2])}, "mu and sigma dimensions differ"),
             ({"model": dict(model, T=0)}, "n_periods must be at least 1"),
@@ -332,7 +362,7 @@ def test_malformed_tree_config_exits_2(case, tmp_path, capsys):
     records = list(VALID_TREE)
     edit(records)
     with pytest.raises(error) as expected:
-        models.FiniteTreeModel(records, "r")
+        models.model_from_dict(tree_dict(records, "r"))
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps({"model": tree_dict(records, "r", TERMINAL_PAYOFF)}))
     assert main(["hedge", "--model", str(path)]) == 2
@@ -393,6 +423,28 @@ class TestHedgeCommand:
         for row in rows[1:]:
             assert abs(float(row.split(",")[eps_col])) < 1e-12
         assert "hedging error" in stdout
+
+    def test_out_lists_nodes_breadth_first_with_config_times(self, tmp_path, capsys):
+        # The node and time columns: ids in layout order, and the config's
+        # own times, also when the root does not start at 0.
+        data = json.loads(open(cfg("tree_call_binomial.json"), encoding="utf-8").read())
+        later = json.loads(json.dumps(data))
+        for node in later["model"]["nodes"]:
+            node["time"] += 3
+        columns = {}
+        for name, config in (("shipped", data), ("later", later)):
+            path, out = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+            path.write_text(json.dumps(config))
+            assert main(["hedge", "--model", str(path), "--out", str(out)]) == 0
+            columns[name] = [row.split(",")[:2] for row in out.read_text().splitlines()]
+        capsys.readouterr()
+        ids = ["n", "nu", "nd", "nuu", "nud", "ndu", "ndd"]
+        assert columns["shipped"] == [["node", "time"]] + [
+            [nid, str(t)] for nid, t in zip(ids, [0, 1, 1, 2, 2, 2, 2])
+        ]
+        assert columns["later"] == [["node", "time"]] + [
+            [nid, str(t)] for nid, t in zip(ids, [3, 4, 4, 5, 5, 5, 5])
+        ]
 
     def test_printed_error_consistent_with_processes(self, capsys):
         code = main(["hedge", "--model", cfg("tree_call_binomial.json")])

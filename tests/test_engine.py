@@ -7,6 +7,8 @@ from conftest import (
     mixed_tree,
     moment_matched_tree,
     random_claim,
+    tree_dict,
+    with_duplicated_asset,
 )
 from mvhedge import models, qp
 from mvhedge.engine import (
@@ -429,11 +431,10 @@ class TestTreeBackward:
     def test_complete_market_replicates(self):
         tree = complete_binomial_tree(periods=2)
         payoff = {
-            t: max(tree.nodes[t].prices[1] - 1.0, 0.0) for t in tree.terminal_ids
+            t: max(tree.prices[tree.nodes[t], 1] - 1.0, 0.0) for t in tree.terminal_ids
         }
         sol = tree_backward(tree, Claim(payoff=payoff))
-        for nid in tree.nodes:
-            assert sol.eps2[tree.index[nid]] < 1e-14
+        assert np.all(sol.eps2 < 1e-14)
         # risk-neutral price: q = (1 - down) / (up - down) per period
         q = (1.0 - 0.8) / (1.25 - 0.8)
         price = sum(
@@ -453,9 +454,8 @@ class TestTreeBackward:
         for _ in range(5):
             tree = make_tree(rng, n_assets=2, periods=3, constant_asset=True)
             sol = tree_backward(tree, Claim(constant=1.0))
-            for nid in tree.nodes:
-                assert 0.0 < sol.L[tree.index[nid]] <= 1.0 + 1e-12
-                assert sol.eps2[tree.index[nid]] >= -1e-14
+            assert np.all((0.0 < sol.L) & (sol.L <= 1.0 + 1e-12))
+            assert np.all(sol.eps2 >= -1e-14)
 
     def test_matches_closed_form_on_moment_tree(self, discrete_benchmark):
         tree = moment_matched_tree(
@@ -481,13 +481,7 @@ class TestTreeBackward:
     def test_null_perturbation_leaves_outputs_unchanged(self):
         rng = np.random.default_rng(9)
         # A redundant duplicated asset guarantees nontrivial null directions.
-        base = make_tree(rng, n_assets=2, periods=2)
-        nodes = []
-        for nid in base.ids:
-            node = base.nodes[nid]
-            prices = np.concatenate([node.prices, node.prices[-1:]])
-            nodes.append((nid, node.time, prices, list(node.branches)))
-        tree = models.FiniteTreeModel(nodes, base.root)
+        tree = with_duplicated_asset(make_tree(rng, n_assets=2, periods=2))
         claim = random_claim(rng, tree)
         sol = tree_backward(tree, claim)
         saw_null = any(nb.shape[1] > 0 for nb in sol.null_basis)
@@ -499,11 +493,8 @@ class TestTreeBackward:
             return a + null_basis @ rng.normal(size=null_basis.shape[1])
 
         pert = tree_backward(tree, claim, adjustment_override=perturb)
-        for nid in tree.nodes:
-            i = tree.index[nid]
-            assert abs(sol.L[i] - pert.L[i]) < 1e-10
-            assert abs(sol.V[i] - pert.V[i]) < 1e-10
-            assert abs(sol.eps2[i] - pert.eps2[i]) < 1e-10
+        for got, want in ((pert.L, sol.L), (pert.V, sol.V), (pert.eps2, sol.eps2)):
+            assert np.abs(got - want).max() < 1e-10
         # wealth paths are unchanged too: null directions have zero wealth
         from mvhedge.oracle import enumerate_terminal_wealth
 
@@ -538,7 +529,7 @@ class TestTreeBackward:
             return norm(x, ord, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "norm", no_spectral_norm)
-        internal = len(tree.nodes) - len(tree.terminal_ids)
+        internal = tree.n_internal
         qp._ones.cache_clear()
         # the first solve factors ones', the second finds it cached
         for expected in (len(tree.levels) + 1, len(tree.levels)):
@@ -601,7 +592,7 @@ class TestTreeBackward:
         rng = np.random.default_rng(31)
         for _ in range(4):
             nodes, root, _ = random_tree(rng, 3, int(rng.integers(3, 5)), shape)
-            tree = models.FiniteTreeModel(nodes, root)
+            tree = models.model_from_dict(tree_dict(nodes, root))
             claim = random_claim(rng, tree)
             flats.clear()
             if solver == "tree_backward":
@@ -630,33 +621,19 @@ class TestTreeBackward:
         assert np.abs(wealth - dp.wealth).max() <= 1e-10
 
     def test_deterministic_arbitrage_names_node(self):
-        tree = models.FiniteTreeModel(
-            [
-                ("r", 0, [1.0, 1.0], [(1.0, "a")]),
-                ("a", 1, [1.0, 1.3], []),
-            ],
-            "r",
-        )
+        prices = [[1.0, 1.0], [1.0, 1.3]]
+        tree = models.FiniteTreeModel([-1, 0], [1.0, 1.0], prices, ["r", "a"])
         with pytest.raises(LocalArbitrageError, match="node 'r'"):
             tree_backward(tree, Claim(constant=1.0))
 
 
 def _ups(tree, terminal):
-    # count up-moves on the unique path to a terminal of the binomial fixture
-    path = []
-    target = terminal
-
-    def walk(nid):
-        if nid == target:
-            return True
-        for idx, (_, ch) in enumerate(tree.nodes[nid].branches):
-            if walk(ch):
-                path.append(idx)
-                return True
-        return False
-
-    walk(tree.root)
-    return sum(1 for i in path if i == 0)
+    # count up-moves on the path to a terminal of the binomial fixture: every
+    # node has two children, so an up-move, the first branch, is an odd position
+    i, ups = tree.nodes[terminal], 0
+    while i:
+        ups, i = ups + i % 2, tree.parent[i]
+    return ups
 
 
 class TestFeedbackStrategy:

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import mixed_tree, random_claim
+from conftest import mixed_tree, random_claim, tree_dict
 from exact import exact_dp
 from mvhedge import models, oracle
 from mvhedge.engine import hedging_error, tree_backward
@@ -34,7 +34,7 @@ def _corpus():
     rng = np.random.default_rng(20261018)
     for shape in ("generic", "riskless", "duplicated") * 2:
         nodes, root, _ = random_tree(rng, 2, int(rng.integers(3, 5)), shape)
-        tree = models.FiniteTreeModel(nodes, root)
+        tree = models.model_from_dict(tree_dict(nodes, root))
         cases.append((shape, tree, random_claim(rng, tree), float(rng.uniform(-1, 1))))
     # two assets: with fewer branches than assets the float martingale step
     # leaves the exact data with an arbitrage, which no float solver sees

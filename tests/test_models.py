@@ -5,7 +5,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import complete_binomial_tree, make_tree, moment_matched_tree, tree_dict
+from conftest import (
+    complete_binomial_tree,
+    first_branches_off,
+    make_tree,
+    moment_matched_tree,
+    node_records,
+    tree_dict,
+    with_duplicated_asset,
+)
 from mvhedge import models, oracle, qp
 from mvhedge.cli import main
 from mvhedge.engine import LocalArbitrageError, adjustment
@@ -23,6 +31,7 @@ from mvhedge.models import (
 )
 
 DATA = Path(__file__).parent / "data"
+CONFIGS = Path(__file__).parent.parent / "configs"
 
 
 class TestIidModel:
@@ -82,27 +91,27 @@ class TestPiiModel:
 
 class TestTreeModel:
     def test_layout_matches_node_records(self):
+        # The config's node records, given in reverse, are laid out breadth
+        # first with each node's children next to each other.
         rng = np.random.default_rng(14)
-        trees = []
+        cases = []
         for i in range(6):
             base = make_tree(rng, n_assets=1 + i % 3, periods=1 + i % 4)
-            trees.append(base)
-            nodes = [  # a duplicated asset, as in the acceptance corpus
-                (nid, n.time, np.append(n.prices, n.prices[-1]), n.branches)
-                for nid, n in base.nodes.items()
-            ]
-            trees.append(FiniteTreeModel(nodes, base.root))
-        for tree in trees:
+            for tree in (base, with_duplicated_asset(base)):
+                recs = node_records(tree)
+                laid_out = model_from_dict(tree_dict(recs[::-1], tree.root))
+                cases.append(({r[0]: r for r in recs}, laid_out))
+        for recs, tree in cases:
             assert tree.ids[0] == tree.root and tree.parent[0] == -1
-            for nid, node in tree.nodes.items():
-                i = tree.index[nid]
-                assert tree.ids[i] == nid and tree.time[i] == node.time
-                assert (i < tree.n_internal) == bool(node.branches)
-                kids = [tree.index[ch] for _, ch in node.branches]
+            for nid, (_, time, prices, branches) in recs.items():
+                i = tree.nodes[nid]
+                assert tree.ids[i] == nid and tree.time[i] == time
+                assert (i < tree.n_internal) == bool(branches)
+                kids = [tree.nodes[ch] for _, ch in branches]
                 assert np.all(np.diff(kids) == 1)
-                for (p, ch), j in zip(node.branches, kids):
+                for (p, ch), j in zip(branches, kids):
                     assert tree.parent[j] == i and tree.prob[j] == p
-                    expected = tree.nodes[ch].prices / node.prices - 1.0
+                    expected = np.array(recs[ch][2]) / np.array(prices) - 1.0
                     assert np.array_equal(tree.rets[j], expected)
             assert np.all(np.diff(tree.time) >= 0)
             assert np.all(np.diff(tree.parent) >= 0)  # breadth first
@@ -111,7 +120,7 @@ class TestTreeModel:
                 assert set(tree.time[here]) == {t} and set(tree.time[kids]) == {t + 1}
                 assert here.stop == kids.start
                 assert np.array_equal(here.start + owner, tree.parent[kids])
-                counts = [len(tree.nodes[nid].branches) for nid in tree.ids[here]]
+                counts = [len(recs[nid][3]) for nid in tree.ids[here]]
                 assert sums(np.ones(kids.stop - kids.start)).tolist() == counts
             terminal = tree.node_probabilities()[tree.n_internal :]
             assert abs(terminal.sum() - 1.0) < 1e-12
@@ -120,48 +129,27 @@ class TestTreeModel:
         eps = 5e-13
         with pytest.warns(UserWarning, match="renormalizing"):
             tree = FiniteTreeModel(
-                [
-                    ("r", 0, [1.0], [(0.5 + eps, "a"), (0.5, "b")]),
-                    ("a", 1, [1.2], []),
-                    ("b", 1, [0.9], []),
-                ],
-                "r",
+                [-1, 0, 0], [1.0, 0.5 + eps, 0.5], [[1.0], [1.2], [0.9]]
             )
-        probs = [p for p, _ in tree.nodes["r"].branches]
-        assert abs(sum(probs) - 1.0) < 1e-15
+        assert abs(tree.prob[1:].sum() - 1.0) < 1e-15
 
     def test_bad_probability_sum_rejected(self):
-        with pytest.raises(InvalidModelError):
-            FiniteTreeModel(
-                [
-                    ("r", 0, [1.0], [(0.3, "a"), (0.3, "b")]),
-                    ("a", 1, [1.2], []),
-                    ("b", 1, [0.9], []),
-                ],
-                "r",
-            )
+        with pytest.raises(InvalidModelError, match="node 'n0' sum to 0.6"):
+            FiniteTreeModel([-1, 0, 0], [1.0, 0.3, 0.3], [[1.0], [1.2], [0.9]])
 
     def test_no_positive_asset_rejected(self):
-        with pytest.raises(InvalidModelError):
-            FiniteTreeModel(
-                [
-                    ("r", 0, [-1.0], [(1.0, "a")]),
-                    ("a", 1, [1.0], []),
-                ],
-                "r",
-            )
+        with pytest.raises(InvalidModelError, match="no strictly positive asset"):
+            FiniteTreeModel([-1, 0], [1.0, 1.0], [[-1.0], [1.0]])
 
     def test_mismatched_terminal_times_rejected(self):
-        with pytest.raises(InvalidModelError):
-            FiniteTreeModel(
-                [
-                    ("r", 0, [1.0], [(0.5, "a"), (0.5, "b")]),
-                    ("a", 1, [1.2], [(1.0, "c")]),
-                    ("b", 1, [0.9], []),
-                    ("c", 2, [1.3], []),
-                ],
-                "r",
-            )
+        records = [
+            ("r", 0, [1.0], [(0.5, "a"), (0.5, "b")]),
+            ("a", 1, [1.2], [(1.0, "c")]),
+            ("b", 1, [0.9], []),
+            ("c", 2, [1.3], []),
+        ]
+        with pytest.raises(InvalidModelError, match="terminal nodes must share"):
+            model_from_dict(tree_dict(records, "r"))
 
     def test_claim_requires_all_terminals(self, capsys):
         # A claim map, top-level or the model's payoff, is checked where the
@@ -183,7 +171,7 @@ class TestTreeModel:
 
 
 # Two periods, two assets; each case below breaks one rule of the structure
-# or value step of FiniteTreeModel.
+# step of a config tree or of the value step of FiniteTreeModel.
 VALID_TREE = [
     ("r", 0, [1.0, 2.0], [(0.5, "a"), (0.5, "b")]),
     ("a", 1, [1.2, 2.2], [(0.4, "aa"), (0.6, "ab")]),
@@ -241,10 +229,56 @@ MALFORMED_TREES = [
 ]
 
 
+# VALID_TREE as the constructor's arrays; each case below breaks one rule of
+# its layout check.
+VALID_ARRAYS = (
+    [-1, 0, 0, 1, 1, 2, 2],
+    [1.0, 0.5, 0.5, 0.4, 0.6, 0.5, 0.5],
+    [[1.0, 2.0], [1.2, 2.2], [0.9, 1.8], [1.3, 2.0], [1.1, 2.5], [0.8, 1.9], [1.0, 1.7]],
+    ["r", "a", "b", "aa", "ab", "ba", "bb"],
+)
+
+
+def _arrays(**changes):
+    """VALID_ARRAYS with some of parent, prob, prices and ids replaced."""
+    fields = dict(zip(("parent", "prob", "prices", "ids"), VALID_ARRAYS), **changes)
+    return tuple(fields.values())
+
+
+MALFORMED_ARRAYS = [
+    ("root parent not -1", _arrays(parent=[0, 0, 0, 1, 1, 2, 2]),
+     "position 0 must be the root, with parent -1"),
+    ("no nodes", (np.zeros(0, dtype=int), [], np.zeros((0, 2)), []),
+     "position 0 must be the root, with parent -1"),
+    ("fractional parent", _arrays(parent=[-1.0, 0, 0, 1, 1, 2, 2]),
+     "parent must be a one-dimensional integer array"),
+    ("parent at its child", _arrays(parent=[-1, 0, 2, 1, 1, 2, 2]),
+     "parent is not a breadth-first layout: node 'b' at position 2 has parent 2"),
+    ("parent after its child", _arrays(parent=[-1, 0, 0, 4, 4, 4, 4]),
+     "parent is not a breadth-first layout: node 'aa' at position 3 has parent 4"),
+    ("parents out of order", _arrays(parent=[-1, 0, 0, 2, 2, 1, 1]),
+     "parent is not a breadth-first layout: node 'ba' at position 5 has parent 1"),
+    ("short prob", _arrays(prob=VALID_ARRAYS[1][:-1]),
+     "parent, prob, prices and ids need one entry per node, got 7, 6, 7 and 7"),
+    ("short prices", _arrays(prices=VALID_ARRAYS[2][:-1]),
+     "parent, prob, prices and ids need one entry per node, got 7, 7, 6 and 7"),
+    ("long ids", _arrays(ids=VALID_ARRAYS[3] + ["z"]),
+     "parent, prob, prices and ids need one entry per node, got 7, 7, 7 and 8"),
+    ("terminal nodes at two levels", _arrays(parent=[-1, 0, 0, 1, 1, 1, 1]),
+     "terminal nodes must share a common time"),
+    ("duplicate id", _arrays(ids=["r", "a", "b", "aa", "ab", "aa", "bb"]),
+     "duplicate node id 'aa'"),
+]
+
+
 class TestTreeValidation:
     def test_valid_tree_passes(self):
-        tree = FiniteTreeModel(VALID_TREE, "r")
+        tree = model_from_dict(tree_dict(VALID_TREE, "r"))
         assert tree.ids == ("r", "a", "b", "aa", "ab", "ba", "bb")
+        assert _layout(FiniteTreeModel(*VALID_ARRAYS)) == _layout(tree)
+        default = FiniteTreeModel(*VALID_ARRAYS[:3])
+        assert default.ids == ("n0", "n1", "n2", "n3", "n4", "n5", "n6")
+        assert dict(default.nodes) == dict(zip(default.ids, range(7)))
 
     @pytest.mark.parametrize(
         "edit, error, message",
@@ -255,40 +289,52 @@ class TestTreeValidation:
         records = list(VALID_TREE)
         edit(records)
         with pytest.raises(error, match=message):
-            FiniteTreeModel(records, "r")
+            model_from_dict(tree_dict(records, "r"))
 
     @pytest.mark.parametrize(
         "edit, error, message",
         [case[1:] for case in MALFORMED_TREES],
         ids=[case[0] for case in MALFORMED_TREES],
     )
-    def test_config_loader_reports_the_same_fault(self, edit, error, message):
+    def test_config_loader_reports_the_same_fault(self, edit, error, message, tmp_path):
+        # The fault in a config file: load_config raises the error that the
+        # same mapping raises in memory.
         records = list(VALID_TREE)
         edit(records)
-        with pytest.raises(error, match=message) as from_records:
-            FiniteTreeModel(records, "r")
-        with pytest.raises(error, match=message) as from_config:
+        with pytest.raises(error, match=message) as in_memory:
             model_from_dict(tree_dict(records, "r"))
-        assert type(from_config.value) is type(from_records.value)
-        assert str(from_config.value) == str(from_records.value)
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps({"model": tree_dict(records, "r", TERMINAL_PAYOFF)}))
+        with pytest.raises(error) as from_file:
+            models.load_config(path)
+        assert type(from_file.value) is type(in_memory.value)
+        assert str(from_file.value) == str(in_memory.value)
+
+    @pytest.mark.parametrize(
+        "arrays, message",
+        [case[1:] for case in MALFORMED_ARRAYS],
+        ids=[case[0] for case in MALFORMED_ARRAYS],
+    )
+    def test_malformed_arrays_name_the_broken_rule(self, arrays, message):
+        with pytest.raises(InvalidModelError) as err:
+            FiniteTreeModel(*arrays)
+        assert str(err.value) == message
 
     def test_nested_prices_are_raveled(self):
         # One nested row makes the price rows ragged; nesting every row keeps
         # them rectangular.  Both lay out like the flat rows.
-        flat = _layout(FiniteTreeModel(VALID_TREE, "r"))
+        flat = _layout(model_from_dict(tree_dict(VALID_TREE, "r")))
         one = list(VALID_TREE)
         _edit("a", prices=[[1.2, 2.2]])(one)
         every = [(nid, t, [prices], br) for nid, t, prices, br in VALID_TREE]
         for records in (one, every):
-            assert _layout(FiniteTreeModel(records, "r")) == flat
             assert _layout(model_from_dict(tree_dict(records, "r"))) == flat
 
     def test_integral_floats_read_as_integers(self):
         # JSON has one number type, so 2.0 is the integer 2; 2.9, "2" and true
         # are not (MALFORMED_TREES and test_cli.py's malformed configs).
         records = [(nid, float(t), prices, br) for nid, t, prices, br in VALID_TREE]
-        flat = _layout(FiniteTreeModel(VALID_TREE, "r"))
-        assert _layout(FiniteTreeModel(records, "r")) == flat
+        flat = _layout(model_from_dict(tree_dict(VALID_TREE, "r")))
         assert _layout(model_from_dict(tree_dict(records, "r"))) == flat
         iid = {"kind": "iid", "mu": [0.1], "sigma": [[0.04]], "T": 4.0}
         assert model_from_dict(iid).n_periods == 4
@@ -346,24 +392,21 @@ class TestDiscountTree:
     def test_constant_numeraire_is_identity(self):
         tree = complete_binomial_tree(periods=2)
         disc, weights = discount_tree(tree, 0)
-        for nid, node in tree.nodes.items():
-            assert np.allclose(disc.nodes[nid].prices, node.prices)
-            assert weights[tree.index[nid]] == 1.0
-            for (p, ch), (pd, chd) in zip(node.branches, disc.nodes[nid].branches):
-                assert ch == chd and abs(p - pd) < 1e-15
+        assert disc.ids == tree.ids and np.allclose(disc.prices, tree.prices)
+        assert np.all(weights == 1.0)
+        assert np.abs(disc.prob - tree.prob).max() < 1e-15
 
     def test_numeraire_column_becomes_one(self):
         rng = np.random.default_rng(4)
         tree = make_tree(rng, n_assets=2, periods=2)
         disc, _ = discount_tree(tree, 1)
-        for node in disc.nodes.values():
-            assert abs(node.prices[1] - 1.0) < 1e-14
+        assert np.abs(disc.prices[:, 1] - 1.0).max() < 1e-14
 
     def test_reweighted_probabilities_normalized(self):
         rng = np.random.default_rng(5)
         tree = make_tree(rng, n_assets=2, periods=3)
         disc, _ = discount_tree(tree, 0)
-        total = sum(disc.node_probabilities()[disc.index[t]] for t in disc.terminal_ids)
+        total = sum(disc.node_probabilities()[disc.nodes[t]] for t in disc.terminal_ids)
         assert abs(total - 1.0) < 1e-12
 
     def test_second_moment_identity_for_claims(self):
@@ -374,9 +417,9 @@ class TestDiscountTree:
         disc, weights = discount_tree(tree, 0)
         probs = tree.node_probabilities()
         disc_probs = disc.node_probabilities()
-        lhs = sum(probs[tree.index[t]] * payoff[t] ** 2 for t in tree.terminal_ids)
-        rhs = weights[tree.index[tree.root]] * sum(
-            disc_probs[disc.index[t]] * (payoff[t] / tree.nodes[t].prices[0]) ** 2
+        lhs = sum(probs[tree.nodes[t]] * payoff[t] ** 2 for t in tree.terminal_ids)
+        rhs = weights[tree.nodes[tree.root]] * sum(
+            disc_probs[disc.nodes[t]] * (payoff[t] / tree.prices[tree.nodes[t], 0]) ** 2
             for t in tree.terminal_ids
         )
         assert abs(lhs - rhs) < 1e-12 * (1 + abs(lhs))
@@ -386,21 +429,12 @@ class TestDiscountTree:
         tree = make_tree(rng, n_assets=2, periods=2)
         once, _ = discount_tree(tree, 0)
         twice, _ = discount_tree(once, 0)
-        for nid in tree.nodes:
-            assert np.allclose(once.nodes[nid].prices, twice.nodes[nid].prices)
-            p1 = [p for p, _ in once.nodes[nid].branches]
-            p2 = [p for p, _ in twice.nodes[nid].branches]
-            assert np.allclose(p1, p2, atol=1e-13)
+        assert np.allclose(once.prices, twice.prices)
+        assert np.allclose(once.prob, twice.prob, atol=1e-13)
 
     def test_nonpositive_numeraire_rejected(self):
-        tree = FiniteTreeModel(
-            [
-                ("r", 0, [1.0, -2.0], [(0.5, "a"), (0.5, "b")]),
-                ("a", 1, [1.2, -2.5], []),
-                ("b", 1, [0.9, -1.5], []),
-            ],
-            "r",
-        )
+        prices = [[1.0, -2.0], [1.2, -2.5], [0.9, -1.5]]
+        tree = FiniteTreeModel([-1, 0, 0], [1.0, 0.5, 0.5], prices)
         with pytest.raises(InvalidNumeraireError):
             discount_tree(tree, 1)
         assert tree.positive_assets() == [0]
@@ -409,11 +443,10 @@ class TestDiscountTree:
 def _layout(tree):
     """Every array and field of the layout, for bit-for-bit comparison."""
     arrays = [tree.prob, tree.prices, tree.rets, tree.parent, tree.time]
-    for here, kids, sums, owner in tree.levels:
-        arrays.append(owner)
-        arrays.append(sums(np.arange(kids.stop - kids.start, dtype=float)))
-    fields = (tree.root, tree.ids, tree.index, tree.n_internal, tree.terminal_ids,
-              tree.horizon,
+    for (here, kids, sums, owner), (pos, _) in zip(tree.levels, tree.slots):
+        arrays += [owner, pos, sums(np.arange(kids.stop - kids.start, dtype=float))]
+    fields = (tree.root, tree.ids, dict(tree.nodes), tree.n_internal, tree.terminal_ids,
+              tree.horizon, [width for _, width in tree.slots],
               [(here, kids) for here, kids, _, _ in tree.levels])
     return [(a.dtype, a.shape, a.tobytes()) for a in arrays], fields
 
@@ -423,20 +456,10 @@ def _layout_trees():
     for i in range(3):
         yield make_tree(rng, n_assets=2 + i, periods=2 + i)
         yield make_tree(rng, n_assets=3, periods=3, constant_asset=True)
-        base = make_tree(rng, n_assets=2, periods=3)
-        yield FiniteTreeModel(  # a duplicated asset
-            [(n.id, n.time, np.append(n.prices, n.prices[-1]), n.branches)
-             for n in base.nodes.values()],
-            base.root,
-        )
+        yield with_duplicated_asset(make_tree(rng, n_assets=2, periods=3))
         base = make_tree(rng, n_assets=3, periods=2)
         with pytest.warns(UserWarning, match="renormalizing"):
-            renormalized = FiniteTreeModel(  # every first branch 5e-13 too likely
-                [(n.id, n.time, n.prices,
-                  [(p + 5e-13 * (k == 0), ch) for k, (p, ch) in enumerate(n.branches)])
-                 for n in base.nodes.values()],
-                base.root,
-            )
+            renormalized = first_branches_off(base, 5e-13)
         yield renormalized
 
 
@@ -451,12 +474,12 @@ class TestTreeLayout:
             for j in tree.positive_assets():
                 assert discount_tree(tree, j)[0].slots is tree.slots
 
-    def test_records_round_trip_to_the_same_layout(self):
+    def test_arrays_round_trip_to_the_same_layout(self):
         count = 0
         for tree in _layout_trees():
             discounted = [discount_tree(tree, j)[0] for j in tree.positive_assets()]
             for t in [tree, *discounted]:
-                again = FiniteTreeModel(t.nodes.values(), t.root)
+                again = FiniteTreeModel(t.parent, t.prob, t.prices, t.ids)
                 assert _layout(again) == _layout(t)
                 count += 1
         assert count >= 40
@@ -468,25 +491,34 @@ class TestTreeLayout:
         trees.append(moment_matched_tree([0.05, 0.08], [[0.04, 0.01], [0.01, 0.09]], 2))
         trees.append(complete_binomial_tree(periods=3))
         rng = np.random.default_rng(23)
+        pairs = [(tree, tree_dict(node_records(tree), tree.root)) for tree in trees]
         for k in range(12):
             nodes, root, _ = random_tree(
                 rng, 1 + k % 4, int(rng.integers(2, 5)),
                 ("generic", "riskless", "duplicated")[k % 3],
             )
-            trees.append(FiniteTreeModel(nodes, root))
-        for tree in trees:
-            data = tree_dict(tree.nodes.values(), tree.root)
+            tree = model_from_dict(tree_dict(nodes, root))
+            again = FiniteTreeModel(tree.parent, tree.prob, tree.prices, tree.ids)
+            pairs.append((again, tree_dict(nodes, root)))
+        for tree, data in pairs:
             data = json.loads(json.dumps(data))
             assert _layout(model_from_dict(data)) == _layout(tree)
             data["nodes"].reverse()  # the input order of the nodes does not matter
             assert _layout(model_from_dict(data)) == _layout(tree)
 
+    def test_shipped_trees_rebuild_from_their_arrays(self):
+        paths = [*CONFIGS.glob("tree_*.json"), *DATA.glob("*tree*.json")]
+        assert len(paths) == 10
+        for path in paths:
+            tree = load_config(path)[0]
+            again = FiniteTreeModel(tree.parent, tree.prob, tree.prices, ids=tree.ids)
+            assert _layout(again) == _layout(tree), path.name
+
     def test_nodes_is_a_read_only_view(self):
         tree = make_tree(np.random.default_rng(22), n_assets=2, periods=2)
-        node = tree.nodes[tree.root]
-        assert not node.prices.flags.writeable
+        assert list(tree.nodes.items()) == list(zip(tree.ids, range(len(tree.ids))))
         with pytest.raises(TypeError):
-            tree.nodes["x"] = node
+            tree.nodes["x"] = 0
         assert tree.nodes is tree.nodes
 
     def test_discounting_shares_the_structure_and_builds_no_records(self, monkeypatch):
@@ -503,38 +535,14 @@ class TestTreeLayout:
             for j in tree.positive_assets():
                 disc, _ = discount_tree(tree, j)
                 assert disc.ids is tree.ids and disc.levels is tree.levels
-                assert disc.parent is tree.parent and disc.index is tree.index
-                assert "nodes" not in vars(disc) and "nodes" not in vars(tree)
+                assert disc.parent is tree.parent and disc.nodes is tree.nodes
         assert calls == []
-
-    def test_discounted_copy_drops_the_cached_records(self):
-        # The source's records are built before it is discounted; the copy's
-        # records must be built from the discounted arrays, not be the
-        # source's cached view.
-        for tree in _layout_trees():
-            source = tree.nodes
-            for j in tree.positive_assets():
-                disc, _ = discount_tree(tree, j)
-                for i, nid in enumerate(tree.ids):
-                    expected = tree.prices[i] / tree.prices[i, j]
-                    assert np.array_equal(disc.nodes[nid].prices, expected)
-                    assert disc.nodes[nid].branches == tuple(
-                        (float(disc.prob[tree.index[ch]]), ch)
-                        for _, ch in source[nid].branches
-                    )
-            assert tree.nodes is source
 
     def test_discounted_edge_return_is_still_bounded(self):
         # Asset 0 falls by 1e-160 along one edge: every undiscounted return is
         # at most 1, but in units of asset 0 asset 1 rises by 1e160.
-        tree = FiniteTreeModel(
-            [
-                ("r", 0, [1.0, 1.0], [(0.5, "a"), (0.5, "b")]),
-                ("a", 1, [1e-160, 1.0], []),
-                ("b", 1, [1.0, 1.2], []),
-            ],
-            "r",
-        )
+        prices = [[1.0, 1.0], [1e-160, 1.0], [1.0, 1.2]]
+        tree = FiniteTreeModel([-1, 0, 0], [1.0, 0.5, 0.5], prices, ["r", "a", "b"])
         assert np.max(np.abs(tree.rets)) <= 1.0
         with pytest.raises(InvalidInputError, match="every edge return") as alone:
             discount_tree(tree, 0)
@@ -605,7 +613,7 @@ class TestConfigIO:
                 {"duration": s.duration, "b": s.b.tolist(), "c": s.c.tolist()}
                 for s in pii.segments
             ]},
-            tree_dict(tree.nodes.values(), tree.root),
+            tree_dict(node_records(tree), tree.root),
         ]
         iid2, pii2, tree2 = (
             model_from_dict(json.loads(json.dumps(c))) for c in configs

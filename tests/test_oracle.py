@@ -11,9 +11,13 @@ import pytest
 
 from conftest import (
     complete_binomial_tree,
+    first_branches_off,
     make_tree,
     moment_matched_tree,
+    node_records,
     random_claim,
+    tree_dict,
+    with_duplicated_asset,
 )
 from mvhedge import engine, models, oracle
 from mvhedge.cli import main
@@ -36,7 +40,7 @@ class TestDpSolve:
     def test_complete_market_objective_zero(self):
         tree = complete_binomial_tree(periods=1)
         payoff = {
-            t: max(tree.nodes[t].prices[1] - 1.0, 0.0) for t in tree.terminal_ids
+            t: max(tree.prices[tree.nodes[t], 1] - 1.0, 0.0) for t in tree.terminal_ids
         }
         claim = Claim(payoff=payoff)
         sol = tree_backward(tree, claim)
@@ -59,11 +63,9 @@ class TestDpSolve:
             sol = tree_backward(tree, claim)
             v = float(rng.normal())
             result = dp_solve(tree, claim, v)
-            for nid in tree.nodes:
-                i = tree.index[nid]
-                assert abs(sol.L[i] - result.ell[i]) < 1e-10
-                assert abs(sol.V[i] - result.v[i]) < 1e-10
-                assert abs(sol.eps2[i] - result.e[i]) < 1e-10
+            pairs = ((sol.L, result.ell), (sol.V, result.v), (sol.eps2, result.e))
+            for got, want in pairs:
+                assert np.abs(got - want).max() < 1e-10
             assert abs(engine.hedging_error(sol, v) - result.objective) < 1e-10
 
     def test_value_function_quadratic_shape(self):
@@ -75,7 +77,7 @@ class TestDpSolve:
         v_fit = (objs[-1.0] - objs[1.0]) / (4.0 * ell)
         e_fit = objs[0.0] - ell * v_fit**2
         root = dp_solve(tree, claim, 0.0)
-        i = tree.index[tree.root]
+        i = tree.nodes[tree.root]
         assert abs(ell - root.ell[i]) < 1e-10
         assert abs(v_fit - root.v[i]) < 1e-10
         assert abs(e_fit - root.e[i]) < 1e-10
@@ -87,24 +89,15 @@ class TestDpSolve:
         base = dp_solve(tree, claim, 0.3)
         # permute assets everywhere
         perm = [1, 0]
-        nodes = [
-            (nid, tree.nodes[nid].time, tree.nodes[nid].prices[perm],
-             list(tree.nodes[nid].branches))
-            for nid in tree.ids
-        ]
-        permuted = models.FiniteTreeModel(nodes, tree.root)
+        prices = tree.prices[:, perm]
+        permuted = models.FiniteTreeModel(tree.parent, tree.prob, prices, tree.ids)
         swapped = dp_solve(permuted, claim, 0.3)
         assert abs(base.objective - swapped.objective) < 1e-12
-        for nid in tree.ids[: len(base.holdings)]:
-            pi, i = base.holdings[tree.index[nid]], permuted.index[nid]
-            assert np.abs(pi[perm] - swapped.holdings[i]).max() < 1e-10
+        assert np.abs(base.holdings[:, perm] - swapped.holdings).max() < 1e-10
         # relabel branches (reverse order at every node)
-        nodes = [
-            (nid, tree.nodes[nid].time, tree.nodes[nid].prices,
-             list(reversed(tree.nodes[nid].branches)))
-            for nid in tree.ids
-        ]
-        reordered = models.FiniteTreeModel(nodes, tree.root)
+        nodes = [(nid, t, p, br[::-1]) for nid, t, p, br in node_records(tree)]
+        reordered = models.model_from_dict(tree_dict(nodes, tree.root))
+        assert reordered.ids != tree.ids
         rev = dp_solve(reordered, claim, 0.3)
         assert abs(base.objective - rev.objective) < 1e-12
 
@@ -114,7 +107,7 @@ class TestDpSolve:
         claim = random_claim(rng, tree)
         r1 = dp_solve(tree, claim, 0.0)
         r2 = dp_solve(tree, claim, 1.0)
-        root = tree.index[tree.root]
+        root = tree.nodes[tree.root]
         pi0, pi1 = r1.policy[root]
         assert np.abs(r1.holdings[root] - pi0).max() < 1e-12
         assert np.abs(r2.holdings[root] - (pi0 + pi1)).max() < 1e-12
@@ -124,7 +117,7 @@ class TestNumeraireChange:
     def test_constant_asset_is_identity(self):
         tree = complete_binomial_tree(periods=2)
         claim = Claim(
-            payoff={t: float(tree.nodes[t].prices[1]) for t in tree.terminal_ids}
+            payoff={t: float(tree.prices[tree.nodes[t], 1]) for t in tree.terminal_ids}
         )
         report = numeraire_change_check(tree, claim, 0, 0.4)
         assert report.objective_gap == 0.0
@@ -135,7 +128,7 @@ class TestNumeraireChange:
         tree = complete_binomial_tree(periods=2)
         claim = Claim(
             payoff={
-                t: max(tree.nodes[t].prices[1] - 1.0, 0.0)
+                t: max(tree.prices[tree.nodes[t], 1] - 1.0, 0.0)
                 for t in tree.terminal_ids
             }
         )
@@ -153,7 +146,7 @@ class TestNumeraireChange:
                 report = numeraire_change_check(tree, claim, j, 0.2)
                 assert report.passed(1e-9), (j, report)
                 m2 = sum(
-                    node_prob[tree.index[t]] * tree.nodes[t].prices[j] ** 2
+                    node_prob[tree.nodes[t]] * tree.prices[tree.nodes[t], j] ** 2
                     for t in tree.terminal_ids
                 )
                 assert abs(report.terminal_second_moment - m2) <= 1e-12 * m2
@@ -175,11 +168,7 @@ class TestNumeraireChange:
         trees = [
             make_tree(rng, n_assets=3, periods=3),
             make_tree(rng, n_assets=3, periods=3, constant_asset=True),
-            models.FiniteTreeModel(
-                [(n.id, n.time, np.append(n.prices, n.prices[-1]), n.branches)
-                 for n in duplicated.nodes.values()],
-                duplicated.root,
-            ),
+            with_duplicated_asset(duplicated),
         ]
         fields = ("ell", "v", "e", "policy", "holdings", "wealth")
         for tree in trees:
@@ -230,12 +219,7 @@ class TestNumeraireChange:
         assert np.bincount(wide.parent[1:]).max() > 8
         base = make_tree(rng, n_assets=3, periods=3)
         with pytest.warns(UserWarning, match="renormalizing"):
-            off = models.FiniteTreeModel(  # every first branch 5e-13 too likely
-                [(n.id, n.time, n.prices,
-                  [(p + 5e-13 * (k == 0), ch) for k, (p, ch) in enumerate(n.branches)])
-                 for n in base.nodes.values()],
-                base.root,
-            )
+            off = first_branches_off(base, 5e-13)
         constant = make_tree(rng, n_assets=3, periods=3, constant_asset=True)
         for tree in (wide, constant, off):
             claim, v = random_claim(rng, tree), float(rng.normal())
